@@ -23,16 +23,14 @@ import numpy as np
 from .extrapolation import atom_uniformity_experiment, combination_rate_experiment
 from .operators import TimeGrid, maximal_over_times, oscillating_op, riesz_mean_op, verify_kernel_decay
 from .quadrature import (
-    ConvergenceError,
     dyadic_band_ratio,
     dyadic_tail_order,
     fit_decay_exponent,
-    fourier_cosine_mu_derivative,
     small_tau_exponent,
     verify_small_tau_decay,
 )
-from .symbols import CutoffProfile, SymbolParams, partition_residual
-from .torus import LatticeGrid, inverse_transform, pure_mode, random_spectral_field
+from .symbols import CUTOFF_KINDS, CutoffProfile, SymbolParams, partition_residual
+from .torus import LatticeGrid, pure_mode, random_spectral_field
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -149,16 +147,43 @@ CATALOG = {
 }
 
 
+def _numeric_types() -> dict:
+    """Type of every numeric config key: float if any experiment's default for
+    it is a float, else int."""
+    types = {}
+    for defaults in DEFAULTS.values():
+        for key, value in defaults.items():
+            if isinstance(value, (int, float)):
+                types[key] = float if float in (type(value), types.get(key)) else int
+    return types
+
+
+NUMERIC_TYPES = _numeric_types()
+
+
+def _check_value(key: str, value) -> None:
+    if key == "cutoff_kind":
+        valid = value in CUTOFF_KINDS
+    else:
+        accepted = (int, float) if NUMERIC_TYPES[key] is float else int
+        valid = isinstance(value, accepted) and not isinstance(value, bool)
+    if not valid:
+        raise ValueError(f"config key {key!r} has invalid value {value!r}")
+
+
 def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
     config = dict(DEFAULTS[experiment])
     if config_file is not None:
         with open(config_file) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
         for key, value in loaded.items():
             if key == "experiment":
                 continue
             if key not in config:
                 raise ValueError(f"unknown config key {key!r} for {experiment}")
+            _check_value(key, value)
             config[key] = value
     for key, value in flag_values.items():
         if value is None:
@@ -234,42 +259,31 @@ def _run_symbol_decay(config, out_dir):
         n_samples=config["n_samples"],
         slope_tol=config["slope_tol"],
     )
-    taus = np.geomspace(config["tau_lo"], config["tau_hi"], config["n_samples"])
-    rows = []
-    for tau in taus:
-        v = fourier_cosine_mu_derivative(params, profile, float(tau), config["L"])
-        rows.append((float(tau), v.real, v.imag, abs(v)))
+    rows = [(tau, v.real, v.imag, abs(v)) for tau, v in report["samples"]]
     _write_csv(out_dir / "symbol-decay.csv", ["tau", "re", "im", "modulus"], rows)
-    summary = {
+    return {
         "predicted_exponent": small_tau_exponent(config["alpha"], config["beta"], config["L"]),
         "branch": report["branch"],
+        "fitted": _fit_dict(report["fitted"]),
         "pass": report["pass"],
     }
-    if report.get("fitted") is not None:
-        summary["fitted"] = _fit_dict(report["fitted"])
-    return summary
 
 
 def _run_dyadic_decay(config, out_dir):
     params = SymbolParams(config["alpha"], config["beta"])
     profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
-    k = int(config["k"])
-    fit = dyadic_tail_order(
+    tail = dyadic_tail_order(
         params,
         profile,
-        k=k,
+        k=int(config["k"]),
         tau_lo=config["tau_lo"],
         tau_hi=config["tau_hi"],
         n_samples=config["n_samples"],
     )
     band = dyadic_band_ratio(params, profile)
-    from .quadrature import fourier_cosine_mu_dyadic
-
-    rows = []
-    for tau in np.geomspace(config["tau_lo"], config["tau_hi"], config["n_samples"]):
-        v = fourier_cosine_mu_dyadic(params, profile, k, float(tau))
-        rows.append((float(2.0**k * tau), v.real, v.imag, abs(v)))
+    rows = [(s, v.real, v.imag, abs(v)) for s, v in tail["samples"]]
     _write_csv(out_dir / "dyadic-decay.csv", ["scaled_tau", "re", "im", "modulus"], rows)
+    fit = tail["fitted"]
     order = -fit.slope
     return {
         "fitted_order": order,
@@ -327,17 +341,15 @@ def _run_rate_combo(config, out_dir):
     rng = np.random.default_rng(config["seed"])
     f = random_spectral_field(grid, rng, band_limit=int(config["band_limit"]))
     times = np.geomspace(config["t_lo"], config["t_hi"], int(config["n_samples"]))
-    N = int(config["N"]) or None
-    from .extrapolation import combination_coefficients, convergence_error
-
-    report = combination_rate_experiment(f, config["alpha"], config["beta"], config["p"], N=N)
-    scheme = combination_coefficients(
-        N or int(np.floor(config["beta"] / config["alpha"])) + 1
+    report = combination_rate_experiment(
+        f,
+        config["alpha"],
+        config["beta"],
+        config["p"],
+        times=times,
+        N=int(config["N"]) or None,
     )
-    rows = [
-        (float(t), convergence_error(f, config["alpha"], float(t), scheme))
-        for t in times
-    ]
+    rows = [(float(t), float(e)) for t, e in zip(times, report.errors)]
     _write_csv(out_dir / "rate-combo.csv", ["t", "error"], rows)
     return {
         "fitted": _fit_dict(report.fit),
@@ -452,42 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=[*RUNNERS, "list"])
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    for flag, typ in [
-        ("--alpha", float),
-        ("--beta", float),
-        ("--p", float),
-        ("--k", float),
-        ("--L", int),
-        ("--N", int),
-        ("--t", float),
-        ("--eps", float),
-        ("--m-cap", int),
-        ("--n-modes", int),
-        ("--band-limit", int),
-        ("--sigma", float),
-        ("--seed", int),
-        ("--mode", int),
-        ("--samples", int),
-        ("--n-samples", int),
-        ("--tau-lo", float),
-        ("--tau-hi", float),
-        ("--t-lo", float),
-        ("--t-hi", float),
-        ("--ratio-lo", float),
-        ("--ratio-hi", float),
-        ("--atom-count", int),
-        ("--time-count", int),
-        ("--span-octaves", float),
-        ("--dimension", int),
-        ("--u-max", float),
-        ("--slope-tol", float),
-        ("--min-order", float),
-        ("--max-ratio", float),
-        ("--tolerance", float),
-        ("--cutoff-order", int),
-    ]:
-        parser.add_argument(flag, type=typ, default=None)
-    parser.add_argument("--cutoff-kind", choices=["smoothstep_poly", "smooth_exp"], default=None)
+    for key, typ in NUMERIC_TYPES.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None)
+    parser.add_argument("--cutoff-kind", choices=CUTOFF_KINDS, default=None)
     return parser
 
 
@@ -513,7 +492,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         summary = RUNNERS[args.experiment](config, out_dir)
-    except ConvergenceError as exc:
+    except RuntimeError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
     except ValueError as exc:

@@ -9,7 +9,6 @@ construction and is re-verifiable with `moment_integrals`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -253,26 +252,3 @@ def weak_lp_quasinorm(f: GridField, p: float) -> float:
         best = max(best, float(np.max(vals)))
     return best
 
-
-def write_atom_batch(path, atoms) -> None:
-    """Columnar record per atom: seed, spec fields, certificates."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "seed", "p", "center", "radius", "moment_bound", "l2_norm"]
-        )
-        for atom in atoms:
-            if atom.spec is None:
-                writer.writerow([atom.kind, "", "", "", "", "", f"{atom.certified_l2!r}"])
-            else:
-                writer.writerow(
-                    [
-                        atom.kind,
-                        atom.spec.seed,
-                        repr(atom.spec.p),
-                        ";".join(repr(c) for c in atom.spec.center),
-                        repr(atom.spec.radius),
-                        repr(atom.certified_moment_bound),
-                        repr(atom.certified_l2),
-                    ]
-                )

@@ -7,14 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DecayFit, fit_decay_exponent
+from .quadrature import fit_decay_exponent
 from .symbols import (
     CutoffProfile,
     SymbolParams,
     mu_symbol,
     riesz_mean_symbol,
 )
-from .torus import GridField, LatticeGrid, SpectralField, inverse_transform
+from .torus import GridField, SpectralField, inverse_transform
 
 GEOMETRIC = "geometric"
 UNIFORM = "uniform"
@@ -141,15 +141,6 @@ def kernel_lattice_sum(
     if eps > 0.0:
         terms = terms * np.exp(-eps * m**2)
     return 2.0 * complex(np.sum(terms))
-
-
-def kernel_tail_bound(
-    params: SymbolParams, t: float, eps: float, M_cap: int
-) -> float:
-    """Crude bound on the dropped |m| > M_cap terms of the lattice sum."""
-    m = np.arange(M_cap + 1, M_cap + 200_001, dtype=float)
-    env = (t * m) ** (-params.beta) * np.exp(-eps * m**2)
-    return 2.0 * float(np.sum(env))
 
 
 def verify_kernel_decay(

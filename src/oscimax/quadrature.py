@@ -24,7 +24,7 @@ until the summed estimate meets the tolerance or the panel budget is hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,13 +229,40 @@ def _half_line_piece(
     ray_val, ray_err, ray_mass = _ray_tail(
         amp_exp, alpha, tau, sign, lam_end, direction, budget
     )
-    n_panels = (len(edges) - 1) + 0  # ray panel count folded into error handling
     return (
         seg_val + ray_val,
         seg_err + ray_err,
         seg_mass + ray_mass,
         len(edges) - 1,
     )
+
+
+def _refine(evaluate, spec: QuadratureSpec, message: str) -> complex:
+    """Halve the panel budget until the error estimate meets the tolerance.
+
+    `evaluate(budget)` returns (value, err_est, |contrib|, panel count) for
+    panels sized by `budget`; every round recomputes all panels.
+    """
+    budget = 0.4
+    previous = None
+    while True:
+        value, err, mass, panels = evaluate(budget)
+        tol = max(spec.abs_tolerance, spec.relative_floor * mass)
+        if err <= tol:
+            return value
+        # the per-panel estimator saturates at the roundoff of the accumulated
+        # panel mass; agreement between successive refinements is the honest
+        # exit in that regime
+        if previous is not None and abs(value - previous) <= tol:
+            return value
+        if panels * 2 > spec.max_panels:
+            raise ConvergenceError(
+                f"{message} (err~{err:.2e} > tol {tol:.2e})",
+                partial_value=value,
+                error_estimate=err,
+            )
+        previous = value
+        budget /= 2.0
 
 
 def fourier_cosine_mu_derivative(
@@ -260,32 +287,12 @@ def fourier_cosine_mu_derivative(
         raise ValueError("tau must be nonnegative")
     phase_rot = np.exp(1j * L * np.pi / 2.0)
 
-    budget = 0.4
-    previous = None
-    while True:
+    def evaluate(budget):
         vp, ep, mp, np_p = _half_line_piece(params, profile, L, tau, +1.0, budget)
         vm, em, mm, np_m = _half_line_piece(params, profile, L, tau, -1.0, budget)
-        value = phase_rot * vp + np.conj(phase_rot) * vm
-        err = ep + em
-        mass = mp + mm
-        total_panels = np_p + np_m
-        tol = max(spec.abs_tolerance, spec.relative_floor * mass)
-        if err <= tol:
-            return value
-        # the per-panel estimator saturates at the roundoff of the accumulated
-        # panel mass; agreement between successive refinements is the honest
-        # exit in that regime
-        if previous is not None and abs(value - previous) <= tol:
-            return value
-        if total_panels * 2 > spec.max_panels:
-            raise ConvergenceError(
-                f"panel budget exceeded at tau={tau}, L={L} "
-                f"(err~{err:.2e} > tol {tol:.2e})",
-                partial_value=value,
-                error_estimate=err,
-            )
-        previous = value
-        budget /= 2.0
+        return phase_rot * vp + np.conj(phase_rot) * vm, ep + em, mp + mm, np_p + np_m
+
+    return _refine(evaluate, spec, f"panel budget exceeded at tau={tau}, L={L}")
 
 
 def fourier_cosine_mu(
@@ -327,9 +334,7 @@ def fourier_cosine_mu_dyadic(
 
         return integrand
 
-    budget = 0.4
-    previous = None
-    while True:
+    def evaluate(budget):
         value = 0.0 + 0.0j
         err = 0.0
         mass = 0.0
@@ -341,19 +346,9 @@ def fourier_cosine_mu_dyadic(
             err += e
             mass += m
             panels += len(edges) - 1
-        tol = max(spec.abs_tolerance, spec.relative_floor * mass)
-        if err <= tol:
-            return value
-        if previous is not None and abs(value - previous) <= tol:
-            return value
-        if panels * 2 > spec.max_panels:
-            raise ConvergenceError(
-                f"dyadic panel budget exceeded at k={k}, tau={tau}",
-                partial_value=value,
-                error_estimate=err,
-            )
-        previous = value
-        budget /= 2.0
+        return value, err, mass, panels
+
+    return _refine(evaluate, spec, f"dyadic panel budget exceeded at k={k}, tau={tau}")
 
 
 def fourier_cosine_low_band_correction(
@@ -406,22 +401,23 @@ def dyadic_tail_order(
     tau_hi: float = 10.0,
     n_samples: int = 15,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> DecayFit:
+) -> dict:
     """Fitted decay order of a dyadic transform piece in the outer region.
 
-    Samples |dyadic transform at scale 2^k| against 2^k * tau for tau in the
-    far band and fits the log-log slope; the smooth bump makes the true decay
-    faster than any polynomial, so the fitted order grows with the window.
-    Samples at the quadrature noise floor are discarded before fitting.
+    Samples the dyadic transform at scale 2^k against 2^k * tau for tau in
+    the far band and fits the log-log slope of its modulus; the smooth bump
+    makes the true decay faster than any polynomial, so the fitted order
+    grows with the window.  Returns the fit under "fitted" and every
+    (2^k * tau, value) pair under "samples"; samples at the quadrature noise
+    floor are kept there but left out of the fit.
     """
-    taus = np.geomspace(tau_lo, tau_hi, n_samples)
     floor = max(1e-13, 1e-3 * spec.abs_tolerance)
-    samples = []
-    for tau in taus:
-        v = abs(fourier_cosine_mu_dyadic(params, profile, k, tau, 0, spec))
-        if v > floor:
-            samples.append((2.0**k * tau, v))
-    return fit_decay_exponent(samples)
+    samples = [
+        (float(2.0**k * tau), fourier_cosine_mu_dyadic(params, profile, k, tau, 0, spec))
+        for tau in np.geomspace(tau_lo, tau_hi, n_samples)
+    ]
+    fitted = fit_decay_exponent([(s, abs(v)) for s, v in samples if abs(v) > floor])
+    return {"fitted": fitted, "samples": samples}
 
 
 def dyadic_band_ratio(
@@ -468,16 +464,18 @@ def verify_small_tau_decay(
 
     If the predicted exponent is negative the fitted log-log slope must match
     it within `slope_tol`; otherwise the transform is predicted bounded and
-    the check is sup modulus <= 10x the modulus at tau_hi.
+    the check is sup modulus <= 10x the modulus at tau_hi.  Every evaluated
+    (tau, value) pair is returned under "samples".
     """
     if not 0.0 < tau_lo < tau_hi <= 200.0:
         raise ValueError("need 0 < tau_lo < tau_hi <= 200")
     predicted = small_tau_exponent(params.alpha, params.beta, L)
-    taus = np.geomspace(tau_lo, tau_hi, n_samples)
-    mods = np.array(
-        [abs(fourier_cosine_mu_derivative(params, profile, t, L, spec)) for t in taus]
-    )
-    fit = fit_decay_exponent(list(zip(taus, mods)))
+    samples = [
+        (float(t), fourier_cosine_mu_derivative(params, profile, t, L, spec))
+        for t in np.geomspace(tau_lo, tau_hi, n_samples)
+    ]
+    mods = np.array([abs(v) for _, v in samples])
+    fit = fit_decay_exponent([(t, abs(v)) for t, v in samples])
     if predicted < 0.0:
         passed = abs(fit.slope - predicted) <= slope_tol
         branch = "slope"
@@ -486,6 +484,7 @@ def verify_small_tau_decay(
         branch = "bounded"
     return {
         "fitted": fit,
+        "samples": samples,
         "predicted_exponent": predicted,
         "branch": branch,
         "pass": bool(passed),

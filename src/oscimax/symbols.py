@@ -34,6 +34,9 @@ class SymbolParams:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
 
+CUTOFF_KINDS = ("smoothstep_poly", "smooth_exp")
+
+
 @dataclass(frozen=True)
 class CutoffProfile:
     """Shape of the transition ramp on the cutoff band.
@@ -47,7 +50,7 @@ class CutoffProfile:
     order: int = 7
 
     def __post_init__(self):
-        if self.kind not in ("smoothstep_poly", "smooth_exp"):
+        if self.kind not in CUTOFF_KINDS:
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
         if self.kind == "smoothstep_poly" and self.order < 3:
             raise ValueError(f"order must be >= 3, got {self.order}")

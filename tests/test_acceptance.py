@@ -89,7 +89,7 @@ class TestCriterion2SymbolDecay:
 
 class TestCriterion3DyadicStructure:
     def test_outer_tail_order(self):
-        fit = dyadic_tail_order(SymbolParams(0.5, 1.0), PROFILE)
+        fit = dyadic_tail_order(SymbolParams(0.5, 1.0), PROFILE)["fitted"]
         report(f"criterion 3 outer tail order: {-fit.slope:.2f} (need >= 3)")
         assert -fit.slope >= 3.0
 

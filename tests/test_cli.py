@@ -1,18 +1,29 @@
 """Tests for the experiment runner: configs, reports, exit codes, determinism."""
 
+import csv
 import json
 
 import pytest
 
+from oscimax import cli
 from oscimax.cli import (
     DEFAULTS,
     EXIT_CHECK_FAILURE,
+    EXIT_NON_CONVERGENCE,
     EXIT_PASS,
     EXIT_USAGE,
     RUNNERS,
+    build_parser,
     list_experiments,
     main,
 )
+from oscimax.quadrature import fit_decay_exponent
+
+
+def _number(cell: str) -> float:
+    # quadrature values reach the CSV as numpy scalars, written as
+    # "np.float64(x)" under numpy >= 2
+    return float(cell.removeprefix("np.float64(").removesuffix(")"))
 
 
 class TestCatalog:
@@ -28,6 +39,13 @@ class TestCatalog:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(defaults))
             assert json.loads(path.read_text()) == defaults
+
+    def test_every_config_key_has_a_typed_flag(self):
+        parser = build_parser()
+        for name, defaults in DEFAULTS.items():
+            for key, value in defaults.items():
+                args = parser.parse_args([name, f"--{key.replace('_', '-')}", str(value)])
+                assert getattr(args, key) == value, (name, key)
 
 
 class TestExitCodes:
@@ -74,6 +92,34 @@ class TestExitCodes:
         )
         assert code == EXIT_CHECK_FAILURE
 
+    @pytest.mark.parametrize(
+        "experiment, loaded",
+        [
+            ("symbol-decay", {"alpha": "half"}),
+            ("symbol-decay", {"n_samples": 12.0}),
+            ("rate-riesz", {"n_modes": None}),
+            ("rate-combo", {"seed": True}),
+            ("partition-check", {"cutoff_kind": "bogus"}),
+            ("rate-riesz", [1, 2]),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, experiment, loaded):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(loaded))
+        out = tmp_path / "o"
+        code = main([experiment, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_error_is_non_convergence(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise RuntimeError("Riesz symbol quadrature did not converge")
+
+        monkeypatch.setattr(cli, "riesz_mean_op", diverge)
+        code = main(["rate-riesz", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NON_CONVERGENCE
+
 
 class TestReports:
     def test_report_files_written(self, tmp_path):
@@ -103,6 +149,24 @@ class TestReports:
         main(["rate-riesz", "--config", str(cfg), "--mode", "9", "--out", str(out)])
         body = json.loads((out / "summary.json").read_text())
         assert body["config"]["mode"] == 9
+
+    def test_rate_combo_fits_the_configured_times(self, tmp_path):
+        out = tmp_path / "rpt"
+        code = main(["rate-combo", "--t-lo", "1e-3", "--n-samples", "12", "--out", str(out)])
+        assert code == EXIT_PASS
+        fitted = json.loads((out / "summary.json").read_text())["fitted"]
+        assert fitted["tau_range"] == [1e-3, 1e-2]
+        assert fitted["sample_count"] == 12
+        assert len((out / "rate-combo.csv").read_text().splitlines()) == 1 + 12
+
+    def test_symbol_decay_csv_holds_the_fitted_samples(self, tmp_path):
+        out = tmp_path / "rpt"
+        main(["symbol-decay", "--tau-lo", "0.02", "--n-samples", "5", "--out", str(out)])
+        with open(out / "symbol-decay.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        refit = fit_decay_exponent([(_number(r["tau"]), _number(r["modulus"])) for r in rows])
+        body = json.loads((out / "summary.json").read_text())
+        assert refit.slope == body["fitted"]["slope"]
 
 
 class TestDeterminism:

@@ -142,8 +142,16 @@ class TestDyadicPieces:
 
     def test_tail_order(self):
         params = SymbolParams(0.5, 1.0)
-        fit = dyadic_tail_order(params, PROFILE)
+        fit = dyadic_tail_order(params, PROFILE)["fitted"]
         assert -fit.slope >= 3.0
+
+    def test_tail_order_keeps_noise_floor_samples_out_of_the_fit(self):
+        result = dyadic_tail_order(SymbolParams(0.5, 1.0), PROFILE, tau_hi=60.0, n_samples=12)
+        scaled = [s for s, _ in result["samples"]]
+        assert scaled == pytest.approx(2.0**6 * np.geomspace(2.0, 60.0, 12), rel=1e-15)
+        above = [abs(v) for _, v in result["samples"] if abs(v) > 1e-13]
+        assert 5 <= len(above) < len(scaled)
+        assert result["fitted"].sample_count == len(above)
 
     def test_band_ratio(self):
         params = SymbolParams(0.5, 1.0)
