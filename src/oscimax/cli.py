@@ -199,7 +199,7 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_summary(out_dir: Path, experiment: str, config: dict, summary: dict) -> None:

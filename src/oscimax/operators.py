@@ -93,11 +93,7 @@ def riesz_mean_op(f: SpectralField, k: float, alpha: float, t: float) -> Spectra
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     lam = f.grid.eigenvalue_array()
-    z_values = t * lam**alpha
-    flat = z_values.ravel()
-    uniq, inv = np.unique(flat, return_inverse=True)
-    sym = np.array([riesz_mean_symbol(k, alpha, z) for z in uniq])
-    factors = sym[inv].reshape(lam.shape)
+    factors = riesz_mean_symbol(k, alpha, t * lam**alpha)
     return SpectralField(f.grid, f.coefficients * factors)
 
 
@@ -267,9 +263,8 @@ def riesz_symbol_decay_check(
     for lo, hi in zip(edges[:-1], edges[1:]):
         hi = max(hi, lo + 2.5 * np.pi)
         zs = np.linspace(lo, hi, samples_per_window)
-        mods = [abs(riesz_mean_symbol(k, alpha, z)) for z in zs]
         centers.append(np.sqrt(lo * hi))
-        peaks.append(max(mods))
+        peaks.append(np.max(np.abs(riesz_mean_symbol(k, alpha, zs))))
     fit = fit_decay_exponent(list(zip(centers, peaks)))
     predicted = -min(k, 1.0)
     passed = abs(fit.slope - predicted) <= slope_tol

@@ -117,6 +117,24 @@ class TestDiagonalOperators:
         out = riesz_mean_op(f, 2.0, 0.5, 0.1)
         assert out.coefficients[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_riesz_mean_2d_matches_symbol(self):
+        """In 2-D each coefficient is scaled by the symbol at t |xi|^alpha;
+        t = 3 puts the lattice on both sides of the series/contour switch."""
+        grid = LatticeGrid(2, 32)
+        f = random_spectral_field(grid, np.random.default_rng(11))
+        k, alpha, t = 1.5, 0.5, 3.0
+        out = riesz_mean_op(f, k, alpha, t)
+        lam = grid.eigenvalue_array()
+        z = t * lam**alpha
+        assert z.max() > 8.0
+        symbol = np.array([riesz_mean_symbol(k, alpha, float(v)) for v in z.ravel()])
+        np.testing.assert_allclose(
+            out.coefficients, f.coefficients * symbol.reshape(lam.shape), rtol=0, atol=1e-15
+        )
+        zero = lam == 0.0
+        assert np.count_nonzero(zero) == 1
+        assert out.coefficients[zero] == f.coefficients[zero]
+
 
 class TestMaximalOverTimes:
     def test_monotone_under_refinement(self):

@@ -194,7 +194,7 @@ class TestRieszSymbol:
         remainder = val - 2.0 * (1.0 + 1j * z) / z**2
         assert abs(remainder) == pytest.approx(2.0 / z**2, abs=1e-12)
 
-    @pytest.mark.parametrize("z", [100.0, 1234.5])
+    @pytest.mark.parametrize("z", [100.0, 1234.5, 1e4])
     def test_fractional_order_against_hyp1f1(self, z):
         """The symbol is Kummer's 1F1(1; k+1; iz) (DLMF 13.4)."""
         mpmath = pytest.importorskip("mpmath")
@@ -202,6 +202,30 @@ class TestRieszSymbol:
         with mpmath.workdps(30):
             oracle = complex(mpmath.hyp1f1(1, k + 1, 1j * z))
         assert riesz_mean_symbol(k, 0.5, z) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 6.0])
+    def test_grid_against_hyp1f1(self, k):
+        """One vectorised call over both sides of the series/contour switch
+        at |z| = 8, and the negative half-axis, against mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        half = np.array([0.0, 1e-4, 0.3, 7.9, 8.0, 8.1, 30.0, 1234.5, 1e4])
+        z = np.concatenate([half, -half])
+        with mpmath.workdps(40):
+            oracle = np.array(
+                [complex(mpmath.hyp1f1(1, k + 1, 1j * mpmath.mpf(v))) for v in z]
+            )
+        np.testing.assert_allclose(riesz_mean_symbol(k, 0.5, z), oracle, rtol=0, atol=1e-12)
+
+    def test_scalar_returns_complex(self):
+        for z in (0.0, 3.0, -3.0, 30.0, np.float64(30.0)):
+            assert type(riesz_mean_symbol(1.5, 0.5, z)) is complex
+
+    def test_array_shape_and_elementwise(self):
+        z = np.array([[0.0, 0.5, -7.9, 8.0], [8.5, -40.0, 317.3, 1e4]])
+        out = riesz_mean_symbol(0.75, 0.5, z)
+        assert out.shape == z.shape
+        for idx in np.ndindex(z.shape):
+            assert out[idx] == riesz_mean_symbol(0.75, 0.5, float(z[idx]))
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
