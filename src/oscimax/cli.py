@@ -416,17 +416,18 @@ def _run_maximal_sweep(config, out_dir):
     fine = maximal_over_times(f, family, time_grid.refined())
     monotone = bool(np.all(fine.samples.real >= coarse.samples.real - 1e-15))
     delta = float(np.max(fine.samples.real - coarse.samples.real))
-    coords = grid.coords_1d
-    rows = []
+    coords = grid.coords_1d.tolist()
+    maxima = coarse.samples.real
     if grid.dimension == 1:
-        for x, v in zip(coords, coarse.samples.real):
-            rows.append((float(x), float(v)))
-        _write_csv(out_dir / "maximal-sweep.csv", ["x", "maximal"], rows)
+        _write_csv(out_dir / "maximal-sweep.csv", ["x", "maximal"], zip(coords, maxima.tolist()))
     else:
-        for i, x in enumerate(coords):
-            for j, y in enumerate(coords):
-                rows.append((float(x), float(y), float(coarse.samples.real[i, j])))
-        _write_csv(out_dir / "maximal-sweep.csv", ["x", "y", "maximal"], rows)
+        # The same bytes as _write_csv, one x-row per write: each coordinate
+        # is formatted once and no list of all rows is held.
+        cells = [repr(c) + "," for c in coords]
+        with open(out_dir / "maximal-sweep.csv", "w", newline="") as fh:
+            fh.write("x,y,maximal\r\n")
+            for x, row in zip(cells, maxima):
+                fh.write("".join([x + y + repr(v) + "\r\n" for y, v in zip(cells, row.tolist())]))
     return {
         "sup_maximal": float(np.max(coarse.samples.real)),
         "refinement_delta": delta,

@@ -56,14 +56,23 @@ class CutoffProfile:
             raise ValueError(f"order must be >= 3, got {self.order}")
 
     def ramp(self, s):
-        """Monotone 0 -> 1 transition on [0, 1], evaluated elementwise."""
-        s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+        """Monotone 0 -> 1 transition on [0, 1], evaluated elementwise.
+
+        Exactly 0 for s <= 0 and exactly 1 for s >= 1; the profile is
+        evaluated only on the open band in between (NaN stays NaN).
+        """
+        s = np.asarray(s, dtype=float)
+        out = np.where(s >= 1.0, 1.0, 0.0)
+        band = ~((s <= 0.0) | (s >= 1.0))
+        sb = s[band]
         if self.kind == "smoothstep_poly":
-            return special.betainc(self.order + 1, self.order + 1, s)
-        with np.errstate(divide="ignore", over="ignore"):
-            h0 = np.where(s > 0.0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
-            h1 = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
-        return h0 / (h0 + h1)
+            out[band] = special.betainc(self.order + 1, self.order + 1, sb)
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                h0 = np.exp(-1.0 / sb)
+                h1 = np.exp(-1.0 / (1.0 - sb))
+            out[band] = h0 / (h0 + h1)
+        return out[()]
 
 
 DEFAULT_PROFILE = CutoffProfile()
@@ -101,8 +110,10 @@ def partition_residual(u: float, K: int, profile: CutoffProfile = DEFAULT_PROFIL
     mass and the residual reported is the true truncation error.
     """
     u = abs(float(u))
-    k = np.arange(K + 1)
-    total = float(np.sum(dyadic_bump(profile, u / 2.0**k))) + float(psi0(profile, u))
+    # phi(2^{1-k} u) for k = 0..K+1: bump(u/2^k) is phi[k] - phi[k+1] and
+    # psi0(u) is 1 - phi[0]; scaling by powers of two is exact.
+    phi = phi_cutoff(profile, u * 2.0 ** (1 - np.arange(K + 2)))
+    total = float(np.sum(phi[:-1] - phi[1:])) + float(1.0 - phi[0])
     return abs(total - 1.0)
 
 

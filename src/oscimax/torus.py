@@ -10,6 +10,7 @@ integral |f|^2 = (2pi)^n * sum |c(xi)|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,12 +75,22 @@ class LatticeGrid:
         return np.meshgrid(*axes, indexing="ij")
 
     def eigenvalue_array(self) -> np.ndarray:
-        """|xi| for every lattice point, shaped like the coefficient array."""
+        """|xi| for every lattice point, shaped like the coefficient array.
+
+        Built once per grid and shared by every call, so it is read-only.
+        """
+        return self._eigenvalues
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
         k = self.freqs_1d.astype(float)
         if self.dimension == 1:
-            return np.abs(k)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return np.hypot(kx, ky)
+            lam = np.abs(k)
+        else:
+            kx, ky = np.meshgrid(k, k, indexing="ij")
+            lam = np.hypot(kx, ky)
+        lam.flags.writeable = False
+        return lam
 
 
 def eigenvalue(grid: LatticeGrid, xi) -> float:

@@ -1,8 +1,10 @@
 """Tests for the experiment runner: configs, reports, exit codes, determinism."""
 
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from oscimax import cli
@@ -17,7 +19,10 @@ from oscimax.cli import (
     list_experiments,
     main,
 )
+from oscimax.operators import TimeGrid, maximal_over_times, oscillating_op
 from oscimax.quadrature import fit_decay_exponent
+from oscimax.symbols import CutoffProfile, SymbolParams
+from oscimax.torus import LatticeGrid, random_spectral_field
 
 
 class TestCatalog:
@@ -161,6 +166,43 @@ class TestReports:
         refit = fit_decay_exponent([(float(r["tau"]), float(r["modulus"])) for r in rows])
         body = json.loads((out / "summary.json").read_text())
         assert refit.slope == body["fitted"]["slope"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--dimension", "2", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"], []],
+        ids=["2d", "1d-default"],
+    )
+    def test_maximal_sweep_csv_golden(self, tmp_path, argv):
+        """The CSV equals csv.writer rows of repr(float(v)) cells, byte for byte."""
+        out = tmp_path / "rpt"
+        assert main(["maximal-sweep", *argv, "--out", str(out)]) == EXIT_PASS
+        config = json.loads((out / "summary.json").read_text())["config"]
+        grid = LatticeGrid(config["dimension"], config["n_modes"])
+        f = random_spectral_field(
+            grid, np.random.default_rng(config["seed"]), band_limit=config["band_limit"]
+        )
+        params = SymbolParams(config["alpha"], config["beta"])
+        times = TimeGrid(
+            sigma=config["sigma"], count=config["time_count"], span_octaves=config["span_octaves"]
+        )
+        maxima = maximal_over_times(
+            f, lambda t, g: oscillating_op(g, params, CutoffProfile(), t), times
+        ).samples.real
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        coords = grid.coords_1d
+        if grid.dimension == 1:
+            writer.writerow(["x", "maximal"])
+            for x, v in zip(coords, maxima):
+                writer.writerow([repr(float(x)), repr(float(v))])
+        else:
+            writer.writerow(["x", "y", "maximal"])
+            for i, x in enumerate(coords):
+                for j, y in enumerate(coords):
+                    writer.writerow([repr(float(x)), repr(float(y)), repr(float(maxima[i, j]))])
+        written = (out / "maximal-sweep.csv").read_bytes()
+        assert written == expected.getvalue().encode()
+        assert written.count(b"\r\n") == 1 + maxima.size
 
 
 class TestDeterminism:

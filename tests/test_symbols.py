@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from oscimax import (
     CutoffProfile,
@@ -23,6 +26,28 @@ from oscimax.symbols import (
 )
 
 PROFILES = [CutoffProfile(), CutoffProfile("smoothstep_poly", 4), CutoffProfile("smooth_exp")]
+KINDS = [CutoffProfile(), CutoffProfile("smooth_exp")]
+
+
+def clipped_ramp(profile, s):
+    """The ramp evaluated on every point after clipping s to [0, 1]; oracle
+    for the band-only evaluation of CutoffProfile.ramp."""
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    if profile.kind == "smoothstep_poly":
+        return special.betainc(profile.order + 1, profile.order + 1, s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h0 = np.where(s > 0.0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
+        h1 = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
+        return h0 / (h0 + h1)
+
+
+def telescoped_residual(u, K, profile):
+    """partition_residual summed from dyadic_bump and psi0; oracle for the
+    single-cutoff-call evaluation."""
+    u = abs(float(u))
+    k = np.arange(K + 1)
+    total = float(np.sum(dyadic_bump(profile, u / 2.0**k))) + float(psi0(profile, u))
+    return abs(total - 1.0)
 
 
 class TestCutoffs:
@@ -60,6 +85,23 @@ class TestCutoffs:
         assert dyadic_bump(profile, 1.0) == 1.0
         assert dyadic_bump(profile, 2.0) == 0.0
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_ramp_matches_clipped_evaluation(self, profile):
+        edges = np.array(
+            [-np.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, 3.0, np.inf, np.nan]
+        )
+        dense = np.linspace(-0.5, 1.5, 4001)
+        for s in (edges, dense, dense[:4000].reshape(40, 100)[:, ::3]):
+            assert np.array_equal(profile.ramp(s), clipped_ramp(profile, s), equal_nan=True)
+        for s in edges:
+            assert np.array_equal(profile.ramp(s), clipped_ramp(profile, s), equal_nan=True)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_ramp_scalar_returns_numpy_scalar(self, profile):
+        for s in (-1.0, 0.25, 2.0):
+            value = profile.ramp(s)
+            assert isinstance(value, np.float64)
+
     def test_invalid_profiles(self):
         with pytest.raises(ValueError):
             CutoffProfile("unknown")
@@ -73,6 +115,15 @@ class TestPartition:
         for u in (0.0, 0.3, 1.0, 7.7, 1000.0, -42.5):
             K = max(0, int(np.ceil(np.log2(max(abs(u), 1.0)))))
             assert partition_residual(u, K, profile) <= 1e-12
+
+    @pytest.mark.parametrize("profile", KINDS)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(u=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_exact_for_any_argument(self, profile, u):
+        K = max(0, int(np.ceil(np.log2(max(abs(u), 1.0)))))
+        residual = partition_residual(u, K, profile)
+        assert residual <= 1e-12
+        assert residual == telescoped_residual(u, K, profile)
 
     def test_truncation_reported(self):
         """Too-small K genuinely misses mass and the residual says so."""

@@ -99,6 +99,31 @@ class TestTransforms:
             GridField(grid, np.zeros((16, 16), dtype=complex))
 
 
+class TestEigenvalueArray:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_built_once_and_read_only(self, dimension):
+        grid = LatticeGrid(dimension, 16)
+        lam = grid.eigenvalue_array()
+        assert grid.eigenvalue_array() is lam
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
+        with pytest.raises(ValueError):
+            lam *= 2.0
+
+    def test_values(self):
+        k = LatticeGrid(1, 16).freqs_1d.astype(float)
+        np.testing.assert_array_equal(LatticeGrid(1, 16).eigenvalue_array(), np.abs(k))
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        np.testing.assert_array_equal(LatticeGrid(2, 16).eigenvalue_array(), np.hypot(kx, ky))
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        a, b = LatticeGrid(2, 16), LatticeGrid(2, 16)
+        a.eigenvalue_array()
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != LatticeGrid(2, 32)
+
+
 class TestConjugateSymmetry:
     def test_real_field_is_symmetric(self):
         grid = LatticeGrid(1, 32)
