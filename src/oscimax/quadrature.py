@@ -8,18 +8,21 @@ The target integrals have the form
 Splitting the cosine into exponentials gives two half-line integrals with
 total phase g(lam) = lam^alpha +- tau*lam.  Each is computed as
 
-  * a real-axis segment with composite Gauss-Legendre panels whose lengths
-    resolve the local phase derivative (and the Fresnel scale near the
-    stationary point of the minus phase), followed by
-  * a complex-ray tail from a point Lambda where the phase derivative is
-    bounded away from zero: upward (lam = Lambda + i s) for the plus phase,
-    downward for the minus phase once Lambda >= (4/tau)^{1/(1-alpha)}, so the
-    integrand decays monotonically along the ray and ordinary panels apply.
+  * a real-axis segment [1, Lambda] with composite Gauss-Legendre panels
+    whose lengths resolve the local phase derivative (and the Fresnel scale
+    near the stationary point of the minus phase), followed by
+  * a complex-ray tail from Lambda: upward (lam = Lambda + i s) from
+    Lambda = 2 for the plus phase, downward from Lambda = max(2, 2 lam*) for
+    the minus phase, whose stationary point is lam* = (alpha/tau)^{1/(1-alpha)}.
+    Along either ray Im g grows at least linearly, so the integrand decays
+    exponentially and ordinary panels apply.
 
-Both contours stay in the right half plane, where lam^alpha and lam^(L-beta)
-are analytic, so the deformation is exact.  Panel error is estimated by
-comparing 16- and 8-node Gauss values panel by panel; panels are refined
-until the summed estimate meets the tolerance or the panel budget is hit.
+The cutoff is identically 1 from lam = 2 on, and both contours stay in the
+right half plane, where lam^alpha and lam^(L-beta) are analytic, so the
+deformation is exact.  Panel error is estimated by comparing 16- and 8-node
+Gauss values panel by panel; the panels that carry the excess are bisected,
+and the rest kept, until the summed estimate meets the tolerance or the panel
+budget is hit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import CutoffProfile, SymbolParams, dyadic_bump, phi_cutoff
+from .symbols import CutoffProfile, SymbolParams, dyadic_bump, phi_cutoff, psi0
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -107,9 +110,16 @@ def fit_decay_exponent(samples) -> DecayFit:
 # ---------------------------------------------------------------------------
 # panel machinery
 
+# phase advance (radians) per panel of the first round
+_BUDGET = 0.4
 
-def _breakpoints(a: float, b: float, density, n_fine: int = 4000) -> np.ndarray:
-    """Panel edges on [a, b] equidistributing the integral of `density`."""
+
+def _breakpoints(a: float, b: float, density, max_panels: int, n_fine: int = 4000) -> np.ndarray:
+    """Panel edges on [a, b] equidistributing the integral of `density`.
+
+    Raises ConvergenceError, before the edges are built, when more than
+    `max_panels` panels would be needed.
+    """
     if b <= a:
         raise ValueError("empty interval")
     grid = np.geomspace(a, b, n_fine) if a > 0 else np.linspace(a, b, n_fine)
@@ -117,6 +127,13 @@ def _breakpoints(a: float, b: float, density, n_fine: int = 4000) -> np.ndarray:
     w = np.concatenate(
         [[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid))]
     )
+    if not w[-1] <= max_panels:
+        raise ConvergenceError(
+            f"panel budget exceeded: {w[-1]:.3g} panels needed on "
+            f"[{a:.6g}, {b:.6g}] (max_panels {max_panels})",
+            partial_value=complex("nan"),
+            error_estimate=float("inf"),
+        )
     n_panels = max(1, int(np.ceil(w[-1])))
     targets = np.linspace(0.0, w[-1], n_panels + 1)
     edges = np.interp(targets, w, grid)
@@ -124,20 +141,21 @@ def _breakpoints(a: float, b: float, density, n_fine: int = 4000) -> np.ndarray:
     return edges
 
 
-def _panel_integrate(fn, edges: np.ndarray):
-    """Composite Gauss on the given edges; returns (value, err_est, |contrib|)."""
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
+def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
+    """16-node Gauss value of each panel [lo, hi] and its 16/8-node difference."""
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
     x16, w16 = _GL16
     x8, w8 = _GL8
-    pts16 = mid[:, None] + half[:, None] * x16[None, :]
-    pts8 = mid[:, None] + half[:, None] * x8[None, :]
-    v16 = fn(pts16) @ w16 * half
-    v8 = fn(pts8) @ w8 * half
-    value = complex(np.sum(v16))
-    err = float(np.sum(np.abs(v16 - v8)))
-    mass = float(np.sum(np.abs(v16)))
-    return value, err, mass
+    v16 = fn(mid[:, None] + half[:, None] * x16[None, :]) @ w16 * half
+    v8 = fn(mid[:, None] + half[:, None] * x8[None, :]) @ w8 * half
+    return v16, np.abs(v16 - v8)
+
+
+def _panel_integrate(fn, edges: np.ndarray):
+    """Composite Gauss on the given edges; returns (value, err_est, |contrib|)."""
+    v16, err = _panel_values(fn, edges[:-1], edges[1:])
+    return complex(np.sum(v16)), float(np.sum(err)), float(np.sum(np.abs(v16)))
 
 
 def _phase_density(alpha: float, tau: float, sign: float, budget: float):
@@ -159,9 +177,11 @@ def _ray_tail(
     start: float,
     direction: float,
     budget: float,
+    max_panels: int,
 ):
-    """Tail integral of lam^amp_exponent e^{i(lam^alpha + sign tau lam)} along
-    the vertical ray lam = start + i*direction*s, s in (0, inf)."""
+    """Integrand and panel edges, in s, of the tail integral of
+    lam^amp_exponent e^{i(lam^alpha + sign tau lam)} along the vertical ray
+    lam = start + i*direction*s, s in (0, inf)."""
 
     def lam_of(s):
         return start + 1j * direction * s
@@ -193,9 +213,9 @@ def _ray_tail(
         g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
         return (g1 + g2) / budget + 4.0 / (s + 1e-8 * s_max)
 
-    edges = _breakpoints(1e-10 * s_max, s_max, rho)
+    edges = _breakpoints(1e-10 * s_max, s_max, rho, max_panels)
     edges[0] = 0.0
-    return _panel_integrate(integrand, edges)
+    return integrand, edges
 
 
 def _half_line_piece(
@@ -204,49 +224,70 @@ def _half_line_piece(
     L: int,
     tau: float,
     sign: float,
-    budget: float,
+    max_panels: int,
 ):
-    """integral_1^inf lam^(L-beta) cutoff(lam) e^{i(lam^alpha + sign tau lam)} dlam."""
+    """Real segment and complex ray, each as (integrand, first-round edges),
+    whose integrals sum to
+
+        integral_1^inf lam^(L-beta) cutoff(lam) e^{i(lam^alpha + sign tau lam)} dlam.
+
+    The segment ends at Lambda = 2 for the plus phase, whose ray goes up.  The
+    minus phase g = lam^alpha - tau lam is stationary at
+    lam* = (alpha/tau)^{1/(1-alpha)}; its segment runs to Lambda = max(2, 2 lam*)
+    and its ray goes down, where d/ds Im g >= tau - alpha Lambda^(alpha-1)
+    >= tau (1 - 2^(alpha-1)) > 0, so the integrand decays along it.
+    """
     alpha, beta = params.alpha, params.beta
     amp_exp = L - beta
 
     if sign < 0 and tau > 0:
-        lam_end = max(2.0, (4.0 / tau) ** (1.0 / (1.0 - alpha)))
+        lam_end = max(2.0, 2.0 * (alpha / tau) ** (1.0 / (1.0 - alpha)))
         direction = -1.0
     else:
         lam_end = 2.0
         direction = 1.0
 
     def integrand(lam):
-        return (
-            lam**amp_exp
-            * phi_cutoff(profile, lam)
-            * np.exp(1j * (lam**alpha + sign * tau * lam))
-        )
+        out = lam**amp_exp * np.exp(1j * (lam**alpha + sign * tau * lam))
+        # the cutoff is exactly 1 from lam = 2 on
+        band = lam < 2.0
+        out[band] *= phi_cutoff(profile, lam[band])
+        return out
 
-    edges = _breakpoints(1.0, lam_end, _phase_density(alpha, tau, sign, budget))
-    seg_val, seg_err, seg_mass = _panel_integrate(integrand, edges)
-    ray_val, ray_err, ray_mass = _ray_tail(
-        amp_exp, alpha, tau, sign, lam_end, direction, budget
+    edges = _breakpoints(
+        1.0, lam_end, _phase_density(alpha, tau, sign, _BUDGET), max_panels
     )
-    return (
-        seg_val + ray_val,
-        seg_err + ray_err,
-        seg_mass + ray_mass,
-        len(edges) - 1,
-    )
+    ray = _ray_tail(amp_exp, alpha, tau, sign, lam_end, direction, _BUDGET, max_panels)
+    return [(integrand, edges), ray]
 
 
-def _refine(evaluate, spec: QuadratureSpec, message: str) -> complex:
-    """Halve the panel budget until the error estimate meets the tolerance.
+def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
+    """Sum of weight * integral over the (weight, integrand, edges) pieces.
 
-    `evaluate(budget)` returns (value, err_est, |contrib|, panel count) for
-    panels sized by `budget`; every round recomputes all panels.
+    Converged when the summed 16/8-node estimate is at most
+    max(abs_tolerance, relative_floor * sum |panel value|).  Otherwise the
+    panels with the largest estimates are bisected, as many as it takes for
+    the rest to sum to at most half the tolerance; every other panel is kept
+    and only the new halves are evaluated.
     """
-    budget = 0.4
+    if sum(len(edges) - 1 for _, _, edges in pieces) > spec.max_panels:
+        raise ConvergenceError(
+            f"{message} (first round exceeds max_panels {spec.max_panels})",
+            partial_value=complex("nan"),
+            error_estimate=float("inf"),
+        )
+    panels = []  # per piece: lo, hi, 16-node values, 16/8-node estimates
+    for _, fn, edges in pieces:
+        lo, hi = edges[:-1], edges[1:]
+        panels.append((lo, hi, *_panel_values(fn, lo, hi)))
     previous = None
     while True:
-        value, err, mass, panels = evaluate(budget)
+        value = sum(
+            weight * complex(np.sum(v)) for (weight, _, _), (_, _, v, _) in zip(pieces, panels)
+        )
+        errs = np.concatenate([e for *_, e in panels])
+        err = float(np.sum(errs))
+        mass = float(sum(np.sum(np.abs(v)) for _, _, v, _ in panels))
         tol = max(spec.abs_tolerance, spec.relative_floor * mass)
         if err <= tol:
             return value
@@ -255,14 +296,33 @@ def _refine(evaluate, spec: QuadratureSpec, message: str) -> complex:
         # exit in that regime
         if previous is not None and abs(value - previous) <= tol:
             return value
-        if panels * 2 > spec.max_panels:
+        order = np.argsort(errs, kind="stable")
+        kept = np.searchsorted(np.cumsum(errs[order]), 0.5 * tol, side="right")
+        split = np.zeros(errs.size, dtype=bool)
+        split[order[kept:]] = True
+        if errs.size + (errs.size - kept) > spec.max_panels:
             raise ConvergenceError(
                 f"{message} (err~{err:.2e} > tol {tol:.2e})",
                 partial_value=value,
                 error_estimate=err,
             )
         previous = value
-        budget /= 2.0
+        offset = 0
+        for i, ((_, fn, _), (lo, hi, v, e)) in enumerate(zip(pieces, panels)):
+            cut = split[offset : offset + lo.size]
+            offset += lo.size
+            if not cut.any():
+                continue
+            mid = 0.5 * (lo[cut] + hi[cut])
+            new_lo = np.concatenate([lo[cut], mid])
+            new_hi = np.concatenate([mid, hi[cut]])
+            new_v, new_e = _panel_values(fn, new_lo, new_hi)
+            panels[i] = (
+                np.concatenate([lo[~cut], new_lo]),
+                np.concatenate([hi[~cut], new_hi]),
+                np.concatenate([v[~cut], new_v]),
+                np.concatenate([e[~cut], new_e]),
+            )
 
 
 def fourier_cosine_mu_derivative(
@@ -287,12 +347,12 @@ def fourier_cosine_mu_derivative(
         raise ValueError("tau must be nonnegative")
     phase_rot = np.exp(1j * L * np.pi / 2.0)
 
-    def evaluate(budget):
-        vp, ep, mp, np_p = _half_line_piece(params, profile, L, tau, +1.0, budget)
-        vm, em, mm, np_m = _half_line_piece(params, profile, L, tau, -1.0, budget)
-        return phase_rot * vp + np.conj(phase_rot) * vm, ep + em, mp + mm, np_p + np_m
-
-    return _refine(evaluate, spec, f"panel budget exceeded at tau={tau}, L={L}")
+    pieces = [
+        (weight, fn, edges)
+        for sign, weight in ((+1.0, phase_rot), (-1.0, np.conj(phase_rot)))
+        for fn, edges in _half_line_piece(params, profile, L, tau, sign, spec.max_panels)
+    ]
+    return _refine(pieces, spec, f"panel budget exceeded at tau={tau}, L={L}")
 
 
 def fourier_cosine_mu(
@@ -334,21 +394,15 @@ def fourier_cosine_mu_dyadic(
 
         return integrand
 
-    def evaluate(budget):
-        value = 0.0 + 0.0j
-        err = 0.0
-        mass = 0.0
-        panels = 0
-        for sign, rot in ((+1.0, phase_rot), (-1.0, np.conj(phase_rot))):
-            edges = _breakpoints(lo, hi, _phase_density(alpha, tau, sign, budget))
-            v, e, m = _panel_integrate(make_integrand(sign), edges)
-            value += rot * v
-            err += e
-            mass += m
-            panels += len(edges) - 1
-        return value, err, mass, panels
-
-    return _refine(evaluate, spec, f"dyadic panel budget exceeded at k={k}, tau={tau}")
+    pieces = [
+        (
+            weight,
+            make_integrand(sign),
+            _breakpoints(lo, hi, _phase_density(alpha, tau, sign, _BUDGET), spec.max_panels),
+        )
+        for sign, weight in ((+1.0, phase_rot), (-1.0, np.conj(phase_rot)))
+    ]
+    return _refine(pieces, spec, f"dyadic panel budget exceeded at k={k}, tau={tau}")
 
 
 def fourier_cosine_low_band_correction(
@@ -366,8 +420,6 @@ def fourier_cosine_low_band_correction(
         2 * integral (1 - psi0(lam) - cutoff(lam)) e^{i lam^alpha} lam^-beta
                      cos(tau lam) dlam.
     """
-    from .symbols import psi0
-
     alpha, beta = params.alpha, params.beta
 
     def make_integrand(sign):
@@ -382,7 +434,9 @@ def fourier_cosine_low_band_correction(
     value = 0.0 + 0.0j
     err = 0.0
     for sign in (+1.0, -1.0):
-        edges = _breakpoints(0.5, 2.0, _phase_density(alpha, tau, sign, 0.05))
+        edges = _breakpoints(
+            0.5, 2.0, _phase_density(alpha, tau, sign, 0.05), spec.max_panels
+        )
         v, e, _ = _panel_integrate(make_integrand(sign), edges)
         value += v
         err += e

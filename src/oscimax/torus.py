@@ -178,13 +178,16 @@ def inverse_transform(F: SpectralField) -> GridField:
     """Lattice coefficients -> grid samples (zero-padded inverse FFT)."""
     grid = F.grid
     ns = grid.spatial_points_per_axis
-    shape = (ns,) * grid.dimension
-    c_full = np.zeros(shape, dtype=complex)
-    idx = grid.freqs_1d % ns
-    if grid.dimension == 1:
-        c_full[idx] = F.coefficients
+    if ns == grid.modes_per_axis:
+        # FFT order maps every frequency to its own index: nothing to pad
+        c_full = F.coefficients
     else:
-        c_full[np.ix_(idx, idx)] = F.coefficients
+        c_full = np.zeros(grid.spatial_shape, dtype=complex)
+        idx = grid.freqs_1d % ns
+        if grid.dimension == 1:
+            c_full[idx] = F.coefficients
+        else:
+            c_full[np.ix_(idx, idx)] = F.coefficients
     samples = np.fft.ifftn(c_full) * ns**grid.dimension
     return GridField(grid, samples)
 

@@ -119,6 +119,16 @@ class TestExitCodes:
         code = main(["rate-riesz", "--out", str(tmp_path / "o")])
         assert code == EXIT_NON_CONVERGENCE
 
+    def test_panel_budget_is_non_convergence(self, tmp_path, capsys):
+        """At alpha = 0.75 the minus-phase segment at tau = 1e-3 would need
+        over 10^8 panels: the run stops before allocating them."""
+        out = tmp_path / "o"
+        argv = ["symbol-decay", "--alpha", "0.75", "--tau-lo", "1e-3", "--out", str(out)]
+        assert main(argv) == EXIT_NON_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("numeric non-convergence: panel budget exceeded")
+        assert err.count("\n") == 1
+
 
 class TestReports:
     def test_report_files_written(self, tmp_path):
@@ -206,7 +216,10 @@ class TestReports:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("experiment", ["partition-check", "rate-combo", "rate-riesz"])
+    @pytest.mark.parametrize(
+        "experiment",
+        ["partition-check", "rate-combo", "rate-riesz", "symbol-decay"],
+    )
     def test_byte_identical_bodies(self, tmp_path, experiment):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = [experiment, "--out"]

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from oscimax import (
+    ConvergenceError,
     CutoffProfile,
     QuadratureSpec,
     SymbolParams,
@@ -18,9 +19,70 @@ from oscimax import (
     small_tau_exponent,
     verify_small_tau_decay,
 )
+from oscimax import quadrature
+from oscimax.quadrature import _breakpoints, _panel_integrate, _phase_density, _ray_tail
 from oscimax.symbols import phi_cutoff
 
 PROFILE = CutoffProfile()
+
+
+def real_segment_transform(params, tau, L, spec=QuadratureSpec()):
+    """The contour the library used before it turned at twice the stationary
+    point: the minus phase stays on the real axis up to (4/tau)^{1/(1-alpha)},
+    the cutoff multiplies every segment node, and every round halves the
+    panel budget on every panel."""
+    alpha, beta = params.alpha, params.beta
+    amp = L - beta
+    rot = np.exp(1j * L * np.pi / 2.0)
+
+    def half_line(sign, budget):
+        if sign < 0:
+            lam_end, direction = max(2.0, (4.0 / tau) ** (1.0 / (1.0 - alpha))), -1.0
+        else:
+            lam_end, direction = 2.0, 1.0
+
+        def integrand(lam):
+            phase = lam**alpha + sign * tau * lam
+            return lam**amp * phi_cutoff(PROFILE, lam) * np.exp(1j * phase)
+
+        density = _phase_density(alpha, tau, sign, budget)
+        seg = _panel_integrate(integrand, _breakpoints(1.0, lam_end, density, spec.max_panels))
+        ray = _panel_integrate(
+            *_ray_tail(amp, alpha, tau, sign, lam_end, direction, budget, spec.max_panels)
+        )
+        return [a + b for a, b in zip(seg, ray)]
+
+    budget, previous = 0.4, None
+    while True:
+        (vp, ep, mp), (vm, em, mm) = half_line(1.0, budget), half_line(-1.0, budget)
+        value = rot * vp + np.conj(rot) * vm
+        tol = max(spec.abs_tolerance, spec.relative_floor * (mp + mm))
+        if ep + em <= tol or (previous is not None and abs(value - previous) <= tol):
+            return value
+        previous, budget = value, budget / 2.0
+
+
+def stationary_phase_leading(alpha, beta, tau):
+    """Leading stationary-phase term of the minus-phase integral at
+    lam* = (alpha/tau)^{1/(1-alpha)} (Stein, Harmonic Analysis, ch. VIII)."""
+    lam = (alpha / tau) ** (1.0 / (1.0 - alpha))
+    curvature = alpha * (1.0 - alpha) * lam ** (alpha - 2.0)
+    phase = lam**alpha - tau * lam - np.pi / 4.0
+    return lam**-beta * np.sqrt(2.0 * np.pi / curvature) * np.exp(1j * phase)
+
+
+@pytest.fixture
+def panel_rounds(monkeypatch):
+    """Panel counts of every `_panel_values` call, in call order."""
+    counts = []
+    evaluate = quadrature._panel_values
+
+    def counted(fn, lo, hi):
+        counts.append(lo.size)
+        return evaluate(fn, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel_values", counted)
+    return counts
 
 
 def brute_force_transform(params, tau, upper=4000.0, L=0):
@@ -102,6 +164,60 @@ class TestFourierCosineMu:
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             fourier_cosine_mu_derivative(SymbolParams(0.5, 1.0), PROFILE, 1.0, 5)
+
+
+class TestMinusPhaseContour:
+    @pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize(
+        "alpha,beta,L", [(0.5, 0.5, 0), (0.5, 0.5, 1), (0.25, 0.25, 0), (0.5, 0.25, 2)]
+    )
+    def test_matches_real_segment_contour(self, alpha, beta, L, tau):
+        params = SymbolParams(alpha, beta)
+        ours = fourier_cosine_mu_derivative(params, PROFILE, tau, L)
+        oracle = real_segment_transform(params, tau, L)
+        assert abs(ours - oracle) <= 1e-9 * abs(oracle)
+
+    def test_stationary_phase_remainder_shrinks(self):
+        """At alpha = beta = 1/2 the remainder after the leading term tends to
+        a constant while the term grows like tau^{-1/2}."""
+        params = SymbolParams(0.5, 0.5)
+        rel = [
+            abs(fourier_cosine_mu(params, PROFILE, tau) - stationary_phase_leading(0.5, 0.5, tau))
+            / abs(stationary_phase_leading(0.5, 0.5, tau))
+            for tau in (1e-3, 1e-4, 1e-5)
+        ]
+        assert rel[0] > rel[1] > rel[2]
+        assert rel[2] < 5e-3
+
+    def test_stationary_phase_at_tiny_tau(self):
+        sp = stationary_phase_leading(0.5, 0.25, 1e-5)
+        ours = fourier_cosine_mu(SymbolParams(0.5, 0.25), PROFILE, 1e-5)
+        assert abs(ours - sp) < 1e-4 * abs(sp)
+
+
+class TestRefinement:
+    def test_only_failing_panels_are_evaluated_again(self, panel_rounds):
+        """At alpha = 1/4 one panel of about 390 carries the excess; the
+        later rounds evaluate its halves only."""
+        fourier_cosine_mu(SymbolParams(0.25, 0.25), PROFILE, 1e-2)
+        first_round = sum(panel_rounds[:4])  # one call per piece: two segments, two rays
+        assert len(panel_rounds) > 4
+        assert sum(panel_rounds) <= 1.1 * first_round
+
+    @pytest.mark.parametrize("max_panels", [100, 200])
+    def test_budget_checked_before_evaluation(self, panel_rounds, max_panels):
+        """100 panels is below the largest piece (about 180); 200 holds every
+        piece but not their sum (about 390)."""
+        spec = QuadratureSpec(max_panels=max_panels)
+        with pytest.raises(ConvergenceError, match="max_panels"):
+            fourier_cosine_mu(SymbolParams(0.25, 0.25), PROFILE, 1e-2, spec)
+        assert panel_rounds == []
+
+    def test_huge_segment_raises_before_allocating(self, panel_rounds):
+        """The alpha = 3/4 segment at tau = 1e-3 needs over 10^8 panels."""
+        with pytest.raises(ConvergenceError, match="panel budget exceeded"):
+            fourier_cosine_mu(SymbolParams(0.75, 0.5), PROFILE, 1e-3)
+        assert panel_rounds == []
 
 
 class TestDyadicPieces:

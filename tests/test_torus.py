@@ -76,6 +76,22 @@ class TestTransforms:
         back = forward_transform(inverse_transform(f))
         np.testing.assert_allclose(back.coefficients, f.coefficients, atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "dim,modes,points", [(1, 64, 64), (2, 32, 32), (1, 16, 48), (2, 16, 32)]
+    )
+    def test_inverse_matches_zero_padded_scatter(self, dim, modes, points):
+        """Bit-identical to scattering the coefficients into a zero array of
+        the spatial shape, whether or not the grid oversamples."""
+        grid = LatticeGrid(dim, modes, spatial_points_per_axis=points)
+        f = random_spectral_field(grid, np.random.default_rng(3))
+        padded = np.zeros(grid.spatial_shape, dtype=complex)
+        idx = grid.freqs_1d % points
+        padded[np.ix_(*[idx] * dim)] = f.coefficients
+        expected = np.fft.ifftn(padded) * points**dim
+        samples = inverse_transform(f).samples
+        assert samples.shape == grid.spatial_shape
+        assert np.array_equal(samples, expected)
+
     def test_pure_mode_values(self):
         """A pure mode has unit coefficient and samples exp(i<xi,x>)."""
         grid = LatticeGrid(1, 32)
