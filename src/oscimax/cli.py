@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -232,14 +233,17 @@ def _run_partition_check(config, out_dir):
     profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
     rng = np.random.default_rng(config["seed"])
     u_values = rng.uniform(-config["u_max"], config["u_max"], size=config["samples"])
-    rows = []
-    worst = 0.0
-    for u in u_values:
-        K = max(0, int(np.ceil(np.log2(max(abs(u), 1.0)))))
-        res = partition_residual(float(u), K, profile)
-        worst = max(worst, res)
-        rows.append((float(u), res))
-    _write_csv(out_dir / "partition-check.csv", ["u", "residual"], rows)
+    K = np.maximum(0, np.ceil(np.log2(np.maximum(np.abs(u_values), 1.0)))).astype(int)
+    residuals = np.empty_like(u_values)
+    for k in np.unique(K):
+        same = K == k
+        residuals[same] = partition_residual(u_values[same], int(k), profile)
+    worst = float(residuals.max(initial=0.0))
+    _write_csv(
+        out_dir / "partition-check.csv",
+        ["u", "residual"],
+        zip(u_values.tolist(), residuals.tolist()),
+    )
     return {
         "max_residual": worst,
         "tolerance": config["tolerance"],
@@ -412,8 +416,8 @@ def _run_maximal_sweep(config, out_dir):
     def family(t, g):
         return oscillating_op(g, params, profile, t)
 
-    coarse = maximal_over_times(f, family, time_grid)
-    fine = maximal_over_times(f, family, time_grid.refined())
+    coarse = maximal_over_times(f, family, time_grid.times)
+    fine = maximal_over_times(f, family, time_grid.refined().times)
     monotone = bool(np.all(fine.samples.real >= coarse.samples.real - 1e-15))
     delta = float(np.max(fine.samples.real - coarse.samples.real))
     coords = grid.coords_1d.tolist()
@@ -490,13 +494,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     out_dir = args.out or Path(f"oscimax-out-{args.experiment}")
+    # the outermost directory this run creates; removed again if the run fails
+    created = None
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            break
+        created = path
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         summary = RUNNERS[args.experiment](config, out_dir)
-    except RuntimeError as exc:
-        print(f"numeric non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
-    except ValueError as exc:
+    except (RuntimeError, ValueError) as exc:
+        if created is not None:
+            shutil.rmtree(created)
+        if isinstance(exc, RuntimeError):
+            print(f"numeric non-convergence: {exc}", file=sys.stderr)
+            return EXIT_NON_CONVERGENCE
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
 from .operators import TimeGrid, maximal_over_times, oscillating_op, riesz_mean_op, schrodinger_propagate
@@ -56,12 +55,6 @@ def combination_coefficients(N: int) -> CombinationScheme:
     coeffs = np.linalg.solve(mat, rhs)
     residual = float(np.max(np.abs(mat @ coeffs - rhs)))
     return CombinationScheme(N=N, coefficients=coeffs, residual=residual)
-
-
-def binomial_candidate(N: int) -> np.ndarray:
-    """Closed-form alternating-binomial solution, used as a cross-check only."""
-    k = np.arange(1, N + 1)
-    return (-1.0) ** (k - 1) * comb(N, k)
 
 
 def combination_apply(
@@ -218,7 +211,7 @@ def atom_uniformity_experiment(
         maximal = maximal_over_times(
             coeffs,
             lambda t, g: oscillating_op(g, params, profile, t),
-            time_grid,
+            time_grid.times,
         )
         quasinorms.append(weak_lp_quasinorm(maximal, p))
     quasinorms = np.array(quasinorms)

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import (
-    GridField,
-    LatticeGrid,
-    SpectralField,
-    grid_norm,
-    inverse_transform,
-)
+from .operators import apply_multiplier, maximal_over_times
+from .torus import GridField, LatticeGrid, SpectralField, grid_norm
 
 PERIOD = 2.0 * np.pi
 
@@ -191,19 +186,21 @@ def riesz_potential(f: SpectralField, s: float) -> SpectralField:
     s < 0 (and for s > 0, where 0^s = 0), kept unchanged for s = 0."""
     if s == 0.0:
         return f
-    lam = f.grid.eigenvalue_array()
-    factors = np.zeros_like(lam)
-    nz = lam > 0.0
-    factors[nz] = lam[nz] ** s
-    return SpectralField(f.grid, f.coefficients * factors)
+
+    def power(lam):
+        factors = np.zeros_like(lam)
+        nz = lam > 0.0
+        factors[nz] = lam[nz] ** s
+        return factors
+
+    return apply_multiplier(f, power)
 
 
 def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
     """Diagonal heat factor e^{-t |xi|^2}."""
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    lam = f.grid.eigenvalue_array()
-    return SpectralField(f.grid, f.coefficients * np.exp(-t * lam**2))
+    return apply_multiplier(f, lambda lam: np.exp(-t * lam**2))
 
 
 def default_heat_times(t_min: float = 1e-6, t_max: float = 10.0, count: int = 48):
@@ -224,11 +221,8 @@ def hp_quasinorm_estimate(f: SpectralField, p: float, heat_times=None) -> float:
             "smallest heat time does not resolve the top lattice mode "
             f"(need t_min <= {np.log(2.0) / lam_max**2:.3g})"
         )
-    best = None
-    for t in np.sort(heat_times):
-        mag = np.abs(inverse_transform(heat_semigroup(f, t)).samples)
-        best = mag if best is None else np.maximum(best, mag)
-    return grid_norm(GridField(f.grid, best.astype(complex)), p)
+    maximal = maximal_over_times(f, lambda t, g: heat_semigroup(g, t), np.sort(heat_times))
+    return grid_norm(maximal, p)
 
 
 def weak_lp_quasinorm(f: GridField, p: float) -> float:

@@ -92,19 +92,18 @@ def riesz_mean_op(f: SpectralField, k: float, alpha: float, t: float) -> Spectra
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    lam = f.grid.eigenvalue_array()
-    factors = riesz_mean_symbol(k, alpha, t * lam**alpha)
-    return SpectralField(f.grid, f.coefficients * factors)
+    return apply_multiplier(f, lambda lam: riesz_mean_symbol(k, alpha, t * lam**alpha))
 
 
-def maximal_over_times(f: SpectralField, family, grid: TimeGrid) -> GridField:
-    """Pointwise max over the time grid of |inverse_transform(family(t) f)|.
+def maximal_over_times(f: SpectralField, family, times) -> GridField:
+    """Pointwise max over `times` of |inverse_transform(family(t, f))|.
 
-    `family` maps a time t to a diagonal operator SpectralField -> SpectralField.
-    Times are reduced in fixed ascending order for bit-stable results.
+    `family` maps a time t and a field to a field.  `times` is increasing
+    (a TimeGrid's `.times`); they are reduced in that fixed order for
+    bit-stable results.
     """
     best = None
-    for t in grid.times:
+    for t in times:
         g = inverse_transform(family(t, f))
         mag = np.abs(g.samples)
         best = mag if best is None else np.maximum(best, mag)

@@ -5,8 +5,9 @@ The target integrals have the form
     2 * integral_0^inf  lam^(L - beta) * cutoff(lam) * e^{i lam^alpha}
                         * cos(tau*lam + L*pi/2)  d lam.
 
-Splitting the cosine into exponentials gives two half-line integrals with
-total phase g(lam) = lam^alpha +- tau*lam.  Each is computed as
+For the full transform, whose range is unbounded, splitting the cosine into
+exponentials gives two half-line integrals with total phase
+g(lam) = lam^alpha +- tau*lam.  Each is computed as
 
   * a real-axis segment [1, Lambda] with composite Gauss-Legendre panels
     whose lengths resolve the local phase derivative (and the Fresnel scale
@@ -19,10 +20,16 @@ total phase g(lam) = lam^alpha +- tau*lam.  Each is computed as
 
 The cutoff is identically 1 from lam = 2 on, and both contours stay in the
 right half plane, where lam^alpha and lam^(L-beta) are analytic, so the
-deformation is exact.  Panel error is estimated by comparing 16- and 8-node
-Gauss values panel by panel; the panels that carry the excess are bisected,
-and the rest kept, until the summed estimate meets the tolerance or the panel
-budget is hit.
+deformation is exact.
+
+A compact band (a dyadic piece, or the low-band correction) is not split:
+its cosine integrand is integrated on the real axis with the panels of the
+plus phase, which resolve both phases, since the Fresnel term is the same
+and |alpha lam^(alpha-1) - tau| <= alpha lam^(alpha-1) + tau.
+
+Panel error is estimated by comparing 16- and 8-node Gauss values panel by
+panel; the panels that carry the excess are bisected, and the rest kept,
+until the summed estimate meets the tolerance or the panel budget is hit.
 """
 
 from __future__ import annotations
@@ -152,12 +159,6 @@ def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
     return v16, np.abs(v16 - v8)
 
 
-def _panel_integrate(fn, edges: np.ndarray):
-    """Composite Gauss on the given edges; returns (value, err_est, |contrib|)."""
-    v16, err = _panel_values(fn, edges[:-1], edges[1:])
-    return complex(np.sum(v16)), float(np.sum(err)), float(np.sum(np.abs(v16)))
-
-
 def _phase_density(alpha: float, tau: float, sign: float, budget: float):
     """Panels per unit length for phase lam^alpha + sign*tau*lam on the real axis."""
 
@@ -261,6 +262,38 @@ def _half_line_piece(
     return [(integrand, edges), ray]
 
 
+def _band_piece(
+    params: SymbolParams,
+    tau: float,
+    L: int,
+    lo: float,
+    hi: float,
+    window,
+    max_panels: int,
+):
+    """One (1.0, integrand, first-round edges) piece whose integral is
+
+        2 * integral_lo^hi window(lam) lam^(L-beta) e^{i lam^alpha}
+                           cos(tau lam + L pi/2) dlam,
+
+    for a window supported in [lo, hi].  The plus-phase panels resolve both
+    exponentials of the cosine.
+    """
+    alpha, beta = params.alpha, params.beta
+
+    def integrand(lam):
+        return (
+            2.0
+            * window(lam)
+            * lam ** (L - beta)
+            * np.exp(1j * lam**alpha)
+            * np.cos(tau * lam + L * np.pi / 2.0)
+        )
+
+    edges = _breakpoints(lo, hi, _phase_density(alpha, tau, +1.0, _BUDGET), max_panels)
+    return 1.0, integrand, edges
+
+
 def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
     """Sum of weight * integral over the (weight, integrand, edges) pieces.
 
@@ -325,6 +358,15 @@ def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
             )
 
 
+def _check_order(L: int) -> None:
+    if L < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if L > MAX_DERIVATIVE_ORDER:
+        raise ValueError(
+            f"derivative order {L} unsupported (max {MAX_DERIVATIVE_ORDER})"
+        )
+
+
 def fourier_cosine_mu_derivative(
     params: SymbolParams,
     profile: CutoffProfile,
@@ -337,12 +379,7 @@ def fourier_cosine_mu_derivative(
     2 * integral_0^inf lam^(L-beta) e^{i lam^alpha} cutoff(lam)
                        cos(tau lam + L pi/2) dlam.
     """
-    if L < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if L > MAX_DERIVATIVE_ORDER:
-        raise ValueError(
-            f"derivative order {L} unsupported (max {MAX_DERIVATIVE_ORDER})"
-        )
+    _check_order(L)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     phase_rot = np.exp(1j * L * np.pi / 2.0)
@@ -377,32 +414,18 @@ def fourier_cosine_mu_dyadic(
     integration to the compact band [2^(k-1), 2^(k+1)], so no tail is needed."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if L < 0 or L > MAX_DERIVATIVE_ORDER:
-        raise ValueError("unsupported derivative order")
-    alpha, beta = params.alpha, params.beta
+    _check_order(L)
     scale = 2.0**k
-    lo, hi = scale / 2.0, scale * 2.0
-    phase_rot = np.exp(1j * L * np.pi / 2.0)
-
-    def make_integrand(sign):
-        def integrand(lam):
-            return (
-                lam ** (L - beta)
-                * dyadic_bump(profile, lam / scale)
-                * np.exp(1j * (lam**alpha + sign * tau * lam))
-            )
-
-        return integrand
-
-    pieces = [
-        (
-            weight,
-            make_integrand(sign),
-            _breakpoints(lo, hi, _phase_density(alpha, tau, sign, _BUDGET), spec.max_panels),
-        )
-        for sign, weight in ((+1.0, phase_rot), (-1.0, np.conj(phase_rot)))
-    ]
-    return _refine(pieces, spec, f"dyadic panel budget exceeded at k={k}, tau={tau}")
+    piece = _band_piece(
+        params,
+        tau,
+        L,
+        scale / 2.0,
+        scale * 2.0,
+        lambda lam: dyadic_bump(profile, lam / scale),
+        spec.max_panels,
+    )
+    return _refine([piece], spec, f"dyadic panel budget exceeded at k={k}, tau={tau}")
 
 
 def fourier_cosine_low_band_correction(
@@ -420,31 +443,16 @@ def fourier_cosine_low_band_correction(
         2 * integral (1 - psi0(lam) - cutoff(lam)) e^{i lam^alpha} lam^-beta
                      cos(tau lam) dlam.
     """
-    alpha, beta = params.alpha, params.beta
-
-    def make_integrand(sign):
-        def integrand(lam):
-            window = 1.0 - psi0(profile, lam) - phi_cutoff(profile, lam)
-            return (
-                lam**-beta * window * np.exp(1j * (lam**alpha + sign * tau * lam))
-            )
-
-        return integrand
-
-    value = 0.0 + 0.0j
-    err = 0.0
-    for sign in (+1.0, -1.0):
-        edges = _breakpoints(
-            0.5, 2.0, _phase_density(alpha, tau, sign, 0.05), spec.max_panels
-        )
-        v, e, _ = _panel_integrate(make_integrand(sign), edges)
-        value += v
-        err += e
-    if err > max(spec.abs_tolerance, 1e-12):
-        raise ConvergenceError(
-            "low-band correction did not converge", partial_value=value, error_estimate=err
-        )
-    return value
+    piece = _band_piece(
+        params,
+        tau,
+        0,
+        0.5,
+        2.0,
+        lambda lam: 1.0 - psi0(profile, lam) - phi_cutoff(profile, lam),
+        spec.max_panels,
+    )
+    return _refine([piece], spec, f"low-band panel budget exceeded at tau={tau}")
 
 
 def dyadic_tail_order(

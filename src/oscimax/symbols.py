@@ -103,18 +103,20 @@ def dyadic_bump(profile: CutoffProfile, lam):
     return phi_cutoff(profile, 2.0 * lam) - phi_cutoff(profile, lam)
 
 
-def partition_residual(u: float, K: int, profile: CutoffProfile = DEFAULT_PROFILE) -> float:
-    """|sum_{k=0}^{K} bump(|u|/2^k) + psi0(|u|) - 1|.
+def partition_residual(u, K: int, profile: CutoffProfile = DEFAULT_PROFILE):
+    """|sum_{k=0}^{K} bump(|u|/2^k) + psi0(|u|) - 1|, elementwise in u.
 
     K must satisfy 2^K >= |u|, otherwise the truncated sum genuinely misses
-    mass and the residual reported is the true truncation error.
+    mass and the residual reported is the true truncation error.  A float
+    for scalar u, else an array of u's shape.
     """
-    u = abs(float(u))
+    u = np.abs(np.asarray(u, dtype=float))
     # phi(2^{1-k} u) for k = 0..K+1: bump(u/2^k) is phi[k] - phi[k+1] and
     # psi0(u) is 1 - phi[0]; scaling by powers of two is exact.
-    phi = phi_cutoff(profile, u * 2.0 ** (1 - np.arange(K + 2)))
-    total = float(np.sum(phi[:-1] - phi[1:])) + float(1.0 - phi[0])
-    return abs(total - 1.0)
+    phi = phi_cutoff(profile, u[..., None] * 2.0 ** (1 - np.arange(K + 2)))
+    total = np.sum(phi[..., :-1] - phi[..., 1:], axis=-1) + (1.0 - phi[..., 0])
+    residual = np.abs(total - 1.0)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
@@ -254,13 +256,6 @@ def riesz_mean_symbol(k: float, alpha: float, z):
     return out if out.ndim else complex(out)
 
 
-def riesz_mean_symbol_closed_form_k1(z: float) -> complex:
-    """(e^{iz} - 1) / (iz), the k = 1 antiderivative; cross-check only."""
-    if z == 0.0:
-        return 1.0 + 0.0j
-    return (np.exp(1j * z) - 1.0) / (1j * z)
-
-
 def taylor_remainder(coeffs, w: float) -> complex:
     """sum_k c_k e^{ikw} - 1 for combination coefficients c_1..c_N.
 
@@ -270,19 +265,3 @@ def taylor_remainder(coeffs, w: float) -> complex:
     c = np.asarray(coeffs, dtype=float)
     k = np.arange(1, c.size + 1)
     return complex(np.sum(c * np.exp(1j * k * w)) - 1.0)
-
-
-def riesz_mean_symbol_series(k: float, z: float, terms: int = 60) -> complex:
-    """Power-series oracle sum_{n>=0} (iz)^n k! n-weights; small |z| only.
-
-    Uses k * integral (1-r)^{k-1} r^n dr = k * B(n+1, k) = n! k! / (n+k)!
-    evaluated via gamma functions (valid for fractional k).
-    """
-    total = 0.0 + 0.0j
-    for n in range(terms):
-        # k * B(n+1, k) = Gamma(n+1) Gamma(k+1) / Gamma(n+k+1)
-        weight = np.exp(
-            special.gammaln(n + 1) + special.gammaln(k + 1) - special.gammaln(n + k + 1)
-        )
-        total += (1j * z) ** n / special.gamma(n + 1) * weight
-    return complex(total)

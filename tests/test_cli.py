@@ -119,6 +119,25 @@ class TestExitCodes:
         code = main(["rate-riesz", "--out", str(tmp_path / "o")])
         assert code == EXIT_NON_CONVERGENCE
 
+    def test_failed_run_removes_the_directories_it_created(self, tmp_path):
+        out = tmp_path / "new" / "o"
+        argv = ["symbol-decay", "--alpha", "0.75", "--tau-lo", "1e-3", "--out", str(out)]
+        assert main(argv) == EXIT_NON_CONVERGENCE
+        assert not (tmp_path / "new").exists()
+        assert tmp_path.is_dir()
+
+    def test_failed_run_keeps_an_existing_directory(self, tmp_path, monkeypatch):
+        def reject(*args, **kwargs):
+            raise ValueError("bad parameters")
+
+        monkeypatch.setattr(cli, "riesz_mean_op", reject)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier run")
+        assert main(["rate-riesz", "--out", str(out)]) == EXIT_USAGE
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "earlier run"
+
     def test_panel_budget_is_non_convergence(self, tmp_path, capsys):
         """At alpha = 0.75 the minus-phase segment at tau = 1e-3 would need
         over 10^8 panels: the run stops before allocating them."""
@@ -194,7 +213,7 @@ class TestReports:
         params = SymbolParams(config["alpha"], config["beta"])
         times = TimeGrid(
             sigma=config["sigma"], count=config["time_count"], span_octaves=config["span_octaves"]
-        )
+        ).times
         maxima = maximal_over_times(
             f, lambda t, g: oscillating_op(g, params, CutoffProfile(), t), times
         ).samples.real

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import comb
 
 from oscimax import (
     CombinationScheme,
@@ -17,7 +18,13 @@ from oscimax import (
     combination_rate_experiment,
     riesz_pointwise_experiment,
 )
-from oscimax.extrapolation import atom_uniformity_experiment, binomial_candidate
+from oscimax.extrapolation import atom_uniformity_experiment
+
+
+def binomial_candidate(N: int) -> np.ndarray:
+    """Closed-form alternating-binomial solution, used as a cross-check only."""
+    k = np.arange(1, N + 1)
+    return (-1.0) ** (k - 1) * comb(N, k)
 
 
 class TestCombinationCoefficients:

@@ -146,8 +146,8 @@ class TestMaximalOverTimes:
         def family(t, g):
             return oscillating_op(g, params, PROFILE, t)
 
-        coarse = maximal_over_times(f, family, tg).samples.real
-        fine = maximal_over_times(f, family, tg.refined()).samples.real
+        coarse = maximal_over_times(f, family, tg.times).samples.real
+        fine = maximal_over_times(f, family, tg.refined().times).samples.real
         assert np.all(fine >= coarse - 1e-15)
 
     def test_dominates_single_time(self):
@@ -159,7 +159,7 @@ class TestMaximalOverTimes:
         def family(t, g):
             return oscillating_op(g, params, PROFILE, t)
 
-        maximal = maximal_over_times(f, family, tg).samples.real
+        maximal = maximal_over_times(f, family, tg.times).samples.real
         one = np.abs(inverse_transform(family(tg.times[3], f)).samples)
         assert np.all(maximal >= one - 1e-15)
 

@@ -20,10 +20,16 @@ from oscimax import (
     verify_small_tau_decay,
 )
 from oscimax import quadrature
-from oscimax.quadrature import _breakpoints, _panel_integrate, _phase_density, _ray_tail
-from oscimax.symbols import phi_cutoff
+from oscimax.quadrature import _breakpoints, _panel_values, _phase_density, _ray_tail
+from oscimax.symbols import dyadic_bump, phi_cutoff, psi0
 
 PROFILE = CutoffProfile()
+
+
+def _panel_integrate(fn, edges):
+    """Composite Gauss on the given edges; returns (value, err_est, |contrib|)."""
+    v16, err = _panel_values(fn, edges[:-1], edges[1:])
+    return complex(np.sum(v16)), float(np.sum(err)), float(np.sum(np.abs(v16)))
 
 
 def real_segment_transform(params, tau, L, spec=QuadratureSpec()):
@@ -60,6 +66,37 @@ def real_segment_transform(params, tau, L, spec=QuadratureSpec()):
         if ep + em <= tol or (previous is not None and abs(value - previous) <= tol):
             return value
         previous, budget = value, budget / 2.0
+
+
+def split_band_transform(params, k, tau, L, spec=QuadratureSpec()):
+    """The dyadic transform as the library computed it before a compact band
+    became one cosine piece: the cosine split into e^{+-i tau lam}, each
+    exponential with its own phase-adapted edges and its own evaluation of
+    the bump, both refined together."""
+    alpha, beta = params.alpha, params.beta
+    scale = 2.0**k
+    lo, hi = scale / 2.0, scale * 2.0
+    rot = np.exp(1j * L * np.pi / 2.0)
+
+    def make_integrand(sign):
+        def integrand(lam):
+            return (
+                lam ** (L - beta)
+                * dyadic_bump(PROFILE, lam / scale)
+                * np.exp(1j * (lam**alpha + sign * tau * lam))
+            )
+
+        return integrand
+
+    pieces = [
+        (
+            weight,
+            make_integrand(sign),
+            _breakpoints(lo, hi, _phase_density(alpha, tau, sign, 0.4), spec.max_panels),
+        )
+        for sign, weight in ((+1.0, rot), (-1.0, np.conj(rot)))
+    ]
+    return quadrature._refine(pieces, spec, "split band did not converge")
 
 
 def stationary_phase_leading(alpha, beta, tau):
@@ -227,8 +264,6 @@ class TestDyadicPieces:
         piece = fourier_cosine_mu_dyadic(params, PROFILE, 4, 0.5)
 
         def integrand(lam):
-            from oscimax.symbols import dyadic_bump
-
             return (
                 lam**-3.0
                 * dyadic_bump(PROFILE, lam / 16.0)
@@ -239,6 +274,42 @@ class TestDyadicPieces:
         re, _ = integrate.quad(lambda x: integrand(x).real, 8.0, 32.0, limit=2000)
         im, _ = integrate.quad(lambda x: integrand(x).imag, 8.0, 32.0, limit=2000)
         assert piece == pytest.approx(2.0 * (re + 1j * im), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 3.0])
+    def test_matches_split_band(self, alpha, beta):
+        """One cosine piece agrees with the two-exponential split."""
+        params = SymbolParams(alpha, beta)
+        for L, tol in ((0, 1e-11), (2, 1e-9)):
+            for k in (0, 1, 4, 6):
+                for tau in (0.0, 0.01, 0.1, 0.5, 2.0, 10.0):
+                    ours = fourier_cosine_mu_dyadic(params, PROFILE, k, tau, L)
+                    oracle = split_band_transform(params, k, tau, L)
+                    assert abs(ours - oracle) <= tol, (L, k, tau)
+
+    def test_band_is_evaluated_once_per_round(self, panel_rounds):
+        """The first round is one call on the plus-phase panels of the band
+        [8, 32]; this case needs no second round."""
+        fourier_cosine_mu_dyadic(SymbolParams(0.5, 1.0), PROFILE, 4, 0.5)
+        edges = _breakpoints(8.0, 32.0, _phase_density(0.5, 0.5, +1.0, 0.4), 10**6)
+        assert panel_rounds == [edges.size - 1]
+
+    @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 10.0])
+    def test_low_band_correction_against_quad(self, tau):
+        params = SymbolParams(0.5, 0.5)
+
+        def integrand(lam):
+            window = 1.0 - psi0(PROFILE, lam) - phi_cutoff(PROFILE, lam)
+            return 2.0 * window * lam**-0.5 * np.cos(tau * lam) * np.exp(1j * lam**0.5)
+
+        parts = [
+            integrate.quad(
+                lambda x: part(integrand(x)), 0.5, 2.0, points=[1.0], epsabs=1e-14, limit=200
+            )[0]
+            for part in (np.real, np.imag)
+        ]
+        ours = fourier_cosine_low_band_correction(params, PROFILE, tau)
+        assert abs(ours - complex(*parts)) <= 1e-10
 
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 10.0])
     def test_resummation_with_correction(self, tau):

@@ -20,13 +20,32 @@ from oscimax import (
     riesz_mean_symbol,
     taylor_remainder,
 )
-from oscimax.symbols import (
-    riesz_mean_symbol_closed_form_k1,
-    riesz_mean_symbol_series,
-)
 
 PROFILES = [CutoffProfile(), CutoffProfile("smoothstep_poly", 4), CutoffProfile("smooth_exp")]
 KINDS = [CutoffProfile(), CutoffProfile("smooth_exp")]
+
+
+def riesz_mean_symbol_closed_form_k1(z: float) -> complex:
+    """(e^{iz} - 1) / (iz), the k = 1 antiderivative; cross-check only."""
+    if z == 0.0:
+        return 1.0 + 0.0j
+    return (np.exp(1j * z) - 1.0) / (1j * z)
+
+
+def riesz_mean_symbol_series(k: float, z: float, terms: int = 60) -> complex:
+    """Power-series oracle sum_{n>=0} (iz)^n k! n-weights; small |z| only.
+
+    Uses k * integral (1-r)^{k-1} r^n dr = k * B(n+1, k) = n! k! / (n+k)!
+    evaluated via gamma functions (valid for fractional k).
+    """
+    total = 0.0 + 0.0j
+    for n in range(terms):
+        # k * B(n+1, k) = Gamma(n+1) Gamma(k+1) / Gamma(n+k+1)
+        weight = np.exp(
+            special.gammaln(n + 1) + special.gammaln(k + 1) - special.gammaln(n + k + 1)
+        )
+        total += (1j * z) ** n / special.gamma(n + 1) * weight
+    return complex(total)
 
 
 def clipped_ramp(profile, s):
@@ -124,6 +143,18 @@ class TestPartition:
         residual = partition_residual(u, K, profile)
         assert residual <= 1e-12
         assert residual == telescoped_residual(u, K, profile)
+
+    @pytest.mark.parametrize("profile", KINDS)
+    def test_array_call_matches_scalar_calls(self, profile):
+        rng = np.random.default_rng(1)
+        for K in (0, 3, 20):
+            u = rng.uniform(-(2.0**K), 2.0**K, size=400)
+            u[:3] = (0.0, 2.0**K, -(2.0 ** (K - 1)))
+            residuals = partition_residual(u, K, profile)
+            scalars = [partition_residual(float(v), K, profile) for v in u]
+            assert all(type(r) is float for r in scalars)
+            assert np.array_equal(residuals, scalars)
+            assert np.array_equal(residuals, [telescoped_residual(v, K, profile) for v in u])
 
     def test_truncation_reported(self):
         """Too-small K genuinely misses mass and the residual says so."""
