@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .extrapolation import atom_uniformity_experiment, combination_rate_experiment
-from .operators import TimeGrid, maximal_over_times, oscillating_op, riesz_mean_op, verify_kernel_decay
+from .operators import (
+    TimeGrid,
+    kernel_lattice_sum,
+    maximal_over_times,
+    oscillating_op,
+    riesz_mean_op,
+    verify_kernel_decay,
+)
 from .quadrature import (
     dyadic_band_ratio,
     dyadic_tail_order,
@@ -322,8 +329,6 @@ def _run_kernel_decay(config, out_dir):
         M_cap=2 * int(config["m_cap"]),
         slope_tol=config["slope_tol"],
     )
-    from .operators import kernel_lattice_sum
-
     rows = []
     for x, u in zip(radii, ratios):
         v = kernel_lattice_sum(params, profile, t, float(x), eps=config["eps"], M_cap=int(config["m_cap"]))

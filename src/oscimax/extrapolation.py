@@ -196,6 +196,8 @@ def atom_uniformity_experiment(
     """Weak-L^p quasinorm of the maximal oscillating operator over a batch of
     regular atoms with radii spanning `radius_decades` dyadic decades; reports
     the max/median ratio (uniform boundedness predicts a modest ratio)."""
+    if atom_count < 1:
+        raise ValueError(f"atom_count must be >= 1, got {atom_count}")
     params = SymbolParams(alpha, beta)
     profile = profile or CutoffProfile()
     time_grid = time_grid or TimeGrid(count=48, span_octaves=12.0)

@@ -124,6 +124,12 @@ def kernel_lattice_sum(
         = 2 * sum_{m>=1} mu(t m) cos(m x) e^{-eps m^2},
 
     Gaussian (Abel-Gauss) regularization for conditionally convergent sums.
+
+    Only cos(m x), one product and the sum depend on x: the frequencies m,
+    the symbol mu(t m) and the damping e^{-eps m^2} are reused across calls
+    that share (params, profile, t, eps, M_cap).  One such entry is kept, for
+    the last arguments seen, so a sweep over x at a fixed lattice builds them
+    once.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -131,11 +137,36 @@ def kernel_lattice_sum(
         raise ValueError(
             "unregularized lattice sum requires beta > 1 for absolute convergence"
         )
-    m = np.arange(1, M_cap + 1, dtype=float)
-    terms = mu_symbol(params, profile, t, m) * np.cos(m * x)
-    if eps > 0.0:
-        terms = terms * np.exp(-eps * m**2)
+    m, symbol, damping = _lattice_weights(params, profile, t, eps, M_cap)
+    phase = m * x
+    terms = symbol * np.cos(phase, out=phase)
+    if damping is not None:
+        terms *= damping
     return 2.0 * complex(np.sum(terms))
+
+
+# The x-independent factors of the last lattice sum, keyed by its arguments.
+_lattice_slot: dict = {}
+
+
+def _lattice_weights(params, profile, t, eps, M_cap):
+    """Read-only (m, mu(t m), e^{-eps m^2} or None) for m = 1..M_cap.
+
+    Keeps one entry, the last key: the old entry is dropped before a new one
+    is built, so two lattices' weights are never held at once.
+    """
+    key = (params, profile, t, eps, M_cap)
+    weights = _lattice_slot.get(key)
+    if weights is None:
+        _lattice_slot.clear()
+        m = np.arange(1, M_cap + 1, dtype=float)
+        symbol = mu_symbol(params, profile, t, m)
+        damping = np.exp(-eps * m**2) if eps > 0.0 else None
+        for a in (m, symbol, damping):
+            if a is not None:
+                a.flags.writeable = False
+        weights = _lattice_slot[key] = (m, symbol, damping)
+    return weights
 
 
 def verify_kernel_decay(

@@ -127,14 +127,16 @@ def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    z = t * np.abs(np.asarray(lam, dtype=float))
+    # a fresh z (a 0-d array for scalar lam): it is written below, lam never
+    z = np.asarray(t * np.abs(np.asarray(lam, dtype=float)))
     cut = phi_cutoff(profile, z)
-    zsafe = np.where(z > 1.0, z, 1.0)
-    out = np.where(
-        z > 1.0,
-        np.exp(1j * zsafe**params.alpha) * zsafe ** (-params.beta) * cut,
-        0.0 + 0.0j,
-    )
+    below = ~(z > 1.0)  # NaN counts as below
+    z[below] = 1.0
+    out = np.asarray(1j * z**params.alpha)
+    np.exp(out, out=out)
+    out *= z ** (-params.beta)
+    out *= cut
+    out[below] = 0.0
     return out if out.ndim else complex(out)
 
 

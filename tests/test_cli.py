@@ -138,6 +138,12 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "earlier run"
 
+    def test_zero_atoms_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["atom-uniformity", "--atom-count", "0", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "invalid parameters: atom_count must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_panel_budget_is_non_convergence(self, tmp_path, capsys):
         """At alpha = 0.75 the minus-phase segment at tau = 1e-3 would need
         over 10^8 panels: the run stops before allocating them."""
@@ -253,3 +259,12 @@ class TestDeterminism:
         body_a = (out_a / "summary.txt").read_text().splitlines()[1:]
         body_b = (out_b / "summary.txt").read_text().splitlines()[1:]
         assert body_a == body_b
+
+    def test_kernel_decay_repeats_from_a_warm_slot(self, tmp_path):
+        """The second run reuses the lattice weights the first one left."""
+        args = ["kernel-decay", "--m-cap", "20000", "--n-samples", "6", "--out"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        code_a = main(args + [str(out_a)])
+        assert main(args + [str(out_b)]) == code_a
+        for name in ("summary.json", "kernel-decay.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

@@ -23,9 +23,20 @@ from oscimax import (
     sup_bound_1d_check,
     verify_kernel_decay,
 )
-from oscimax.symbols import riesz_mean_symbol
+from oscimax import operators
+from oscimax.symbols import mu_symbol, riesz_mean_symbol
 
 PROFILE = CutoffProfile()
+
+
+def direct_lattice_sum(params, profile, t, x, eps, M_cap):
+    """The lattice sum with every factor built per call; oracle for the
+    weights reused across x by kernel_lattice_sum."""
+    m = np.arange(1, M_cap + 1, dtype=float)
+    terms = mu_symbol(params, profile, t, m) * np.cos(m * x)
+    if eps > 0.0:
+        terms = terms * np.exp(-eps * m**2)
+    return 2.0 * complex(np.sum(terms))
 
 
 class TestTimeGrid:
@@ -215,6 +226,62 @@ class TestKernelLatticeSum:
         a = kernel_lattice_sum(params, PROFILE, 0.5, 0.2, eps=1e-7, M_cap=200_000)
         b = kernel_lattice_sum(params, PROFILE, 0.5, 0.2, eps=5e-8, M_cap=200_000)
         assert abs(a - b) <= 1e-3 * abs(a)
+
+
+class TestLatticeWeights:
+    """kernel_lattice_sum reuses its x-independent factors across calls."""
+
+    T = 0.5
+    XS = [0.003, 0.05, 0.2, 0.5, 1.7]
+
+    @pytest.mark.parametrize(
+        "eps, pair",
+        [
+            (1e-7, (SymbolParams(0.5, 0.5), SymbolParams(0.5, 0.75))),
+            (1e-10, (SymbolParams(0.5, 0.5), SymbolParams(0.25, 0.4))),
+            (0.0, (SymbolParams(0.5, 1.5), SymbolParams(0.25, 1.25))),
+        ],
+    )
+    def test_matches_direct_sum_exactly(self, monkeypatch, eps, pair):
+        """Bit-identical to the per-call formula while the slot is rebuilt
+        by alternating M_cap and params, and reused within each x sweep."""
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        p, q = pair
+        for params, cap in [(p, 3000), (p, 3000), (p, 5000), (q, 3000), (q, 5000), (p, 3000)]:
+            for x in self.XS:
+                got = kernel_lattice_sum(params, PROFILE, self.T, x, eps=eps, M_cap=cap)
+                assert got == direct_lattice_sum(params, PROFILE, self.T, x, eps, cap)
+
+    def test_slot_holds_one_read_only_entry(self, monkeypatch):
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        params = SymbolParams(0.5, 1.5)
+        kernel_lattice_sum(params, PROFILE, self.T, 0.1, eps=1e-7, M_cap=1000)
+        kernel_lattice_sum(params, PROFILE, self.T, 0.1, eps=0.0, M_cap=2000)
+        assert len(operators._lattice_slot) == 1
+        (key, (m, symbol, damping)), = operators._lattice_slot.items()
+        assert key == (params, PROFILE, self.T, 0.0, 2000)
+        assert m.size == symbol.size == 2000 and damping is None
+        for a in (m, symbol):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        kernel_lattice_sum(params, PROFILE, self.T, 0.1, eps=1e-7, M_cap=1000)
+        (_, _, damping), = operators._lattice_slot.values()
+        with pytest.raises(ValueError):
+            damping[0] = 0.0
+
+    def test_sweep_builds_the_symbol_once(self, monkeypatch):
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mu_symbol(*args)
+
+        monkeypatch.setattr(operators, "mu_symbol", counted)
+        params = SymbolParams(0.5, 0.5)
+        for x in np.geomspace(0.005, 1.0, 20) * self.T:
+            kernel_lattice_sum(params, PROFILE, self.T, float(x), eps=1e-7, M_cap=4000)
+        assert len(calls) == 1
 
 
 class TestVerifyKernelDecay:

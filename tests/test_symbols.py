@@ -8,6 +8,7 @@ from scipy import special
 
 from oscimax import (
     CutoffProfile,
+    LatticeGrid,
     SymbolParams,
     dyadic_bump,
     gamma_region,
@@ -46,6 +47,20 @@ def riesz_mean_symbol_series(k: float, z: float, terms: int = 60) -> complex:
         )
         total += (1j * z) ** n / special.gamma(n + 1) * weight
     return complex(total)
+
+
+def where_mu_symbol(params, profile, t, lam):
+    """mu_symbol by two np.where selections over a clamped copy of z; oracle
+    for the single in-place buffer."""
+    z = t * np.abs(np.asarray(lam, dtype=float))
+    cut = phi_cutoff(profile, z)
+    zsafe = np.where(z > 1.0, z, 1.0)
+    out = np.where(
+        z > 1.0,
+        np.exp(1j * zsafe**params.alpha) * zsafe ** (-params.beta) * cut,
+        0.0 + 0.0j,
+    )
+    return out if out.ndim else complex(out)
 
 
 def clipped_ramp(profile, s):
@@ -184,6 +199,35 @@ class TestMuSymbol:
         z = 0.7 * lam
         bound = np.where(z > 1.0, np.maximum(z, 1.0) ** -1.2, 0.0)
         assert np.all(mods <= bound + 1e-15)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.05, 0.5, 3.0])
+    def test_matches_where_form_on_a_lattice(self, t):
+        params = SymbolParams(0.5, 0.75)
+        profile = CutoffProfile()
+        lam = LatticeGrid(2, 64).eigenvalue_array()
+        before = lam.copy()
+        got = mu_symbol(params, profile, t, lam)
+        assert np.array_equal(got, where_mu_symbol(params, profile, t, lam))
+        assert np.array_equal(lam, before)
+        if t == 1e-3:
+            # t |xi| <= 32 sqrt(2) / 1000 < 1 on the whole lattice
+            assert not np.any(got)
+
+    @pytest.mark.parametrize("profile", KINDS)
+    def test_matches_where_form_at_edge_values(self, profile):
+        params = SymbolParams(0.3, 1.2)
+        lam = np.array([0.0, -3.0, np.nan, np.inf, 1e300, 1.0, 2.0, 7.5])
+        before = lam.copy()
+        with np.errstate(invalid="ignore"):
+            got = mu_symbol(params, profile, 0.5, lam)
+            want = where_mu_symbol(params, profile, 0.5, lam)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(lam, before, equal_nan=True)
+            for v in lam:
+                scalar = mu_symbol(params, profile, 0.5, float(v))
+                assert type(scalar) is complex
+                assert np.array_equal(scalar, where_mu_symbol(params, profile, 0.5, v), equal_nan=True)
+        assert got[0] == got[2] == got[5] == 0.0  # t|lam| <= 1, and NaN
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
