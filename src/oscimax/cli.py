@@ -237,6 +237,8 @@ def _fit_dict(fit) -> dict:
 
 
 def _run_partition_check(config, out_dir):
+    if config["samples"] < 1:
+        raise ValueError(f"samples must be >= 1, got {config['samples']}")
     profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
     rng = np.random.default_rng(config["seed"])
     u_values = rng.uniform(-config["u_max"], config["u_max"], size=config["samples"])

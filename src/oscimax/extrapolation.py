@@ -111,6 +111,8 @@ def combination_rate_experiment(
     field, sampled at `times` (default 24 points geometric on [1e-4, 1e-2]):
     fitted slope must reach beta/alpha - 0.1 (the claimed rate is a
     one-sided o(t^{beta/alpha}) bound)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
     n = f.grid.dimension
     if beta < n * alpha * (1.0 / p - 0.5) - 1e-12:
         raise ValueError(

@@ -41,6 +41,9 @@ class TimeGrid:
             raise ValueError("count must be >= 2")
         if self.spacing not in (GEOMETRIC, UNIFORM):
             raise ValueError(f"unknown spacing {self.spacing!r}")
+        # at 0 the geometric times coincide; below 0 they pass sigma
+        if not self.span_octaves > 0.0:
+            raise ValueError(f"span_octaves must be positive, got {self.span_octaves}")
 
     @property
     def times(self) -> np.ndarray:

@@ -144,9 +144,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == "invalid parameters: atom_count must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("span", ["0", "-3"])
+    def test_nonpositive_span_octaves_is_usage_error(self, tmp_path, capsys, span):
+        out = tmp_path / "o"
+        argv = ["maximal-sweep", "--n-modes", "64", "--span-octaves", span, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "span_octaves must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_partition_samples_is_usage_error(self, tmp_path, capsys):
+        """No samples would pass the check with max_residual 0.0."""
+        out = tmp_path / "o"
+        assert main(["partition-check", "--samples", "0", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "invalid parameters: samples must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_p_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
+        """At p = 2 the threshold n alpha (1/p - 1/2) drops to 0 and admits any beta."""
+        out = tmp_path / "o"
+        assert main(["rate-combo", "--p", "2", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "invalid parameters: p must lie in (0, 1), got 2.0\n"
+        assert not out.exists()
+
     def test_panel_budget_is_non_convergence(self, tmp_path, capsys):
         """At alpha = 0.75 the minus-phase segment at tau = 1e-3 would need
-        over 10^8 panels: the run stops before allocating them."""
+        about 8e7 panels: the run stops before allocating them."""
         out = tmp_path / "o"
         argv = ["symbol-decay", "--alpha", "0.75", "--tau-lo", "1e-3", "--out", str(out)]
         assert main(argv) == EXIT_NON_CONVERGENCE

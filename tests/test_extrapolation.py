@@ -120,6 +120,9 @@ class TestCombinationRateExperiment:
         f = pure_mode(grid, (1,))
         with pytest.raises(ValueError):
             combination_rate_experiment(f, 0.5, 0.1, 0.5)
+        for p in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError, match="p must lie in"):
+                combination_rate_experiment(f, 0.5, 0.75, p)
 
 
 class TestRieszPointwiseExperiment:

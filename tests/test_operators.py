@@ -63,6 +63,9 @@ class TestTimeGrid:
             TimeGrid(sigma=0.6)
         with pytest.raises(ValueError):
             TimeGrid(count=1)
+        for span in (0.0, -3.0, float("nan")):
+            with pytest.raises(ValueError, match="span_octaves"):
+                TimeGrid(span_octaves=span)
 
 
 class TestDiagonalOperators:
