@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # noqa: F401 -- argparse's gettext imports it when main() builds the parser
 import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import numpy.random
 
 from .extrapolation import atom_uniformity_experiment, combination_rate_experiment
 from .operators import (
@@ -244,9 +246,9 @@ def _run_partition_check(config, out_dir):
     u_values = rng.uniform(-config["u_max"], config["u_max"], size=config["samples"])
     K = np.maximum(0, np.ceil(np.log2(np.maximum(np.abs(u_values), 1.0)))).astype(int)
     residuals = np.empty_like(u_values)
-    for k in np.unique(K):
+    for k in sorted(set(K.tolist())):
         same = K == k
-        residuals[same] = partition_residual(u_values[same], int(k), profile)
+        residuals[same] = partition_residual(u_values[same], k, profile)
     worst = float(residuals.max(initial=0.0))
     _write_csv(
         out_dir / "partition-check.csv",

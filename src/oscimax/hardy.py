@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random
 
 from .operators import apply_multiplier, maximal_over_times
 from .torus import GridField, LatticeGrid, SpectralField, grid_norm

@@ -107,9 +107,12 @@ def maximal_over_times(f: SpectralField, family, times) -> GridField:
     """
     best = None
     for t in times:
-        g = inverse_transform(family(t, f))
-        mag = np.abs(g.samples)
-        best = mag if best is None else np.maximum(best, mag)
+        mag = np.abs(inverse_transform(family(t, f)).samples)
+        if best is None:
+            best = mag
+        else:
+            np.maximum(best, mag, out=best)
+        del mag  # no slice outlives its step into the next transform
     return GridField(f.grid, best.astype(complex))
 
 

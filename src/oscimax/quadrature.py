@@ -99,7 +99,8 @@ def fit_decay_exponent(samples) -> DecayFit:
     mods = np.asarray([s[1] for s in samples], dtype=float)
     if taus.size < 5:
         raise ValueError("need at least 5 samples")
-    if np.unique(taus).size != taus.size:
+    ordered = np.sort(taus)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("tau values must be distinct")
     if np.any(mods <= 0.0):
         raise ValueError("all moduli must be positive")

@@ -14,10 +14,10 @@ holds by exact telescoping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,13 @@ class CutoffProfile:
     """Shape of the transition ramp on the cutoff band.
 
     kind 'smoothstep_poly': polynomial ramp with `order` matched derivatives
-    at both band edges (regularized incomplete beta).  kind 'smooth_exp':
-    the classic exp(-1/x) C-infinity ramp; `order` is ignored.
+    at both band edges, the regularized incomplete beta function
+    I_s(n+1, n+1) with n = `order`, in the closed form
+
+        I_s(n+1, n+1) = s^{n+1} sum_{k=0}^{n} C(n+k, k) (1-s)^k
+
+    for integer parameters (DLMF 8.17(i)).  kind 'smooth_exp': the classic
+    exp(-1/x) C-infinity ramp; `order` is ignored.
     """
 
     kind: str = "smoothstep_poly"
@@ -66,7 +71,17 @@ class CutoffProfile:
         band = ~((s <= 0.0) | (s >= 1.0))
         sb = s[band]
         if self.kind == "smoothstep_poly":
-            out[band] = special.betainc(self.order + 1, self.order + 1, sb)
+            # every term of the closed form is positive: Horner's rule in 1-s
+            # loses no digits to cancellation (float coefficients: numpy's
+            # Python-int scalar path costs more per call on small arrays)
+            n = self.order
+            u = 1.0 - sb
+            acc = np.full_like(sb, math.comb(2 * n, n))
+            for k in range(n - 1, -1, -1):
+                acc *= u
+                acc += float(math.comb(n + k, k))
+            acc *= np.power(sb, n + 1, out=sb)
+            out[band] = acc
         else:
             with np.errstate(divide="ignore", over="ignore"):
                 h0 = np.exp(-1.0 / sb)
@@ -123,20 +138,23 @@ def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
     """Oscillating symbol e^{i(t lam)^a} (t lam)^{-b} cutoff(t lam).
 
     Vanishes wherever t*lam <= 1 (in particular at lam = 0, where the cutoff
-    resolves the 0/0).
+    resolves the 0/0).  Only the entries with t*lam > 1 are evaluated, the
+    cutoff only on those below 2, where it differs from 1.
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    # a fresh z (a 0-d array for scalar lam): it is written below, lam never
     z = np.asarray(t * np.abs(np.asarray(lam, dtype=float)))
-    cut = phi_cutoff(profile, z)
-    below = ~(z > 1.0)  # NaN counts as below
-    z[below] = 1.0
-    out = np.asarray(1j * z**params.alpha)
-    np.exp(out, out=out)
-    out *= z ** (-params.beta)
-    out *= cut
-    out[below] = 0.0
+    above = z > 1.0  # NaN counts as below
+    za = z[above]
+    del z
+    vals = 1j * za**params.alpha
+    np.exp(vals, out=vals)
+    vals *= za ** (-params.beta)
+    band = za < 2.0
+    vals[band] *= phi_cutoff(profile, za[band])
+    del za, band  # release the temporaries before the full-size output
+    out = np.zeros(above.shape, dtype=complex)
+    out[above] = vals
     return out if out.ndim else complex(out)
 
 
@@ -250,7 +268,7 @@ def riesz_mean_symbol(k: float, alpha: float, z):
     for y, weight in zip(*_GLAG48):
         integral += weight * (1.0 - 1j * y / big) ** (k - 1.0)
     out[~small] = (
-        special.gamma(k + 1.0) * (-1j) ** k * big**-k * np.exp(1j * big)
+        math.gamma(k + 1.0) * (-1j) ** k * big**-k * np.exp(1j * big)
         + 1j * k / big * integral
     )
     neg = z < 0.0

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import numpy.fft
 
 PERIOD = 2.0 * np.pi
 

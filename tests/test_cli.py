@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscimax
 from oscimax import cli
 from oscimax.cli import (
     DEFAULTS,
@@ -290,3 +296,49 @@ class TestDeterminism:
         assert main(args + [str(out_b)]) == code_a
         for name in ("summary.json", "kernel-decay.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# One small run of every experiment, each cheap enough for a subprocess.
+TINY_RUNS = [
+    ["partition-check", "--samples", "50"],
+    ["symbol-decay", "--tau-lo", "0.02", "--n-samples", "5"],
+    ["dyadic-decay", "--n-samples", "6"],
+    ["kernel-decay", "--m-cap", "2000", "--n-samples", "5"],
+    ["rate-combo", "--n-modes", "16", "--band-limit", "4", "--n-samples", "5"],
+    ["rate-riesz", "--n-modes", "16", "--mode", "3", "--n-samples", "5"],
+    ["atom-uniformity", "--n-modes", "128", "--atom-count", "2"],
+    ["maximal-sweep", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
+]
+
+
+class TestImports:
+    def test_no_scipy_and_no_imports_inside_experiments(self, tmp_path):
+        """Importing the CLI loads no scipy module, and no experiment imports a
+        module in the middle of its run (numpy submodules such as numpy.ma,
+        or the locale module that argparse's gettext pulls in)."""
+        assert sorted(run[0] for run in TINY_RUNS) == sorted(RUNNERS)
+        script = textwrap.dedent(
+            """
+            import json, sys
+            import oscimax.cli
+            loaded = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+            for i, argv in enumerate(json.loads(sys.argv[1])):
+                before = set(sys.modules)
+                code = oscimax.cli.main(argv + ["--out", f"{sys.argv[2]}/{i}"])
+                new = set(sys.modules) - before
+                loaded[argv[0]] = [code, sorted(new)]
+            print(json.dumps(loaded))
+            """
+        )
+        src = str(Path(oscimax.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(TINY_RUNS), str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded.pop("scipy") == []
+        for experiment, (code, new_modules) in loaded.items():
+            assert code in (EXIT_PASS, EXIT_CHECK_FAILURE), experiment
+            assert new_modules == [], experiment

@@ -1,5 +1,7 @@
 """Tests for cutoffs, the oscillating symbol, regions, and the Riesz symbol."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,7 +70,13 @@ def clipped_ramp(profile, s):
     for the band-only evaluation of CutoffProfile.ramp."""
     s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
     if profile.kind == "smoothstep_poly":
-        return special.betainc(profile.order + 1, profile.order + 1, s)
+        # I_s(n+1, n+1) = s^{n+1} sum_k C(n+k, k) (1-s)^k, the same Horner
+        # steps as the library, on every point
+        n = profile.order
+        acc = np.full_like(s, math.comb(2 * n, n))
+        for k in range(n - 1, -1, -1):
+            acc = acc * (1.0 - s) + math.comb(n + k, k)
+        return acc * s ** (n + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h0 = np.where(s > 0.0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
         h1 = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
@@ -141,6 +149,58 @@ class TestCutoffs:
             CutoffProfile("unknown")
         with pytest.raises(ValueError):
             CutoffProfile("smoothstep_poly", 2)
+
+
+CLOSED_FORM_ORDERS = [3, 4, 7, 12]
+
+
+def band_points():
+    """Interior band points near 0, 1/2 and 1, plus 1/2 and the last double
+    below 1."""
+    rng = np.random.default_rng(7)
+    return np.concatenate(
+        [
+            10.0 ** rng.uniform(-20.0, -2.0, 60),
+            0.5 + rng.uniform(-0.05, 0.05, 60),
+            1.0 - 10.0 ** rng.uniform(-16.0, -2.0, 60),
+            [0.5, 1.0 - 2.0**-53],
+        ]
+    )
+
+
+class TestRampClosedForm:
+    """The polynomial ramp is I_s(n+1, n+1), evaluated by its closed form."""
+
+    @pytest.mark.parametrize("order", CLOSED_FORM_ORDERS)
+    def test_against_betainc(self, order):
+        s = band_points()
+        expected = special.betainc(order + 1, order + 1, s)
+        np.testing.assert_allclose(CutoffProfile(order=order).ramp(s), expected, rtol=4e-15, atol=0)
+
+    @pytest.mark.parametrize("order", CLOSED_FORM_ORDERS)
+    def test_against_mpmath(self, order):
+        """Every term is positive, so no rounding is amplified by cancellation:
+        the tolerance counts 2^-53 for each of the 2n Horner operations, the
+        power and the last product, (n+1) 2^-52 in all."""
+        mpmath = pytest.importorskip("mpmath")
+        s = band_points()
+        with mpmath.workdps(40):
+            oracle = [
+                float(mpmath.betainc(order + 1, order + 1, 0, mpmath.mpf(v), regularized=True))
+                for v in s
+            ]
+        tol = (order + 1) * 2.0**-52
+        np.testing.assert_allclose(CutoffProfile(order=order).ramp(s), oracle, rtol=tol, atol=0)
+
+    @pytest.mark.parametrize("order", CLOSED_FORM_ORDERS)
+    def test_exact_at_band_edges(self, order):
+        profile = CutoffProfile(order=order)
+        assert profile.ramp(0.0) == 0.0
+        assert profile.ramp(1.0) == 1.0
+        assert phi_cutoff(profile, 1.0) == 0.0
+        assert phi_cutoff(profile, 2.0) == 1.0
+        inside = profile.ramp(np.array([5e-324, 1e-300, 1.0 - 2.0**-53]))
+        assert np.all((inside >= 0.0) & (inside <= 1.0))
 
 
 class TestPartition:
