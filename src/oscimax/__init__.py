@@ -16,15 +16,11 @@ from .symbols import (
     SymbolParams,
     CutoffProfile,
     phi_cutoff,
-    psi_complement,
     psi0,
     dyadic_bump,
     partition_residual,
     mu_symbol,
-    mu_dyadic,
-    gamma_region,
     riesz_mean_symbol,
-    taylor_remainder,
 )
 from .quadrature import (
     QuadratureSpec,
@@ -49,15 +45,12 @@ from .operators import (
     maximal_over_times,
     kernel_lattice_sum,
     verify_kernel_decay,
-    sup_bound_1d_check,
     riesz_symbol_decay_check,
 )
 from .hardy import (
     AtomSpec,
     Atom,
     make_regular_atom,
-    make_exceptional_atom,
-    riesz_potential,
     heat_semigroup,
     hp_quasinorm_estimate,
     weak_lp_quasinorm,
@@ -71,7 +64,6 @@ from .extrapolation import (
     convergence_error,
     fit_rate,
     combination_rate_experiment,
-    riesz_pointwise_experiment,
     atom_uniformity_experiment,
 )
 

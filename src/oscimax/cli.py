@@ -36,7 +36,6 @@ from .quadrature import (
     dyadic_band_ratio,
     dyadic_tail_order,
     fit_decay_exponent,
-    small_tau_exponent,
     verify_small_tau_decay,
 )
 from .symbols import CUTOFF_KINDS, CutoffProfile, SymbolParams, partition_residual
@@ -277,7 +276,7 @@ def _run_symbol_decay(config, out_dir):
     rows = [(tau, v.real, v.imag, abs(v)) for tau, v in report["samples"]]
     _write_csv(out_dir / "symbol-decay.csv", ["tau", "re", "im", "modulus"], rows)
     return {
-        "predicted_exponent": small_tau_exponent(config["alpha"], config["beta"], config["L"]),
+        "predicted_exponent": report["predicted_exponent"],
         "branch": report["branch"],
         "fitted": _fit_dict(report["fitted"]),
         "pass": report["pass"],

@@ -10,15 +10,15 @@ import numpy as np
 import numpy.random
 
 from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
-from .operators import TimeGrid, maximal_over_times, oscillating_op, riesz_mean_op, schrodinger_propagate
+from .operators import TimeGrid, maximal_over_times, oscillating_op, schrodinger_propagate
 from .quadrature import DecayFit, fit_decay_exponent
-from .symbols import CutoffProfile, SymbolParams
+from .symbols import DEFAULT_PROFILE, SymbolParams
 from .torus import LatticeGrid, SpectralField, forward_transform, inverse_transform
 
-ERROR_SUP = "grid_sup"
-ERROR_L2 = "l2"
-
 ROUNDOFF_FLOOR = 1e-15
+
+# fit_rate needs five error samples above the roundoff floor
+_MIN_RATE_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,11 @@ class CombinationScheme:
 
 @dataclass(frozen=True)
 class RateReport:
-    """`errors` holds the convergence error at every sampled time."""
+    """`errors` holds the grid-sup convergence error at every sampled time."""
 
     fit: DecayFit
     errors: np.ndarray
     predicted_rate: float
-    error_norm_kind: str
     passed: bool
     degenerate: bool = False
 
@@ -71,21 +70,13 @@ def combination_apply(
 
 
 def convergence_error(
-    f: SpectralField,
-    alpha: float,
-    t: float,
-    scheme: CombinationScheme,
-    kind: str = ERROR_SUP,
+    f: SpectralField, alpha: float, t: float, scheme: CombinationScheme
 ) -> float:
-    """Norm of combination_apply(f, t) - f, sup or L2 on the spatial grid."""
+    """Sup of |combination_apply(f, t) - f| on the spatial grid."""
     diff = SpectralField(
         f.grid, combination_apply(f, alpha, t, scheme).coefficients - f.coefficients
     )
-    if kind == ERROR_L2:
-        return diff.l2_norm()
-    if kind == ERROR_SUP:
-        return float(np.max(np.abs(inverse_transform(diff).samples)))
-    raise ValueError(f"unknown error norm kind {kind!r}")
+    return float(np.max(np.abs(inverse_transform(diff).samples)))
 
 
 def fit_rate(t_values, errors, floor_scale: float = 1.0) -> DecayFit:
@@ -94,7 +85,7 @@ def fit_rate(t_values, errors, floor_scale: float = 1.0) -> DecayFit:
     t_values = np.asarray(t_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     keep = errors > 10.0 * ROUNDOFF_FLOOR * floor_scale
-    if np.count_nonzero(keep) < 5:
+    if np.count_nonzero(keep) < _MIN_RATE_SAMPLES:
         raise ValueError("too few error samples above the roundoff floor to fit")
     return fit_decay_exponent(list(zip(t_values[keep], errors[keep])))
 
@@ -105,13 +96,16 @@ def combination_rate_experiment(
     beta: float,
     p: float,
     times: np.ndarray | None = None,
-    kind: str = ERROR_SUP,
     N: int | None = None,
 ) -> RateReport:
     """Convergence-rate check for the combination scheme on a band-limited
-    field, sampled at `times` (default 24 points geometric on [1e-4, 1e-2]):
-    fitted slope must reach beta/alpha - 0.1 (the claimed rate is a
-    one-sided o(t^{beta/alpha}) bound)."""
+    field, sampled at `times` (default 24 points geometric on [1e-4, 1e-2],
+    at least 5): fitted slope must reach beta/alpha - 0.1 (the claimed rate
+    is a one-sided o(t^{beta/alpha}) bound)."""
+    if times is None:
+        times = np.geomspace(1e-4, 1e-2, 24)
+    if len(times) < _MIN_RATE_SAMPLES:
+        raise ValueError(f"need at least {_MIN_RATE_SAMPLES} times to fit a rate, got {len(times)}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     n = f.grid.dimension
@@ -123,65 +117,22 @@ def combination_rate_experiment(
     if N is None:
         N = math.floor(beta / alpha) + 1
     scheme = combination_coefficients(N)
-    if times is None:
-        times = np.geomspace(1e-4, 1e-2, 24)
     scale = float(np.max(np.abs(f.coefficients))) or 1.0
     errors = np.array(
-        [convergence_error(f, alpha, t, scheme, kind) for t in times]
+        [convergence_error(f, alpha, t, scheme) for t in times]
     )
     predicted = beta / alpha
     if np.all(errors <= 10.0 * ROUNDOFF_FLOOR * scale):
         # vacuous pass (e.g. a constant field): flagged, not fitted
         dummy = DecayFit(predicted, 0.0, 1.0, (times[0], times[-1]), len(times))
-        return RateReport(dummy, errors, predicted, kind, passed=True, degenerate=True)
+        return RateReport(dummy, errors, predicted, passed=True, degenerate=True)
     fit = fit_rate(times, errors, floor_scale=scale)
     return RateReport(
         fit=fit,
         errors=errors,
         predicted_rate=predicted,
-        error_norm_kind=kind,
         passed=bool(fit.slope >= predicted - 0.1),
     )
-
-
-def riesz_pointwise_experiment(
-    f: SpectralField,
-    k: float,
-    alpha: float,
-    grid: TimeGrid | None = None,
-    threshold: float = 1e-3,
-) -> dict:
-    """Riesz-mean pointwise convergence surrogate: for each time (descending)
-    report the sup error and the measure of the set where the error exceeds
-    the threshold; pass when the tail of either sequence decreases below the
-    threshold (smooth fields) or the exceedance measure shrinks to 0."""
-    times = np.sort(grid.times if grid is not None else np.geomspace(1e-4, 0.5, 24))[::-1]
-    cell = f.grid.cell_volume
-    ref = inverse_transform(f).samples
-    sup_errors, exceed_measures = [], []
-    for t in times:
-        approx = inverse_transform(riesz_mean_op(f, k, alpha, t)).samples
-        err = np.abs(approx - ref)
-        sup_errors.append(float(np.max(err)))
-        exceed_measures.append(float(np.count_nonzero(err > threshold) * cell))
-    sup_errors = np.array(sup_errors)
-    exceed_measures = np.array(exceed_measures)
-    tail = max(3, len(times) // 3)
-    sup_tail = sup_errors[-tail:]
-    meas_tail = exceed_measures[-tail:]
-    sup_ok = bool(
-        np.all(sup_tail[1:] <= sup_tail[:-1] * 1.05) and sup_tail[-1] <= threshold
-    )
-    meas_ok = bool(
-        np.all(meas_tail[1:] <= meas_tail[:-1] + 1e-12) and meas_tail[-1] == 0.0
-    )
-    return {
-        "times": times,
-        "sup_errors": sup_errors,
-        "exceed_measures": exceed_measures,
-        "threshold": threshold,
-        "pass": sup_ok or meas_ok,
-    }
 
 
 def atom_uniformity_experiment(
@@ -192,19 +143,17 @@ def atom_uniformity_experiment(
     atom_count: int = 50,
     seed: int = 0,
     time_grid: TimeGrid | None = None,
-    profile: CutoffProfile | None = None,
-    radius_hi: float = np.pi / 10.0,
-    radius_decades: float = 2.0,
 ) -> dict:
     """Weak-L^p quasinorm of the maximal oscillating operator over a batch of
-    regular atoms with radii spanning `radius_decades` dyadic decades; reports
-    the max/median ratio (uniform boundedness predicts a modest ratio)."""
+    regular atoms with radii geometric over the two octaves below pi/10 (the
+    lower end raised to 4 grid cells if needed); reports the max/median ratio
+    (uniform boundedness predicts a modest ratio)."""
     if atom_count < 1:
         raise ValueError(f"atom_count must be >= 1, got {atom_count}")
     params = SymbolParams(alpha, beta)
-    profile = profile or CutoffProfile()
     time_grid = time_grid or TimeGrid(count=48, span_octaves=12.0)
-    radius_lo = max(radius_hi / 2.0**radius_decades, 4.0 * grid.spacing)
+    radius_hi = np.pi / 10.0
+    radius_lo = max(radius_hi / 4.0, 4.0 * grid.spacing)
     radii = np.geomspace(radius_lo, radius_hi, atom_count)
     rng = np.random.default_rng(seed)
     quasinorms = []
@@ -215,7 +164,7 @@ def atom_uniformity_experiment(
         coeffs = forward_transform(atom.field)
         maximal = maximal_over_times(
             coeffs,
-            lambda t, g: oscillating_op(g, params, profile, t),
+            lambda t, g: oscillating_op(g, params, DEFAULT_PROFILE, t),
             time_grid.times,
         )
         quasinorms.append(weak_lp_quasinorm(maximal, p))

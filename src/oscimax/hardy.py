@@ -1,5 +1,5 @@
 """Hardy-space tooling: atoms with certified moment cancellation, the heat
-maximal quasinorm, Riesz potentials and weak-Lebesgue quasinorms.
+maximal quasinorm and weak-Lebesgue quasinorms.
 
 Regular atoms are built by projecting a seeded random bump onto the
 orthogonal complement of the low-degree polynomial span over the discrete
@@ -20,8 +20,8 @@ from .torus import GridField, LatticeGrid, SpectralField, grid_norm
 
 PERIOD = 2.0 * np.pi
 
-KIND_REGULAR = "regular"
-KIND_EXCEPTIONAL = "exceptional"
+# Seeds tried before a degenerate projection is reported as non-convergence.
+_MAX_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class AtomSpec:
 @dataclass(frozen=True)
 class Atom:
     field: GridField
-    spec: AtomSpec | None
-    kind: str
+    spec: AtomSpec
     certified_moment_bound: float
     certified_l2: float
 
@@ -77,6 +76,16 @@ def _multi_indices(dimension: int, degree: int):
     return out
 
 
+def _monomials(grid: LatticeGrid, disp, degree: int):
+    """(x - center)^gamma on the spatial grid for every |gamma| <= degree, in
+    the order of `_multi_indices`; `disp` holds the periodic displacements."""
+    for gamma in _multi_indices(grid.dimension, degree):
+        mono = np.ones(grid.spatial_shape)
+        for d, g in zip(disp, gamma):
+            mono = mono * d**g
+        yield mono
+
+
 def ball_measure(dimension: int, radius: float) -> float:
     return 2.0 * radius if dimension == 1 else np.pi * radius**2
 
@@ -86,16 +95,12 @@ def moment_integrals(f: GridField, center, degree: int) -> np.ndarray:
     grid = f.grid
     center = center if isinstance(center, tuple) else (center,)
     disp = _displacements(grid, center)
-    vals = []
-    for gamma in _multi_indices(grid.dimension, degree):
-        mono = np.ones(grid.spatial_shape)
-        for d, g in zip(disp, gamma):
-            mono = mono * d**g
-        vals.append(np.sum(f.samples * mono) * grid.cell_volume)
-    return np.array(vals)
+    return np.array(
+        [np.sum(f.samples * mono) * grid.cell_volume for mono in _monomials(grid, disp, degree)]
+    )
 
 
-def make_regular_atom(spec: AtomSpec, grid: LatticeGrid, max_retries: int = 8) -> Atom:
+def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
     """Seeded random smooth bump in the ball, projected to kill all moments of
     degree <= floor(n(1/p - 1)), scaled so the L2 norm is |B|^{1/2 - 1/p}."""
     if spec.radius < 4.0 * grid.spacing:
@@ -115,15 +120,9 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid, max_retries: int = 8) -
     envelope = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
 
     idx = np.flatnonzero(inside.ravel())
-    monomials = []
-    for gamma in _multi_indices(n, degree):
-        mono = np.ones(grid.spatial_shape)
-        for d, g in zip(disp, gamma):
-            mono = mono * d**g
-        monomials.append(mono.ravel()[idx])
-    basis = np.stack(monomials, axis=1)
+    basis = np.stack([mono.ravel()[idx] for mono in _monomials(grid, disp, degree)], axis=1)
 
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng(spec.seed + 7919 * attempt)
         modulation = np.ones(grid.spatial_shape)
         for d in disp:
@@ -145,7 +144,7 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid, max_retries: int = 8) -
             break
     else:
         raise RuntimeError(
-            f"atom projection degenerate after {max_retries} retries (seed {spec.seed})"
+            f"atom projection degenerate after {_MAX_RETRIES} retries (seed {spec.seed})"
         )
 
     target = ball_measure(n, spec.radius) ** (0.5 - 1.0 / spec.p)
@@ -156,45 +155,9 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid, max_retries: int = 8) -
     return Atom(
         field=field,
         spec=spec,
-        kind=KIND_REGULAR,
         certified_moment_bound=float(np.max(np.abs(moments))),
         certified_l2=grid_norm(field, 2.0),
     )
-
-
-def make_exceptional_atom(grid: LatticeGrid, seed: int) -> Atom:
-    """Seeded random smooth field rescaled to sup modulus exactly 1."""
-    rng = np.random.default_rng(seed)
-    coords = grid.coords()
-    samples = np.zeros(grid.spatial_shape)
-    for h in range(1, 5):
-        for c in coords:
-            a, b = rng.standard_normal(2)
-            samples = samples + a * np.cos(h * c) + b * np.sin(h * c)
-    samples = samples / np.max(np.abs(samples))
-    field = GridField(grid, samples.astype(complex))
-    return Atom(
-        field=field,
-        spec=None,
-        kind=KIND_EXCEPTIONAL,
-        certified_moment_bound=np.inf,
-        certified_l2=grid_norm(field, 2.0),
-    )
-
-
-def riesz_potential(f: SpectralField, s: float) -> SpectralField:
-    """Multiply the coefficient at xi by |xi|^s; the zero mode is dropped for
-    s < 0 (and for s > 0, where 0^s = 0), kept unchanged for s = 0."""
-    if s == 0.0:
-        return f
-
-    def power(lam):
-        factors = np.zeros_like(lam)
-        nz = lam > 0.0
-        factors[nz] = lam[nz] ** s
-        return factors
-
-    return apply_multiplier(f, power)
 
 
 def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
@@ -204,17 +167,14 @@ def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
     return apply_multiplier(f, lambda lam: np.exp(-t * lam**2))
 
 
-def default_heat_times(t_min: float = 1e-6, t_max: float = 10.0, count: int = 48):
-    return np.geomspace(t_min, t_max, count)
-
-
 def hp_quasinorm_estimate(f: SpectralField, p: float, heat_times=None) -> float:
     """Lower-bound estimate of the heat-maximal H^p quasinorm: the L^p norm of
-    the pointwise max of |heat_semigroup(f, t)| over the finite time grid."""
+    the pointwise max of |heat_semigroup(f, t)| over the finite time grid,
+    by default 48 times geometric on [1e-6, 10]."""
     if p <= 0.0:
         raise ValueError("p must be positive")
     if heat_times is None:
-        heat_times = default_heat_times()
+        heat_times = np.geomspace(1e-6, 10.0, 48)
     heat_times = np.asarray(heat_times, dtype=float)
     lam_max = float(np.max(f.grid.eigenvalue_array()))
     if np.exp(-heat_times.min() * lam_max**2) < 0.5:

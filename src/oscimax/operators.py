@@ -1,5 +1,6 @@
 """Diagonal spectral operators on the torus, maximal functions over time
-grids, kernel evaluation by lattice sums, and the kernel/sup-bound checks."""
+grids, kernel evaluation by lattice sums, and the kernel and Riesz-symbol
+decay checks."""
 
 from __future__ import annotations
 
@@ -16,22 +17,18 @@ from .symbols import (
 )
 from .torus import GridField, SpectralField, inverse_transform
 
-GEOMETRIC = "geometric"
-UNIFORM = "uniform"
-
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing time samples in (0, sigma], used to discretize
     suprema over the time parameter.
 
-    Geometric spacing spans `span_octaves` octaves below sigma by default,
+    The samples are geometric over the `span_octaves` octaves below sigma,
     mirroring the vanishing-t endpoint of the continuous supremum.
     """
 
     sigma: float = 0.5
     count: int = 64
-    spacing: str = GEOMETRIC
     span_octaves: float = 20.0
 
     def __post_init__(self):
@@ -39,32 +36,19 @@ class TimeGrid:
             raise ValueError(f"sigma must lie in (0, 0.5], got {self.sigma}")
         if self.count < 2:
             raise ValueError("count must be >= 2")
-        if self.spacing not in (GEOMETRIC, UNIFORM):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
         # at 0 the geometric times coincide; below 0 they pass sigma
         if not self.span_octaves > 0.0:
             raise ValueError(f"span_octaves must be positive, got {self.span_octaves}")
 
     @property
     def times(self) -> np.ndarray:
-        if self.spacing == GEOMETRIC:
-            return np.geomspace(
-                self.sigma * 2.0**-self.span_octaves, self.sigma, self.count
-            )
-        return np.linspace(self.sigma / self.count, self.sigma, self.count)
+        return np.geomspace(self.sigma * 2.0**-self.span_octaves, self.sigma, self.count)
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        """Finer grid whose times contain the current ones, so discrete maxima
-        over the refined grid dominate pointwise."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        if self.spacing == GEOMETRIC:
-            # log-uniform nodes nest when the interval count is scaled
-            count = (self.count - 1) * factor + 1
-        else:
-            # uniform nodes k*sigma/count nest when count is scaled
-            count = self.count * factor
-        return TimeGrid(self.sigma, count, self.spacing, self.span_octaves)
+    def refined(self) -> "TimeGrid":
+        """Grid with twice the intervals, whose times contain the current
+        ones (log-uniform nodes nest when the interval count is doubled), so
+        discrete maxima over the refined grid dominate pointwise."""
+        return TimeGrid(self.sigma, 2 * self.count - 1, self.span_octaves)
 
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
@@ -236,39 +220,6 @@ def verify_kernel_decay(
         "eps": eps,
         "M_cap": M_cap,
     }
-
-
-def sup_bound_1d_check(
-    t: np.ndarray,
-    f: np.ndarray,
-    f_prime: np.ndarray,
-    b: float,
-    eps: float,
-) -> dict:
-    """Check sup|f| <= sqrt(b * I1) + sqrt(I2 / b) + |f(0)| + slack on [0, sigma],
-
-    where I1 = integral t^eps |f'|^2 and I2 = integral |f|^2 t^-eps, both by
-    trapezoid rule over the interior samples (the t = 0 endpoint is excluded
-    so negative-power weights stay finite); slack = 2 * spacing * max|f'|
-    covers the discretization gap.
-    """
-    if b <= 0.0:
-        raise ValueError(f"b must be positive, got {b}")
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    fp = np.asarray(f_prime, dtype=float)
-    if not (t.shape == f.shape == fp.shape):
-        raise ValueError("t, f, f_prime must have matching shapes")
-    if t[0] != 0.0:
-        raise ValueError("samples must start at t = 0")
-    ti, fi, fpi = t[1:], f[1:], fp[1:]
-    i1 = float(np.trapezoid(ti**eps * fpi**2, ti))
-    i2 = float(np.trapezoid(fi**2 * ti**-eps, ti))
-    spacing = float(np.max(np.diff(t)))
-    slack = 2.0 * spacing * float(np.max(np.abs(fp)))
-    lhs = float(np.max(np.abs(f)))
-    rhs = np.sqrt(b * i1) + np.sqrt(i2 / b) + abs(float(f[0])) + slack
-    return {"lhs": lhs, "rhs": float(rhs), "pass": bool(lhs <= rhs)}
 
 
 def riesz_symbol_decay_check(

@@ -1,6 +1,5 @@
 """Scalar symbol functions: cutoffs, dyadic bumps, the oscillating symbol
-e^{i z^a} z^{-b} with its frequency-localized pieces, the Riesz-mean symbol,
-and the extrapolation remainder.
+e^{i z^a} z^{-b} and the Riesz-mean symbol.
 
 All cutoffs are built from one even "band" cutoff that vanishes for |u| <= 1
 and equals 1 for |u| >= 2, with a configurable transition profile.  The
@@ -98,11 +97,6 @@ def phi_cutoff(profile: CutoffProfile, lam):
     return profile.ramp(np.abs(lam) - 1.0)
 
 
-def psi_complement(profile: CutoffProfile, lam):
-    """1 - phi_cutoff."""
-    return 1.0 - phi_cutoff(profile, lam)
-
-
 def psi0(profile: CutoffProfile, lam):
     """Low bump: 1 for |lam| <= 1/2, 0 for |lam| >= 1."""
     return 1.0 - phi_cutoff(profile, 2.0 * np.asarray(lam, dtype=float))
@@ -158,70 +152,6 @@ def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
     return out if out.ndim else complex(out)
 
 
-def mu_dyadic(params: SymbolParams, profile: CutoffProfile, k: int, lam):
-    """Frequency-localized piece e^{i|lam|^a} |lam|^{-b} bump(|lam| / 2^k).
-
-    Supported where |lam| is within a factor 2 of 2^k.
-    """
-    if k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
-    z = np.abs(np.asarray(lam, dtype=float))
-    bump = dyadic_bump(profile, z / 2.0**k)
-    zsafe = np.where(z > 0.0, z, 1.0)
-    out = np.where(
-        bump > 0.0,
-        np.exp(1j * zsafe**params.alpha) * zsafe ** (-params.beta) * bump,
-        0.0 + 0.0j,
-    )
-    return out if out.ndim else complex(out)
-
-
-# Region classification for the rescaled frequency variable.  The three
-# bands deliberately overlap; c2 is a numerical stand-in for the (huge)
-# theoretical constant and must be recorded in reports.
-REGION_INNER = "E1"
-REGION_OUTER = "E2"
-REGION_MIDDLE = "E3"
-REGION_OVERLAP = "overlap"
-
-DEFAULT_C1 = 0.125
-DEFAULT_C2 = 8.0
-
-
-def gamma_region(
-    tau: float,
-    k: int,
-    alpha: float,
-    c1: float = DEFAULT_C1,
-    c2: float = DEFAULT_C2,
-) -> str:
-    """Classify |tau| against the three dyadic-scale bands at scale 2^{k(alpha-1)}.
-
-    Inner: |tau| <= c1 * 2^{k(alpha-1)}; outer: |tau| >= c2 * 2^{k(alpha-1)};
-    middle: c1 * 2^{k(alpha-1)-1} <= |tau| <= c2 * 2^{k(alpha-1)+1}.
-    Returns 'overlap' when more than one band contains tau.
-    """
-    if not 0.0 < c1 < c2:
-        raise ValueError(f"need 0 < c1 < c2, got c1={c1}, c2={c2}")
-    scale = 2.0 ** (k * (alpha - 1.0))
-    a = abs(tau)
-    in_inner = a <= c1 * scale
-    in_outer = a >= c2 * scale
-    in_middle = c1 * scale / 2.0 <= a <= c2 * scale * 2.0
-    hits = [
-        name
-        for name, hit in (
-            (REGION_INNER, in_inner),
-            (REGION_OUTER, in_outer),
-            (REGION_MIDDLE, in_middle),
-        )
-        if hit
-    ]
-    if len(hits) > 1:
-        return REGION_OVERLAP
-    return hits[0]
-
-
 # ---------------------------------------------------------------------------
 # Riesz-mean symbol, equal to 1F1(1; k+1; iz) (DLMF 13.4).  At |z| <= 8 the
 # largest series term is below 8^8/8! ~ 416, so cancellation costs < 1e-13,
@@ -274,14 +204,3 @@ def riesz_mean_symbol(k: float, alpha: float, z):
     neg = z < 0.0
     out[neg] = out[neg].conj()
     return out if out.ndim else complex(out)
-
-
-def taylor_remainder(coeffs, w: float) -> complex:
-    """sum_k c_k e^{ikw} - 1 for combination coefficients c_1..c_N.
-
-    When the coefficients solve the extrapolation Vandermonde system this
-    equals the order-N Taylor tail, so it vanishes to order N at w = 0.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    k = np.arange(1, c.size + 1)
-    return complex(np.sum(c * np.exp(1j * k * w)) - 1.0)

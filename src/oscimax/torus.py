@@ -130,21 +130,6 @@ class SpectralField:
         n = self.grid.dimension
         return float(np.sqrt(PERIOD**n * np.sum(np.abs(self.coefficients) ** 2)))
 
-    def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        c = self.coefficients
-        axes = tuple(range(c.ndim))
-        mirrored = np.conj(np.flip(np.roll(c, -1, axis=axes), axis=axes))
-        scale = np.max(np.abs(c)) or 1.0
-        # The -M/2 row has no mirror partner; compare only where both exist.
-        mask = np.ones_like(c, dtype=bool)
-        half = self.grid.modes_per_axis // 2
-        k = self.grid.freqs_1d
-        for ax in axes:
-            sl = [slice(None)] * c.ndim
-            sl[ax] = k == -half
-            mask[tuple(sl)] = False
-        return bool(np.max(np.abs((c - mirrored)[mask])) <= tol * scale)
-
 
 @dataclass(frozen=True)
 class GridField:
@@ -206,6 +191,8 @@ def random_spectral_field(
     grid: LatticeGrid, rng: np.random.Generator, band_limit: float | None = None
 ) -> SpectralField:
     """Gaussian random coefficients, optionally restricted to |xi| <= band_limit."""
+    if band_limit is not None and band_limit < 0:
+        raise ValueError(f"band_limit must be nonnegative, got {band_limit}")
     shape = grid.spectral_shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if band_limit is not None:

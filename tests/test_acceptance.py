@@ -28,7 +28,6 @@ from oscimax import (
     riesz_mean_op,
     riesz_symbol_decay_check,
     schrodinger_propagate,
-    sup_bound_1d_check,
     combination_rate_experiment,
     verify_small_tau_decay,
     verify_kernel_decay,
@@ -43,6 +42,39 @@ PROFILE = CutoffProfile()
 
 def report(line: str) -> None:
     print(f"[acceptance] {line}")
+
+
+def sup_bound_1d_check(
+    t: np.ndarray,
+    f: np.ndarray,
+    f_prime: np.ndarray,
+    b: float,
+    eps: float,
+) -> dict:
+    """Check sup|f| <= sqrt(b * I1) + sqrt(I2 / b) + |f(0)| + slack on [0, sigma],
+
+    where I1 = integral t^eps |f'|^2 and I2 = integral |f|^2 t^-eps, both by
+    trapezoid rule over the interior samples (the t = 0 endpoint is excluded
+    so negative-power weights stay finite); slack = 2 * spacing * max|f'|
+    covers the discretization gap.
+    """
+    if b <= 0.0:
+        raise ValueError(f"b must be positive, got {b}")
+    t = np.asarray(t, dtype=float)
+    f = np.asarray(f, dtype=float)
+    fp = np.asarray(f_prime, dtype=float)
+    if not (t.shape == f.shape == fp.shape):
+        raise ValueError("t, f, f_prime must have matching shapes")
+    if t[0] != 0.0:
+        raise ValueError("samples must start at t = 0")
+    ti, fi, fpi = t[1:], f[1:], fp[1:]
+    i1 = float(np.trapezoid(ti**eps * fpi**2, ti))
+    i2 = float(np.trapezoid(fi**2 * ti**-eps, ti))
+    spacing = float(np.max(np.diff(t)))
+    slack = 2.0 * spacing * float(np.max(np.abs(fp)))
+    lhs = float(np.max(np.abs(f)))
+    rhs = np.sqrt(b * i1) + np.sqrt(i2 / b) + abs(float(f[0])) + slack
+    return {"lhs": lhs, "rhs": float(rhs), "pass": bool(lhs <= rhs)}
 
 
 class TestCriterion1Partition:
@@ -187,6 +219,40 @@ class TestCriterion5SupBound:
                         failures += 1
         report(f"criterion 5 sup bound: {checked - failures}/{checked} pass")
         assert failures == 0
+
+
+class TestSupBound:
+    """The criterion-5 check itself, on functions with known bounds."""
+
+    def test_constant_function(self):
+        t = np.linspace(0.0, 0.5, 101)
+        f = np.full_like(t, 3.0)
+        fp = np.zeros_like(t)
+        report = sup_bound_1d_check(t, f, fp, 1.0, 0.0)
+        assert report["pass"]
+        assert report["lhs"] == pytest.approx(3.0)
+
+    def test_linear_function(self):
+        t = np.linspace(0.0, 0.5, 2001)
+        report = sup_bound_1d_check(t, t, np.ones_like(t), 1.0, 0.0)
+        assert report["lhs"] == pytest.approx(0.5)
+        assert report["rhs"] == pytest.approx(np.sqrt(0.5) + np.sqrt(0.5**3 / 3.0), abs=1e-2)
+        assert report["pass"]
+
+    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+    def test_oscillatory(self, b):
+        t = np.linspace(0.0, 0.5, 2001)
+        f = np.sin(20.0 * t)
+        fp = 20.0 * np.cos(20.0 * t)
+        for eps in (-0.5, 0.0, 0.5):
+            assert sup_bound_1d_check(t, f, fp, b, eps)["pass"]
+
+    def test_validation(self):
+        t = np.linspace(0.0, 0.5, 11)
+        with pytest.raises(ValueError):
+            sup_bound_1d_check(t, t, np.ones_like(t), 0.0, 0.0)
+        with pytest.raises(ValueError):
+            sup_bound_1d_check(t + 0.1, t, np.ones_like(t), 1.0, 0.0)
 
 
 class TestCriterion6Vandermonde:

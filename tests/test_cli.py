@@ -165,6 +165,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == "invalid parameters: samples must be >= 1, got 0\n"
         assert not out.exists()
 
+    def test_too_few_rate_samples_is_usage_error(self, tmp_path, capsys):
+        """No times left nothing to fit, nor a time range to report."""
+        out = tmp_path / "new" / "o"
+        assert main(["rate-combo", "--n-samples", "0", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "invalid parameters: need at least 5 times to fit a rate, got 0\n"
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("experiment", ["maximal-sweep", "rate-combo"])
+    def test_negative_band_limit_is_usage_error(self, tmp_path, capsys, experiment):
+        """A negative band limit zeroes the field, whose checks then pass vacuously."""
+        out = tmp_path / "o"
+        argv = [experiment, "--n-modes", "16", "--band-limit", "-1", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "band_limit must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
         """At p = 2 the threshold n alpha (1/p - 1/2) drops to 0 and admits any beta."""
         out = tmp_path / "o"

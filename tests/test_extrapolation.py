@@ -14,9 +14,7 @@ from oscimax import (
     fit_rate,
     pure_mode,
     random_spectral_field,
-    taylor_remainder,
     combination_rate_experiment,
-    riesz_pointwise_experiment,
 )
 from oscimax.extrapolation import atom_uniformity_experiment
 
@@ -25,6 +23,19 @@ def binomial_candidate(N: int) -> np.ndarray:
     """Closed-form alternating-binomial solution, used as a cross-check only."""
     k = np.arange(1, N + 1)
     return (-1.0) ** (k - 1) * comb(N, k)
+
+
+def taylor_remainder(coeffs, w: float) -> complex:
+    """sum_k c_k e^{ikw} - 1 for combination coefficients c_1..c_N; the
+    combination error on a pure mode of frequency m is |taylor_remainder(c,
+    t m^alpha)|.
+
+    When the coefficients solve the extrapolation Vandermonde system this
+    equals the order-N Taylor tail, so it vanishes to order N at w = 0.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    k = np.arange(1, c.size + 1)
+    return complex(np.sum(c * np.exp(1j * k * w)) - 1.0)
 
 
 class TestCombinationCoefficients:
@@ -69,7 +80,7 @@ class TestCombinationApply:
         f = pure_mode(grid, (m,))
         scheme = combination_coefficients(3)
         for t in (1e-3, 1e-2):
-            err = convergence_error(f, 0.5, t, scheme, kind="grid_sup")
+            err = convergence_error(f, 0.5, t, scheme)
             scalar = abs(taylor_remainder(scheme.coefficients, t * m**0.5))
             assert err == pytest.approx(scalar, abs=1e-12)
 
@@ -78,6 +89,23 @@ class TestCombinationApply:
         f = pure_mode(grid, (1,))
         with pytest.raises(ValueError):
             combination_apply(f, 0.5, 0.0, combination_coefficients(2))
+
+
+class TestTaylorRemainder:
+    def test_single_coefficient(self):
+        # c = (1,): remainder e^{iw} - 1 vanishes to first order
+        assert taylor_remainder([1.0], 0.0) == 0.0
+        assert abs(taylor_remainder([1.0], 1e-4)) == pytest.approx(1e-4, rel=1e-3)
+
+    def test_extrapolated_order(self):
+        """Vandermonde coefficients push the vanishing order to N."""
+        for N in (2, 3, 4):
+            c = combination_coefficients(N).coefficients
+            w = 1e-2
+            small = abs(taylor_remainder(c, w))
+            smaller = abs(taylor_remainder(c, w / 2.0))
+            order = np.log2(small / smaller)
+            assert order == pytest.approx(N, abs=0.1)
 
 
 class TestFitRate:
@@ -123,15 +151,9 @@ class TestCombinationRateExperiment:
         for p in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError, match="p must lie in"):
                 combination_rate_experiment(f, 0.5, 0.75, p)
-
-
-class TestRieszPointwiseExperiment:
-    def test_smooth_field_converges(self):
-        grid = LatticeGrid(1, 64)
-        f = random_spectral_field(grid, np.random.default_rng(1), band_limit=8)
-        report = riesz_pointwise_experiment(f, 2.0, 0.5, threshold=5e-3)
-        assert report["pass"]
-        assert report["sup_errors"][-1] <= report["sup_errors"][0]
+        for count in (0, 4):
+            with pytest.raises(ValueError, match="at least 5 times"):
+                combination_rate_experiment(f, 0.5, 0.75, 0.5, times=np.geomspace(1e-4, 1e-2, count))
 
 
 class TestAtomUniformity:

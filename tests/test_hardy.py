@@ -1,4 +1,4 @@
-"""Tests for atoms, heat quasinorms, Riesz potentials, and weak-L^p."""
+"""Tests for atoms, heat quasinorms, and weak-L^p."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,10 @@ from oscimax import (
     heat_semigroup,
     hp_quasinorm_estimate,
     inverse_transform,
-    make_exceptional_atom,
     make_regular_atom,
     moment_integrals,
     pure_mode,
     random_spectral_field,
-    riesz_potential,
     weak_lp_quasinorm,
 )
 from oscimax.hardy import ResolutionError, ball_measure
@@ -83,32 +81,6 @@ class TestRegularAtoms:
         spec = AtomSpec(p=0.5, center=(1.0,), radius=0.05, seed=0)
         with pytest.raises(ResolutionError):
             make_regular_atom(spec, grid)
-
-
-class TestExceptionalAtoms:
-    def test_sup_normalized(self):
-        grid = LatticeGrid(1, 128)
-        atom = make_exceptional_atom(grid, seed=2)
-        assert np.max(np.abs(atom.field.samples)) == pytest.approx(1.0, abs=1e-15)
-        assert atom.kind == "exceptional"
-
-
-class TestRieszPotential:
-    def test_identity_at_zero_order(self):
-        grid = LatticeGrid(1, 32)
-        f = random_spectral_field(grid, np.random.default_rng(0))
-        assert riesz_potential(f, 0.0) is f
-
-    def test_scaling_on_pure_mode(self):
-        grid = LatticeGrid(1, 32)
-        f = pure_mode(grid, (4,))
-        out = riesz_potential(f, -0.5)
-        assert out.coefficients[4] == pytest.approx(4.0**-0.5)
-
-    def test_zero_mode_dropped(self):
-        grid = LatticeGrid(1, 32)
-        f = pure_mode(grid, (0,))
-        assert riesz_potential(f, -1.0).coefficients[0] == 0.0
 
 
 class TestHeatQuasinorm:

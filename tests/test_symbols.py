@@ -1,4 +1,5 @@
-"""Tests for cutoffs, the oscillating symbol, regions, and the Riesz symbol."""
+"""Tests for cutoffs, the partition of unity, the oscillating symbol and the
+Riesz symbol."""
 
 import math
 
@@ -13,15 +14,11 @@ from oscimax import (
     LatticeGrid,
     SymbolParams,
     dyadic_bump,
-    gamma_region,
-    mu_dyadic,
     mu_symbol,
     partition_residual,
     phi_cutoff,
     psi0,
-    psi_complement,
     riesz_mean_symbol,
-    taylor_remainder,
 )
 
 PROFILES = [CutoffProfile(), CutoffProfile("smoothstep_poly", 4), CutoffProfile("smooth_exp")]
@@ -106,13 +103,6 @@ class TestCutoffs:
         lam = np.linspace(-3, 3, 101)
         np.testing.assert_allclose(
             phi_cutoff(profile, lam), phi_cutoff(profile, -lam), atol=0
-        )
-
-    def test_complement(self):
-        profile = CutoffProfile()
-        lam = np.linspace(0, 4, 64)
-        np.testing.assert_allclose(
-            psi_complement(profile, lam), 1.0 - phi_cutoff(profile, lam), atol=0
         )
 
     def test_low_bump_support(self):
@@ -206,7 +196,7 @@ class TestRampClosedForm:
 class TestPartition:
     @pytest.mark.parametrize("profile", PROFILES)
     def test_exact_telescoping(self, profile):
-        for u in (0.0, 0.3, 1.0, 7.7, 1000.0, -42.5):
+        for u in (0.0, 0.3, 1.0, 2.0, 3.7, 7.7, 16.0, 500.0, 1000.0, -42.5):
             K = max(0, int(np.ceil(np.log2(max(abs(u), 1.0)))))
             assert partition_residual(u, K, profile) <= 1e-12
 
@@ -298,55 +288,6 @@ class TestMuSymbol:
             mu_symbol(SymbolParams(0.5, 1.0), CutoffProfile(), 0.0, 1.0)
 
 
-class TestMuDyadic:
-    def test_localized_value(self):
-        params = SymbolParams(0.5, 0.75)
-        profile = CutoffProfile()
-        # lam = 2^k: bump factor is exactly 1
-        val = mu_dyadic(params, profile, 3, 8.0)
-        assert val == pytest.approx(np.exp(1j * 8.0**0.5) * 8.0**-0.75)
-
-    def test_composed_factors(self):
-        params = SymbolParams(0.4, 0.6)
-        profile = CutoffProfile()
-        val = mu_dyadic(params, profile, 2, 4.0)
-        expected = np.exp(1j * 4.0**0.4) * 4.0**-0.6 * dyadic_bump(profile, 1.0)
-        assert val == pytest.approx(expected)
-
-    def test_resummation_identity(self):
-        """Summing dyadic pieces recovers the un-cutoff symbol above the band."""
-        params = SymbolParams(0.5, 0.75)
-        profile = CutoffProfile()
-        for lam in (2.0, 3.7, 16.0, 500.0):
-            total = sum(mu_dyadic(params, profile, k, lam) for k in range(12))
-            expected = np.exp(1j * lam**0.5) * lam**-0.75
-            assert abs(total - expected) <= 1e-12
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            mu_dyadic(SymbolParams(0.5, 1.0), CutoffProfile(), -1, 1.0)
-
-
-class TestGammaRegion:
-    def test_inner_outer(self):
-        scale = 2.0 ** (6 * (0.5 - 1.0))
-        assert gamma_region(0.001 * scale, 6, 0.5) == "E1"
-        assert gamma_region(80.0 * scale, 6, 0.5) == "E2"
-
-    def test_middle(self):
-        scale = 2.0 ** (6 * (0.5 - 1.0))
-        assert gamma_region(1.0 * scale, 6, 0.5) == "E3"
-
-    def test_overlap_reported(self):
-        # lower edge of the middle band also lies in the inner band
-        scale = 2.0 ** (6 * (0.5 - 1.0))
-        assert gamma_region(0.125 * scale / 2.0, 6, 0.5) == "overlap"
-
-    def test_invalid_constants(self):
-        with pytest.raises(ValueError):
-            gamma_region(1.0, 3, 0.5, c1=2.0, c2=1.0)
-
-
 class TestRieszSymbol:
     def test_z_zero(self):
         for k in (0.5, 1.0, 2.0, 4.0):
@@ -416,22 +357,3 @@ class TestRieszSymbol:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             riesz_mean_symbol(0.0, 0.5, 1.0)
-
-
-class TestTaylorRemainder:
-    def test_single_coefficient(self):
-        # c = (1,): remainder e^{iw} - 1 vanishes to first order
-        assert taylor_remainder([1.0], 0.0) == 0.0
-        assert abs(taylor_remainder([1.0], 1e-4)) == pytest.approx(1e-4, rel=1e-3)
-
-    def test_extrapolated_order(self):
-        """Vandermonde coefficients push the vanishing order to N."""
-        from oscimax import combination_coefficients
-
-        for N in (2, 3, 4):
-            c = combination_coefficients(N).coefficients
-            w = 1e-2
-            small = abs(taylor_remainder(c, w))
-            smaller = abs(taylor_remainder(c, w / 2.0))
-            order = np.log2(small / smaller)
-            assert order == pytest.approx(N, abs=0.1)

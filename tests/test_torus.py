@@ -16,6 +16,23 @@ from oscimax import (
 )
 
 
+def is_conjugate_symmetric(f: SpectralField, tol: float = 1e-12) -> bool:
+    """c(-xi) == conj(c(xi)) to tol * max|c|, the spectral form of a real field."""
+    c = f.coefficients
+    axes = tuple(range(c.ndim))
+    mirrored = np.conj(np.flip(np.roll(c, -1, axis=axes), axis=axes))
+    scale = np.max(np.abs(c)) or 1.0
+    # The -M/2 row has no mirror partner; compare only where both exist.
+    mask = np.ones_like(c, dtype=bool)
+    half = f.grid.modes_per_axis // 2
+    k = f.grid.freqs_1d
+    for ax in axes:
+        sl = [slice(None)] * c.ndim
+        sl[ax] = k == -half
+        mask[tuple(sl)] = False
+    return bool(np.max(np.abs((c - mirrored)[mask])) <= tol * scale)
+
+
 class TestLatticeGrid:
     def test_basic_properties(self):
         grid = LatticeGrid(1, 64)
@@ -145,12 +162,12 @@ class TestConjugateSymmetry:
         grid = LatticeGrid(1, 32)
         samples = np.cos(3 * grid.coords_1d) + 0.5 * np.sin(7 * grid.coords_1d)
         f = forward_transform(GridField(grid, samples.astype(complex)))
-        assert f.is_conjugate_symmetric()
+        assert is_conjugate_symmetric(f)
 
     def test_complex_field_is_not(self):
         grid = LatticeGrid(1, 32)
         f = pure_mode(grid, (5,))
-        assert not f.is_conjugate_symmetric()
+        assert not is_conjugate_symmetric(f)
 
 
 class TestRandomField:
@@ -161,6 +178,8 @@ class TestRandomField:
         lam = grid.eigenvalue_array()
         assert np.all(f.coefficients[lam > 5.0] == 0.0)
         assert np.any(f.coefficients[lam <= 5.0] != 0.0)
+        with pytest.raises(ValueError, match="band_limit must be nonnegative"):
+            random_spectral_field(grid, rng, band_limit=-1.0)
 
     def test_determinism(self):
         grid = LatticeGrid(1, 16)
