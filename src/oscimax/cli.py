@@ -156,32 +156,29 @@ CATALOG = {
 }
 
 
-def _numeric_types() -> dict:
-    """Type of every numeric config key: float if any experiment's default for
-    it is a float, else int."""
-    types = {}
-    for defaults in DEFAULTS.values():
-        for key, value in defaults.items():
-            if isinstance(value, (int, float)):
-                types[key] = float if float in (type(value), types.get(key)) else int
-    return types
+def _number(text: str):
+    """A numeric flag: an int when the text is an integer literal, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
-NUMERIC_TYPES = _numeric_types()
-
-
-def _check_value(key: str, value) -> None:
+def _check_value(key: str, value, default) -> None:
+    """A value must have the type of the experiment's own default for its key;
+    where that default is a float, an int is accepted too."""
     if key == "cutoff_kind":
         valid = value in CUTOFF_KINDS
     else:
-        accepted = (int, float) if NUMERIC_TYPES[key] is float else int
+        accepted = (int, float) if isinstance(default, float) else int
         valid = isinstance(value, accepted) and not isinstance(value, bool)
     if not valid:
         raise ValueError(f"config key {key!r} has invalid value {value!r}")
 
 
 def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
-    config = dict(DEFAULTS[experiment])
+    defaults = DEFAULTS[experiment]
+    config = dict(defaults)
     if config_file is not None:
         with open(config_file) as fh:
             loaded = json.load(fh)
@@ -192,14 +189,15 @@ def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
                 continue
             if key not in config:
                 raise ValueError(f"unknown config key {key!r} for {experiment}")
-            _check_value(key, value)
+            _check_value(key, value, defaults[key])
             config[key] = value
     for key, value in flag_values.items():
         if value is None:
             continue
         if key not in config:
             raise ValueError(f"flag --{key.replace('_', '-')} does not apply to {experiment}")
-        config[key] = value
+        _check_value(key, value, defaults[key])
+        config[key] = float(value) if isinstance(defaults[key], float) else value
     return config
 
 
@@ -289,7 +287,7 @@ def _run_dyadic_decay(config, out_dir):
     tail = dyadic_tail_order(
         params,
         profile,
-        k=int(config["k"]),
+        k=config["k"],
         tau_lo=config["tau_lo"],
         tau_hi=config["tau_hi"],
         n_samples=config["n_samples"],
@@ -320,7 +318,7 @@ def _run_kernel_decay(config, out_dir):
         t,
         radii,
         eps=config["eps"],
-        M_cap=int(config["m_cap"]),
+        M_cap=config["m_cap"],
         slope_tol=config["slope_tol"],
     )
     doubled = verify_kernel_decay(
@@ -329,12 +327,12 @@ def _run_kernel_decay(config, out_dir):
         t,
         radii,
         eps=config["eps"],
-        M_cap=2 * int(config["m_cap"]),
+        M_cap=2 * config["m_cap"],
         slope_tol=config["slope_tol"],
     )
     rows = []
     for x, u in zip(radii, ratios):
-        v = kernel_lattice_sum(params, profile, t, float(x), eps=config["eps"], M_cap=int(config["m_cap"]))
+        v = kernel_lattice_sum(params, profile, t, float(x), eps=config["eps"], M_cap=config["m_cap"])
         rows.append((float(u), v.real, v.imag, abs(v)))
     _write_csv(out_dir / "kernel-decay.csv", ["x_over_t", "re", "im", "modulus"], rows)
     delta = abs(doubled["fitted"].slope - report["fitted"].slope)
@@ -349,17 +347,17 @@ def _run_kernel_decay(config, out_dir):
 
 
 def _run_rate_combo(config, out_dir):
-    grid = LatticeGrid(1, int(config["n_modes"]))
+    grid = LatticeGrid(1, config["n_modes"])
     rng = np.random.default_rng(config["seed"])
-    f = random_spectral_field(grid, rng, band_limit=int(config["band_limit"]))
-    times = np.geomspace(config["t_lo"], config["t_hi"], int(config["n_samples"]))
+    f = random_spectral_field(grid, rng, band_limit=config["band_limit"])
+    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
     report = combination_rate_experiment(
         f,
         config["alpha"],
         config["beta"],
         config["p"],
         times=times,
-        N=int(config["N"]) or None,
+        N=config["N"] or None,
     )
     rows = [(float(t), float(e)) for t, e in zip(times, report.errors)]
     _write_csv(out_dir / "rate-combo.csv", ["t", "error"], rows)
@@ -372,15 +370,15 @@ def _run_rate_combo(config, out_dir):
 
 
 def _run_rate_riesz(config, out_dir):
-    grid = LatticeGrid(1, int(config["n_modes"]))
-    f = pure_mode(grid, (int(config["mode"]),))
-    times = np.geomspace(config["t_lo"], config["t_hi"], int(config["n_samples"]))
+    grid = LatticeGrid(1, config["n_modes"])
+    f = pure_mode(grid, (config["mode"],))
+    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
     rows = []
     for t in times:
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients
         rows.append((float(t), float(np.sqrt(np.sum(np.abs(diff) ** 2)))))
-    _write_csv(out_dir / "rate-riesz.csv", ["t", "error"], rows)
     fit = fit_decay_exponent(rows)
+    _write_csv(out_dir / "rate-riesz.csv", ["t", "error"], rows)
     return {
         "fitted": _fit_dict(fit),
         "predicted_slope": 1.0,
@@ -389,14 +387,14 @@ def _run_rate_riesz(config, out_dir):
 
 
 def _run_atom_uniformity(config, out_dir):
-    grid = LatticeGrid(1, int(config["n_modes"]))
+    grid = LatticeGrid(1, config["n_modes"])
     report = atom_uniformity_experiment(
         grid,
         config["p"],
         config["alpha"],
         config["beta"],
-        atom_count=int(config["atom_count"]),
-        seed=int(config["seed"]),
+        atom_count=config["atom_count"],
+        seed=config["seed"],
     )
     rows = list(zip((float(r) for r in report["radii"]), (float(q) for q in report["quasinorms"])))
     _write_csv(out_dir / "atom-uniformity.csv", ["radius", "quasinorm"], rows)
@@ -410,26 +408,25 @@ def _run_atom_uniformity(config, out_dir):
 
 
 def _run_maximal_sweep(config, out_dir):
-    grid = LatticeGrid(int(config["dimension"]), int(config["n_modes"]))
+    grid = LatticeGrid(config["dimension"], config["n_modes"])
     rng = np.random.default_rng(config["seed"])
-    f = random_spectral_field(grid, rng, band_limit=int(config["band_limit"]))
+    f = random_spectral_field(grid, rng, band_limit=config["band_limit"])
     params = SymbolParams(config["alpha"], config["beta"])
     profile = CutoffProfile()
     time_grid = TimeGrid(
         sigma=config["sigma"],
-        count=int(config["time_count"]),
+        count=config["time_count"],
         span_octaves=config["span_octaves"],
     )
 
     def family(t, g):
         return oscillating_op(g, params, profile, t)
 
-    coarse = maximal_over_times(f, family, time_grid.times)
-    fine = maximal_over_times(f, family, time_grid.refined().times)
-    monotone = bool(np.all(fine.samples.real >= coarse.samples.real - 1e-15))
-    delta = float(np.max(fine.samples.real - coarse.samples.real))
+    maxima = maximal_over_times(f, family, time_grid.times).samples
+    fine = maximal_over_times(f, family, time_grid.refined().times).samples
+    monotone = bool(np.all(fine >= maxima - 1e-15))
+    delta = float(np.max(fine - maxima))
     coords = grid.coords_1d.tolist()
-    maxima = coarse.samples.real
     if grid.dimension == 1:
         _write_csv(out_dir / "maximal-sweep.csv", ["x", "maximal"], zip(coords, maxima.tolist()))
     else:
@@ -441,7 +438,7 @@ def _run_maximal_sweep(config, out_dir):
             for x, row in zip(cells, maxima):
                 fh.write("".join([x + y + repr(v) + "\r\n" for y, v in zip(cells, row.tolist())]))
     return {
-        "sup_maximal": float(np.max(coarse.samples.real)),
+        "sup_maximal": float(np.max(maxima)),
         "refinement_delta": delta,
         "monotone": monotone,
         "pass": monotone,
@@ -477,9 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=[*RUNNERS, "list"])
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    for key, typ in NUMERIC_TYPES.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None)
-    parser.add_argument("--cutoff-kind", choices=CUTOFF_KINDS, default=None)
+    for key in dict.fromkeys(key for defaults in DEFAULTS.values() for key in defaults):
+        kind = {"choices": CUTOFF_KINDS} if key == "cutoff_kind" else {"type": _number}
+        parser.add_argument(f"--{key.replace('_', '-')}", default=None, **kind)
     return parser
 
 

@@ -121,6 +121,12 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
 
     idx = np.flatnonzero(inside.ravel())
     basis = np.stack([mono.ravel()[idx] for mono in _monomials(grid, disp, degree)], axis=1)
+    # no seed helps when the monomials span every function on the ball
+    if idx.size <= basis.shape[1]:
+        raise ResolutionError(
+            f"ball of radius {spec.radius:.4g} holds {idx.size} grid points, too few "
+            f"to cancel the {basis.shape[1]} monomials of degree <= {degree}"
+        )
 
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng(spec.seed + 7919 * attempt)
@@ -150,7 +156,7 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
     target = ball_measure(n, spec.radius) ** (0.5 - 1.0 / spec.p)
     samples = np.zeros(grid.spatial_shape)
     samples.ravel()[idx] = projected * (target / norm2)
-    field = GridField(grid, samples.astype(complex))
+    field = GridField(grid, samples)
     moments = moment_integrals(field, spec.center, degree)
     return Atom(
         field=field,
@@ -176,10 +182,10 @@ def hp_quasinorm_estimate(f: SpectralField, p: float, heat_times=None) -> float:
     if heat_times is None:
         heat_times = np.geomspace(1e-6, 10.0, 48)
     heat_times = np.asarray(heat_times, dtype=float)
-    lam_max = float(np.max(f.grid.eigenvalue_array()))
+    lam_max = float(np.max(f.grid.eigenvalue_array()[f.coefficients != 0], initial=0.0))
     if np.exp(-heat_times.min() * lam_max**2) < 0.5:
         raise ResolutionError(
-            "smallest heat time does not resolve the top lattice mode "
+            "smallest heat time does not resolve the field's top mode "
             f"(need t_min <= {np.log(2.0) / lam_max**2:.3g})"
         )
     maximal = maximal_over_times(f, lambda t, g: heat_semigroup(g, t), np.sort(heat_times))
@@ -190,20 +196,11 @@ def weak_lp_quasinorm(f: GridField, p: float) -> float:
     """sup over levels of level * measure{|f| > level}^{1/p}, exact for the
     simple function given by the grid samples.
 
-    For a simple function the sup is attained either at a sample value or at
-    its left limit, so both candidate families are evaluated.
+    For a simple function the sup is the limit from the left at a sample
+    value v, v * measure{|f| >= v}^{1/p}, which is never below the value at v.
     """
     if p <= 0.0:
         raise ValueError("p must be positive")
     mags = np.sort(np.abs(f.samples).ravel())
-    cell = f.grid.cell_volume
-    n = mags.size
-    # measure of {|f| > mags[i]} and {|f| >= mags[i]}
-    strictly_above = n - np.searchsorted(mags, mags, side="right")
-    at_least = n - np.searchsorted(mags, mags, side="left")
-    best = 0.0
-    for lam, cnt in ((mags, strictly_above), (mags, at_least)):
-        vals = lam * (cnt * cell) ** (1.0 / p)
-        best = max(best, float(np.max(vals)))
-    return best
-
+    at_least = mags.size - np.searchsorted(mags, mags, side="left")
+    return float(np.max(mags * (at_least * f.grid.cell_volume) ** (1.0 / p)))

@@ -83,7 +83,8 @@ def riesz_mean_op(f: SpectralField, k: float, alpha: float, t: float) -> Spectra
 
 
 def maximal_over_times(f: SpectralField, family, times) -> GridField:
-    """Pointwise max over `times` of |inverse_transform(family(t, f))|.
+    """Pointwise max over `times` of |inverse_transform(family(t, f))|, as
+    real samples.
 
     `family` maps a time t and a field to a field.  `times` is increasing
     (a TimeGrid's `.times`); they are reduced in that fixed order for
@@ -97,7 +98,7 @@ def maximal_over_times(f: SpectralField, family, times) -> GridField:
         else:
             np.maximum(best, mag, out=best)
         del mag  # no slice outlives its step into the next transform
-    return GridField(f.grid, best.astype(complex))
+    return GridField(f.grid, best)
 
 
 def kernel_lattice_sum(

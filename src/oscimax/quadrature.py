@@ -62,9 +62,6 @@ class ConvergenceError(RuntimeError):
 class QuadratureSpec:
     abs_tolerance: float = 1e-10
     max_panels: int = 2_000_000
-    # relative floor: roundoff of the accumulated panel magnitudes makes a
-    # tighter absolute target meaningless
-    relative_floor: float = 1e-13
 
     def __post_init__(self):
         if self.abs_tolerance <= 0.0:
@@ -129,16 +126,19 @@ def fit_decay_exponent(samples) -> DecayFit:
 # phase model holds, and |v16 - v8| measures the error wherever it does not.
 _BUDGET = 1.6
 
+# roundoff of the accumulated panel magnitudes makes a tighter target meaningless
+_RELATIVE_FLOOR = 1e-13
 
-def _breakpoints(a: float, b: float, density, max_panels: int, n_fine: int = 4000) -> np.ndarray:
-    """Panel edges on [a, b] equidistributing the integral of `density`.
+
+def _breakpoints(a: float, b: float, density, max_panels: int) -> np.ndarray:
+    """Panel edges on [a, b], a > 0, equidistributing the integral of `density`.
 
     Raises ConvergenceError, before the edges are built, when more than
     `max_panels` panels would be needed.
     """
     if b <= a:
         raise ValueError("empty interval")
-    grid = np.geomspace(a, b, n_fine) if a > 0 else np.linspace(a, b, n_fine)
+    grid = np.geomspace(a, b, 4000)
     rho = density(grid)
     w = np.concatenate(
         [[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid))]
@@ -168,13 +168,13 @@ def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
     return v16, np.abs(v16 - v8)
 
 
-def _phase_density(alpha: float, tau: float, sign: float, budget: float):
+def _phase_density(alpha: float, tau: float, sign: float):
     """Panels per unit length for phase lam^alpha + sign*tau*lam on the real axis."""
 
     def rho(lam):
         g1 = np.abs(alpha * lam ** (alpha - 1.0) + sign * tau)
         g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
-        return (g1 + g2) / budget + 3.0 / lam
+        return (g1 + g2) / _BUDGET + 3.0 / lam
 
     return rho
 
@@ -263,9 +263,7 @@ def _half_line_piece(
         out[band] *= phi_cutoff(profile, lam[band])
         return out
 
-    edges = _breakpoints(
-        1.0, lam_end, _phase_density(alpha, tau, sign, _BUDGET), max_panels
-    )
+    edges = _breakpoints(1.0, lam_end, _phase_density(alpha, tau, sign), max_panels)
     ray = _ray_tail(amp_exp, alpha, tau, sign, lam_end, direction, max_panels)
     return [(integrand, edges), ray]
 
@@ -298,7 +296,7 @@ def _band_piece(
             * np.cos(tau * lam + L * np.pi / 2.0)
         )
 
-    edges = _breakpoints(lo, hi, _phase_density(alpha, tau, +1.0, _BUDGET), max_panels)
+    edges = _breakpoints(lo, hi, _phase_density(alpha, tau, +1.0), max_panels)
     return 1.0, integrand, edges
 
 
@@ -306,7 +304,7 @@ def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
     """Sum of weight * integral over the (weight, integrand, edges) pieces.
 
     Converged when the summed 16/8-node estimate is at most
-    max(abs_tolerance, relative_floor * sum |panel value|).  Otherwise the
+    max(abs_tolerance, _RELATIVE_FLOOR * sum |panel value|).  Otherwise the
     panels with the largest estimates are bisected, as many as it takes for
     the rest to sum to at most half the tolerance; every other panel is kept
     and only the new halves are evaluated.
@@ -329,7 +327,7 @@ def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
         errs = np.concatenate([e for *_, e in panels])
         err = float(np.sum(errs))
         mass = float(sum(np.sum(np.abs(v)) for _, _, v, _ in panels))
-        tol = max(spec.abs_tolerance, spec.relative_floor * mass)
+        tol = max(spec.abs_tolerance, _RELATIVE_FLOOR * mass)
         if err <= tol:
             return value
         # the per-panel estimator saturates at the roundoff of the accumulated

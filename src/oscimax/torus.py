@@ -1,7 +1,7 @@
 """Discrete spectral model of the flat torus [0, 2pi)^n for n in {1, 2}.
 
 Frequencies live on the integer lattice with each coordinate in
-[-M/2, M/2 - 1]; the spatial grid is uniform with N >= M points per axis.
+[-M/2, M/2 - 1]; the spatial grid is uniform with M points per axis.
 Normalization: c(xi) = (2pi)^{-n} * integral of f(x) exp(-i<xi, x>) dx,
 so a pure mode exp(i<xi, x>) has coefficient 1 at xi and Parseval reads
 integral |f|^2 = (2pi)^n * sum |c(xi)|^2.
@@ -24,13 +24,13 @@ class LatticeGrid:
 
     dimension: 1 or 2.
     modes_per_axis: even M >= 8; frequencies per axis in [-M/2, M/2 - 1].
-    spatial_points_per_axis: N >= M (oversampling allowed; transforms are
-        exact roundtrips only for fields band-limited to the lattice).
+    spatial_points_per_axis: always M, so frequency index and FFT index
+        coincide and the transforms are exact roundtrips.
     """
 
     dimension: int
     modes_per_axis: int
-    spatial_points_per_axis: int = 0
+    spatial_points_per_axis: int = field(init=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -39,10 +39,7 @@ class LatticeGrid:
             raise ValueError(
                 f"modes_per_axis must be an even integer >= 8, got {self.modes_per_axis}"
             )
-        if self.spatial_points_per_axis == 0:
-            object.__setattr__(self, "spatial_points_per_axis", self.modes_per_axis)
-        if self.spatial_points_per_axis < self.modes_per_axis:
-            raise ValueError("spatial_points_per_axis must be >= modes_per_axis")
+        object.__setattr__(self, "spatial_points_per_axis", self.modes_per_axis)
 
     @property
     def freqs_1d(self) -> np.ndarray:
@@ -133,13 +130,16 @@ class SpectralField:
 
 @dataclass(frozen=True)
 class GridField:
-    """Complex samples on the uniform spatial grid."""
+    """Real or complex samples on the uniform spatial grid; integer samples
+    are promoted to float."""
 
     grid: LatticeGrid
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
+        s = np.asarray(self.samples)
+        if not np.issubdtype(s.dtype, np.inexact):
+            s = s.astype(float)
         if s.shape != self.grid.spatial_shape:
             raise ValueError(
                 f"sample shape {s.shape} does not match spatial grid {self.grid.spatial_shape}"
@@ -148,34 +148,15 @@ class GridField:
 
 
 def forward_transform(f: GridField) -> SpectralField:
-    """Grid samples -> lattice coefficients (FFT, modes above M/2 discarded)."""
+    """Grid samples -> lattice coefficients (FFT; FFT order is lattice order)."""
     grid = f.grid
-    ns = grid.spatial_points_per_axis
-    c_full = np.fft.fftn(f.samples) / ns**grid.dimension
-    idx = grid.freqs_1d % ns
-    if grid.dimension == 1:
-        c = c_full[idx]
-    else:
-        c = c_full[np.ix_(idx, idx)]
-    return SpectralField(grid, c)
+    return SpectralField(grid, np.fft.fftn(f.samples) / grid.modes_per_axis**grid.dimension)
 
 
 def inverse_transform(F: SpectralField) -> GridField:
-    """Lattice coefficients -> grid samples (zero-padded inverse FFT)."""
+    """Lattice coefficients -> grid samples (inverse FFT)."""
     grid = F.grid
-    ns = grid.spatial_points_per_axis
-    if ns == grid.modes_per_axis:
-        # FFT order maps every frequency to its own index: nothing to pad
-        c_full = F.coefficients
-    else:
-        c_full = np.zeros(grid.spatial_shape, dtype=complex)
-        idx = grid.freqs_1d % ns
-        if grid.dimension == 1:
-            c_full[idx] = F.coefficients
-        else:
-            c_full[np.ix_(idx, idx)] = F.coefficients
-    samples = np.fft.ifftn(c_full) * ns**grid.dimension
-    return GridField(grid, samples)
+    return GridField(grid, np.fft.ifftn(F.coefficients) * grid.modes_per_axis**grid.dimension)
 
 
 def grid_norm(f: GridField, p: float) -> float:

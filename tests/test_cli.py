@@ -144,6 +144,38 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "earlier run"
 
+    def test_failed_fit_writes_no_report_into_an_existing_directory(self, tmp_path):
+        """Three samples are too few to fit: the run stops before its CSV."""
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["rate-riesz", "--n-samples", "3", "--out", str(out)]) == EXIT_USAGE
+        assert list(out.iterdir()) == []
+
+    def test_fractional_value_for_an_integer_key_is_usage_error(self, tmp_path, capsys):
+        """dyadic-decay's k is an integer, although rate-riesz's k is a float."""
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({"k": 6.5}))
+        for source in (["--k", "6.5"], ["--config", str(cfg)]):
+            out = tmp_path / "new" / "o"
+            assert main(["dyadic-decay", *source, "--out", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err == "config error: config key 'k' has invalid value 6.5\n"
+            assert not (tmp_path / "new").exists()
+
+    def test_integer_flag_for_a_float_key_stays_a_float(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["rate-riesz", "--k", "1", "--n-modes", "16", "--out", str(out)]
+        assert main(argv) == EXIT_PASS
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["k"] == 1.0 and isinstance(config["k"], float)
+        assert isinstance(config["n_modes"], int)
+
+    def test_atom_ball_too_small_for_its_moments_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["atom-uniformity", "--p", "0.1", "--n-modes", "256", "--atom-count", "3"]
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "too few to cancel the 10 monomials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_atoms_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["atom-uniformity", "--atom-count", "0", "--out", str(out)]) == EXIT_USAGE
@@ -267,7 +299,7 @@ class TestReports:
         ).times
         maxima = maximal_over_times(
             f, lambda t, g: oscillating_op(g, params, CutoffProfile(), t), times
-        ).samples.real
+        ).samples
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         coords = grid.coords_1d

@@ -82,6 +82,14 @@ class TestRegularAtoms:
         with pytest.raises(ResolutionError):
             make_regular_atom(spec, grid)
 
+    def test_ball_with_too_few_points_for_the_monomials(self):
+        """p = 0.1 cancels degree 9, 10 monomials, but a ball of radius 4
+        cells holds only 8 points: every projection is zero, whatever the seed."""
+        grid = LatticeGrid(1, 256)
+        spec = AtomSpec(p=0.1, center=(1.0,), radius=4.0 * grid.spacing, seed=0)
+        with pytest.raises(ResolutionError, match="holds 8 grid points.*10 monomials"):
+            make_regular_atom(spec, grid)
+
 
 class TestHeatQuasinorm:
     def test_semigroup_decay(self):
@@ -97,6 +105,14 @@ class TestHeatQuasinorm:
         est = hp_quasinorm_estimate(f, 1.0)
         plain = grid_norm(inverse_transform(f), 1.0)
         assert est >= 0.99 * plain
+
+    def test_band_limited_field_on_a_large_lattice(self):
+        """Only the field's own top mode, 16, has to be resolved, not the
+        lattice's 2048."""
+        grid = LatticeGrid(1, 4096)
+        f = random_spectral_field(grid, np.random.default_rng(4), band_limit=16)
+        est = hp_quasinorm_estimate(f, 0.5)
+        assert est >= 0.99 * grid_norm(inverse_transform(f), 0.5)
 
     def test_unresolved_times_rejected(self):
         grid = LatticeGrid(1, 256)

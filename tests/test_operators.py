@@ -155,8 +155,8 @@ class TestMaximalOverTimes:
         def family(t, g):
             return oscillating_op(g, params, PROFILE, t)
 
-        coarse = maximal_over_times(f, family, tg.times).samples.real
-        fine = maximal_over_times(f, family, tg.refined().times).samples.real
+        coarse = maximal_over_times(f, family, tg.times).samples
+        fine = maximal_over_times(f, family, tg.refined().times).samples
         assert np.all(fine >= coarse - 1e-15)
 
     def test_dominates_single_time(self):
@@ -168,9 +168,27 @@ class TestMaximalOverTimes:
         def family(t, g):
             return oscillating_op(g, params, PROFILE, t)
 
-        maximal = maximal_over_times(f, family, tg.times).samples.real
+        maximal = maximal_over_times(f, family, tg.times).samples
         one = np.abs(inverse_transform(family(tg.times[3], f)).samples)
         assert np.all(maximal >= one - 1e-15)
+
+
+    @pytest.mark.parametrize("dimension, modes", [(1, 64), (2, 16)])
+    def test_real_max_of_slice_magnitudes(self, dimension, modes):
+        """Real samples, equal bit for bit to the max over the times of the
+        magnitudes of the inverse-transformed slices."""
+        grid = LatticeGrid(dimension, modes)
+        f = random_spectral_field(grid, np.random.default_rng(7), band_limit=modes / 4)
+        params = SymbolParams(0.5, 0.75)
+        times = TimeGrid(count=6, span_octaves=6).times
+
+        def family(t, g):
+            return oscillating_op(g, params, PROFILE, t)
+
+        maximal = maximal_over_times(f, family, times).samples
+        slices = [np.abs(inverse_transform(family(t, f)).samples) for t in times]
+        assert maximal.dtype == np.float64
+        assert np.array_equal(maximal, np.max(slices, axis=0))
 
 
 class TestKernelLatticeSum:

@@ -26,6 +26,18 @@ from oscimax.symbols import dyadic_bump, phi_cutoff, psi0
 PROFILE = CutoffProfile()
 
 
+def phase_density(alpha, tau, sign, budget):
+    """Panels per unit length of the library's real-axis density at a panel
+    budget of `budget` rad instead of the library's fixed 1.6 rad."""
+
+    def rho(lam):
+        g1 = np.abs(alpha * lam ** (alpha - 1.0) + sign * tau)
+        g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
+        return (g1 + g2) / budget + 3.0 / lam
+
+    return rho
+
+
 def _panel_integrate(fn, edges):
     """Composite Gauss on the given edges; returns (value, err_est, |contrib|)."""
     v16, err = _panel_values(fn, edges[:-1], edges[1:])
@@ -81,7 +93,7 @@ def real_segment_transform(params, tau, L, spec=QuadratureSpec()):
             phase = lam**alpha + sign * tau * lam
             return lam**amp * phi_cutoff(PROFILE, lam) * np.exp(1j * phase)
 
-        density = _phase_density(alpha, tau, sign, budget)
+        density = phase_density(alpha, tau, sign, budget)
         seg = _panel_integrate(integrand, _breakpoints(1.0, lam_end, density, spec.max_panels))
         ray = _panel_integrate(
             *geometric_ray(amp, alpha, tau, sign, lam_end, direction, budget, spec.max_panels)
@@ -92,7 +104,7 @@ def real_segment_transform(params, tau, L, spec=QuadratureSpec()):
     while True:
         (vp, ep, mp), (vm, em, mm) = half_line(1.0, budget), half_line(-1.0, budget)
         value = rot * vp + np.conj(rot) * vm
-        tol = max(spec.abs_tolerance, spec.relative_floor * (mp + mm))
+        tol = max(spec.abs_tolerance, quadrature._RELATIVE_FLOOR * (mp + mm))
         if ep + em <= tol or (previous is not None and abs(value - previous) <= tol):
             return value
         previous, budget = value, budget / 2.0
@@ -122,7 +134,7 @@ def split_band_transform(params, k, tau, L, spec=QuadratureSpec()):
         (
             weight,
             make_integrand(sign),
-            _breakpoints(lo, hi, _phase_density(alpha, tau, sign, 0.4), spec.max_panels),
+            _breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4), spec.max_panels),
         )
         for sign, weight in ((+1.0, rot), (-1.0, np.conj(rot)))
     ]
@@ -345,7 +357,7 @@ class TestDyadicPieces:
         """The first round is one call on the plus-phase panels of the band
         [8, 32]; this case needs no second round."""
         fourier_cosine_mu_dyadic(SymbolParams(0.5, 1.0), PROFILE, 4, 0.5)
-        density = _phase_density(0.5, 0.5, +1.0, quadrature._BUDGET)
+        density = _phase_density(0.5, 0.5, +1.0)
         edges = _breakpoints(8.0, 32.0, density, 10**6)
         assert panel_rounds == [edges.size - 1]
 

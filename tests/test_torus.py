@@ -48,9 +48,12 @@ class TestLatticeGrid:
         assert grid.eigenvalue_array().shape == (16, 16)
         assert grid.cell_volume == pytest.approx(grid.spacing**2)
 
-    def test_oversampling(self):
-        grid = LatticeGrid(1, 16, spatial_points_per_axis=64)
-        assert grid.spatial_shape == (64,)
+    def test_spatial_points_are_the_modes(self):
+        grid = LatticeGrid(2, 16)
+        assert grid.spatial_points_per_axis == 16
+        assert grid.spatial_shape == grid.spectral_shape
+        with pytest.raises(TypeError):
+            LatticeGrid(1, 16, spatial_points_per_axis=64)
 
     @pytest.mark.parametrize(
         "dim,modes", [(3, 16), (1, 7), (1, 15), (0, 16)]
@@ -58,10 +61,6 @@ class TestLatticeGrid:
     def test_invalid_construction(self, dim, modes):
         with pytest.raises(ValueError):
             LatticeGrid(dim, modes)
-
-    def test_undersampling_rejected(self):
-        with pytest.raises(ValueError):
-            LatticeGrid(1, 64, spatial_points_per_axis=32)
 
 
 class TestEigenvalue:
@@ -86,28 +85,39 @@ class TestTransforms:
         back = forward_transform(inverse_transform(f))
         np.testing.assert_allclose(back.coefficients, f.coefficients, atol=1e-13)
 
-    def test_roundtrip_2d_oversampled(self):
-        grid = LatticeGrid(2, 16, spatial_points_per_axis=32)
+    def test_roundtrip_2d(self):
+        grid = LatticeGrid(2, 16)
         rng = np.random.default_rng(1)
         f = random_spectral_field(grid, rng)
         back = forward_transform(inverse_transform(f))
         np.testing.assert_allclose(back.coefficients, f.coefficients, atol=1e-13)
 
-    @pytest.mark.parametrize(
-        "dim,modes,points", [(1, 64, 64), (2, 32, 32), (1, 16, 48), (2, 16, 32)]
-    )
-    def test_inverse_matches_zero_padded_scatter(self, dim, modes, points):
-        """Bit-identical to scattering the coefficients into a zero array of
-        the spatial shape, whether or not the grid oversamples."""
-        grid = LatticeGrid(dim, modes, spatial_points_per_axis=points)
+    @pytest.mark.parametrize("dim,modes", [(1, 16), (2, 8)])
+    def test_inverse_matches_direct_sum(self, dim, modes):
+        """Samples equal sum_xi c(xi) exp(i<xi, x>) summed term by term."""
+        grid = LatticeGrid(dim, modes)
         f = random_spectral_field(grid, np.random.default_rng(3))
-        padded = np.zeros(grid.spatial_shape, dtype=complex)
-        idx = grid.freqs_1d % points
-        padded[np.ix_(*[idx] * dim)] = f.coefficients
-        expected = np.fft.ifftn(padded) * points**dim
+        # waves[j, k] = exp(i * xi_k * x_j) along one axis
+        waves = np.exp(1j * np.outer(grid.coords_1d, grid.freqs_1d))
+        if dim == 1:
+            expected = np.einsum("jk,k->j", waves, f.coefficients)
+        else:
+            expected = np.einsum("jk,lm,km->jl", waves, waves, f.coefficients)
         samples = inverse_transform(f).samples
         assert samples.shape == grid.spatial_shape
-        assert np.array_equal(samples, expected)
+        np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-12)
+
+    def test_real_samples_keep_their_dtype(self):
+        """Real samples stay real, integer samples become float, and the
+        transform of real samples equals that of their complex copy."""
+        grid = LatticeGrid(1, 32)
+        samples = np.cos(3 * grid.coords_1d)
+        assert GridField(grid, samples).samples.dtype == np.float64
+        assert GridField(grid, np.arange(32)).samples.dtype == np.float64
+        assert np.array_equal(
+            forward_transform(GridField(grid, samples)).coefficients,
+            forward_transform(GridField(grid, samples.astype(complex))).coefficients,
+        )
 
     def test_pure_mode_values(self):
         """A pure mode has unit coefficient and samples exp(i<xi,x>)."""
@@ -161,7 +171,7 @@ class TestConjugateSymmetry:
     def test_real_field_is_symmetric(self):
         grid = LatticeGrid(1, 32)
         samples = np.cos(3 * grid.coords_1d) + 0.5 * np.sin(7 * grid.coords_1d)
-        f = forward_transform(GridField(grid, samples.astype(complex)))
+        f = forward_transform(GridField(grid, samples))
         assert is_conjugate_symmetric(f)
 
     def test_complex_field_is_not(self):
