@@ -23,7 +23,6 @@ from .symbols import (
     riesz_mean_symbol,
 )
 from .quadrature import (
-    QuadratureSpec,
     DecayFit,
     ConvergenceError,
     fourier_cosine_mu,
@@ -62,7 +61,6 @@ from .extrapolation import (
     combination_coefficients,
     combination_apply,
     convergence_error,
-    fit_rate,
     combination_rate_experiment,
     atom_uniformity_experiment,
 )

@@ -135,27 +135,6 @@ DEFAULTS = {
     },
 }
 
-CATALOG = {
-    "partition-check": "residual of the telescoping dyadic partition of unity "
-    "over sampled arguments",
-    "symbol-decay": "small-tau blow-up exponent of the cosine transform of the "
-    "oscillating symbol (and its tau-derivatives) against the predicted "
-    "-L/(1-alpha) + (alpha-2+2*beta)/(2*(1-alpha))",
-    "dyadic-decay": "outer-region decay order and middle-region normalized "
-    "magnitude of the frequency-localized transform pieces",
-    "kernel-decay": "near-diagonal decay of the 1-D kernel lattice sum against "
-    "the predicted x/t power law, with truncation-doubling stability",
-    "rate-combo": "convergence rate of the Vandermonde time-combination of "
-    "fractional propagators toward the identity",
-    "rate-riesz": "single-mode convergence rate of Riesz means of the "
-    "fractional propagator",
-    "atom-uniformity": "weak-type quasinorm spread of the maximal oscillating "
-    "operator over a batch of cancellative atoms",
-    "maximal-sweep": "maximal function of the oscillating operator over a time "
-    "grid, with refinement-stability delta",
-}
-
-
 def _number(text: str):
     """A numeric flag: an int when the text is an integer literal, else a float."""
     try:
@@ -236,6 +215,8 @@ def _fit_dict(fit) -> dict:
 
 
 def _run_partition_check(config, out_dir):
+    """residual of the telescoping dyadic partition of unity over sampled
+    arguments"""
     if config["samples"] < 1:
         raise ValueError(f"samples must be >= 1, got {config['samples']}")
     profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
@@ -260,6 +241,9 @@ def _run_partition_check(config, out_dir):
 
 
 def _run_symbol_decay(config, out_dir):
+    """small-tau blow-up exponent of the cosine transform of the oscillating
+    symbol (and its tau-derivatives) against the predicted
+    -L/(1-alpha) + (alpha-2+2*beta)/(2*(1-alpha))"""
     params = SymbolParams(config["alpha"], config["beta"])
     profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
     report = verify_small_tau_decay(
@@ -282,6 +266,8 @@ def _run_symbol_decay(config, out_dir):
 
 
 def _run_dyadic_decay(config, out_dir):
+    """outer-region decay order and middle-region normalized magnitude of the
+    frequency-localized transform pieces"""
     params = SymbolParams(config["alpha"], config["beta"])
     profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
     tail = dyadic_tail_order(
@@ -307,6 +293,8 @@ def _run_dyadic_decay(config, out_dir):
 
 
 def _run_kernel_decay(config, out_dir):
+    """near-diagonal decay of the 1-D kernel lattice sum against the predicted
+    x/t power law, with truncation-doubling stability"""
     params = SymbolParams(config["alpha"], config["beta"])
     profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
     t = config["t"]
@@ -347,6 +335,8 @@ def _run_kernel_decay(config, out_dir):
 
 
 def _run_rate_combo(config, out_dir):
+    """convergence rate of the Vandermonde time-combination of fractional
+    propagators toward the identity"""
     grid = LatticeGrid(1, config["n_modes"])
     rng = np.random.default_rng(config["seed"])
     f = random_spectral_field(grid, rng, band_limit=config["band_limit"])
@@ -370,6 +360,8 @@ def _run_rate_combo(config, out_dir):
 
 
 def _run_rate_riesz(config, out_dir):
+    """single-mode convergence rate of Riesz means of the fractional
+    propagator"""
     grid = LatticeGrid(1, config["n_modes"])
     f = pure_mode(grid, (config["mode"],))
     times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
@@ -387,6 +379,8 @@ def _run_rate_riesz(config, out_dir):
 
 
 def _run_atom_uniformity(config, out_dir):
+    """weak-type quasinorm spread of the maximal oscillating operator over a
+    batch of cancellative atoms"""
     grid = LatticeGrid(1, config["n_modes"])
     report = atom_uniformity_experiment(
         grid,
@@ -408,6 +402,8 @@ def _run_atom_uniformity(config, out_dir):
 
 
 def _run_maximal_sweep(config, out_dir):
+    """maximal function of the oscillating operator over a time grid, with
+    refinement-stability delta"""
     grid = LatticeGrid(config["dimension"], config["n_modes"])
     rng = np.random.default_rng(config["seed"])
     f = random_spectral_field(grid, rng, band_limit=config["band_limit"])
@@ -458,9 +454,10 @@ RUNNERS = {
 
 
 def list_experiments() -> str:
+    """Each experiment with its runner's docstring on one line, and its defaults."""
     lines = ["available experiments:"]
-    for name in RUNNERS:
-        lines.append(f"  {name}: {CATALOG[name]}")
+    for name, runner in RUNNERS.items():
+        lines.append(f"  {name}: {' '.join(runner.__doc__.split())}")
         defaults = ", ".join(f"{k}={v}" for k, v in DEFAULTS[name].items())
         lines.append(f"      defaults: {defaults}")
     return "\n".join(lines)
@@ -505,7 +502,11 @@ def main(argv=None) -> int:
         if path.exists():
             break
         created = path
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file where the directory should be
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         summary = RUNNERS[args.experiment](config, out_dir)
     except (RuntimeError, ValueError) as exc:

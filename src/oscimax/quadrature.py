@@ -59,21 +59,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tolerance: float = 1e-10
-    max_panels: int = 2_000_000
-
-    def __post_init__(self):
-        if self.abs_tolerance <= 0.0:
-            raise ValueError("abs_tolerance must be positive")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-
-@dataclass(frozen=True)
 class DecayFit:
     """Least-squares log-log slope with goodness of fit."""
 
@@ -90,10 +75,17 @@ class DecayFit:
             raise ValueError("tau_range must be increasing")
 
 
-def fit_decay_exponent(samples) -> DecayFit:
-    """Fit log(modulus) = slope*log(tau) + intercept by least squares."""
+def fit_decay_exponent(samples, floor: float | None = None) -> DecayFit:
+    """Fit log(modulus) = slope*log(tau) + intercept by least squares.
+
+    Samples whose modulus is at or below `floor` (a noise floor) are dropped
+    before the fit and its checks.
+    """
     taus = np.asarray([s[0] for s in samples], dtype=float)
     mods = np.asarray([s[1] for s in samples], dtype=float)
+    if floor is not None:
+        above = mods > floor
+        taus, mods = taus[above], mods[above]
     if taus.size < 5:
         raise ValueError("need at least 5 samples")
     ordered = np.sort(taus)
@@ -129,12 +121,16 @@ _BUDGET = 1.6
 # roundoff of the accumulated panel magnitudes makes a tighter target meaningless
 _RELATIVE_FLOOR = 1e-13
 
+# absolute error target of every transform, and the most panels one may use
+_ABS_TOLERANCE = 1e-10
+_MAX_PANELS = 2_000_000
 
-def _breakpoints(a: float, b: float, density, max_panels: int) -> np.ndarray:
+
+def _breakpoints(a: float, b: float, density) -> np.ndarray:
     """Panel edges on [a, b], a > 0, equidistributing the integral of `density`.
 
     Raises ConvergenceError, before the edges are built, when more than
-    `max_panels` panels would be needed.
+    _MAX_PANELS panels would be needed.
     """
     if b <= a:
         raise ValueError("empty interval")
@@ -143,10 +139,10 @@ def _breakpoints(a: float, b: float, density, max_panels: int) -> np.ndarray:
     w = np.concatenate(
         [[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid))]
     )
-    if not w[-1] <= max_panels:
+    if not w[-1] <= _MAX_PANELS:
         raise ConvergenceError(
             f"panel budget exceeded: {w[-1]:.3g} panels needed on "
-            f"[{a:.6g}, {b:.6g}] (max_panels {max_panels})",
+            f"[{a:.6g}, {b:.6g}] (max_panels {_MAX_PANELS})",
             partial_value=complex("nan"),
             error_estimate=float("inf"),
         )
@@ -168,13 +164,14 @@ def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
     return v16, np.abs(v16 - v8)
 
 
-def _phase_density(alpha: float, tau: float, sign: float):
-    """Panels per unit length for phase lam^alpha + sign*tau*lam on the real axis."""
+def _phase_density(alpha: float, tau: float, sign: float, grading: float):
+    """Panels per unit length for phase lam^alpha + sign*tau*lam at distance
+    lam from the branch point lam = 0, graded by grading/lam there."""
 
     def rho(lam):
         g1 = np.abs(alpha * lam ** (alpha - 1.0) + sign * tau)
         g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
-        return (g1 + g2) / _BUDGET + 3.0 / lam
+        return (g1 + g2) / _BUDGET + grading / lam
 
     return rho
 
@@ -186,7 +183,6 @@ def _ray_tail(
     sign: float,
     start: float,
     direction: float,
-    max_panels: int,
 ):
     """Integrand and panel edges, in s, of the tail integral of
     lam^amp_exponent e^{i(lam^alpha + sign tau lam)} along the vertical ray
@@ -216,13 +212,9 @@ def _ray_tail(
     beyond = np.where(env <= floor * (1.0 + probe))[0]
     s_max = probe[beyond[0]] if beyond.size else s_huge
 
-    def rho(s):
-        lam = np.abs(lam_of(s))
-        g1 = alpha * lam ** (alpha - 1.0) + tau
-        g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
-        return (g1 + g2) / _BUDGET + 4.0 / lam
-
-    edges = _breakpoints(1e-10 * s_max, s_max, rho, max_panels)
+    # both phases get the plus-phase rate, an upper bound for either
+    density = _phase_density(alpha, tau, +1.0, 4.0)
+    edges = _breakpoints(1e-10 * s_max, s_max, lambda s: density(np.abs(lam_of(s))))
     edges[0] = 0.0
     return integrand, edges
 
@@ -233,7 +225,6 @@ def _half_line_piece(
     L: int,
     tau: float,
     sign: float,
-    max_panels: int,
 ):
     """Real segment and complex ray, each as (integrand, first-round edges),
     whose integrals sum to
@@ -263,8 +254,8 @@ def _half_line_piece(
         out[band] *= phi_cutoff(profile, lam[band])
         return out
 
-    edges = _breakpoints(1.0, lam_end, _phase_density(alpha, tau, sign), max_panels)
-    ray = _ray_tail(amp_exp, alpha, tau, sign, lam_end, direction, max_panels)
+    edges = _breakpoints(1.0, lam_end, _phase_density(alpha, tau, sign, 3.0))
+    ray = _ray_tail(amp_exp, alpha, tau, sign, lam_end, direction)
     return [(integrand, edges), ray]
 
 
@@ -275,7 +266,6 @@ def _band_piece(
     lo: float,
     hi: float,
     window,
-    max_panels: int,
 ):
     """One (1.0, integrand, first-round edges) piece whose integral is
 
@@ -296,22 +286,22 @@ def _band_piece(
             * np.cos(tau * lam + L * np.pi / 2.0)
         )
 
-    edges = _breakpoints(lo, hi, _phase_density(alpha, tau, +1.0), max_panels)
+    edges = _breakpoints(lo, hi, _phase_density(alpha, tau, +1.0, 3.0))
     return 1.0, integrand, edges
 
 
-def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
+def _refine(pieces, message: str) -> complex:
     """Sum of weight * integral over the (weight, integrand, edges) pieces.
 
     Converged when the summed 16/8-node estimate is at most
-    max(abs_tolerance, _RELATIVE_FLOOR * sum |panel value|).  Otherwise the
+    max(_ABS_TOLERANCE, _RELATIVE_FLOOR * sum |panel value|).  Otherwise the
     panels with the largest estimates are bisected, as many as it takes for
     the rest to sum to at most half the tolerance; every other panel is kept
     and only the new halves are evaluated.
     """
-    if sum(len(edges) - 1 for _, _, edges in pieces) > spec.max_panels:
+    if sum(len(edges) - 1 for _, _, edges in pieces) > _MAX_PANELS:
         raise ConvergenceError(
-            f"{message} (first round exceeds max_panels {spec.max_panels})",
+            f"{message} (first round exceeds max_panels {_MAX_PANELS})",
             partial_value=complex("nan"),
             error_estimate=float("inf"),
         )
@@ -327,7 +317,7 @@ def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
         errs = np.concatenate([e for *_, e in panels])
         err = float(np.sum(errs))
         mass = float(sum(np.sum(np.abs(v)) for _, _, v, _ in panels))
-        tol = max(spec.abs_tolerance, _RELATIVE_FLOOR * mass)
+        tol = max(_ABS_TOLERANCE, _RELATIVE_FLOOR * mass)
         if err <= tol:
             return value
         # the per-panel estimator saturates at the roundoff of the accumulated
@@ -339,7 +329,7 @@ def _refine(pieces, spec: QuadratureSpec, message: str) -> complex:
         kept = np.searchsorted(np.cumsum(errs[order]), 0.5 * tol, side="right")
         split = np.zeros(errs.size, dtype=bool)
         split[order[kept:]] = True
-        if errs.size + (errs.size - kept) > spec.max_panels:
+        if errs.size + (errs.size - kept) > _MAX_PANELS:
             raise ConvergenceError(
                 f"{message} (err~{err:.2e} > tol {tol:.2e})",
                 partial_value=value,
@@ -378,7 +368,6 @@ def fourier_cosine_mu_derivative(
     profile: CutoffProfile,
     tau: float,
     L: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
     """L-th tau-derivative of the cosine transform of the oscillating symbol:
 
@@ -393,19 +382,14 @@ def fourier_cosine_mu_derivative(
     pieces = [
         (weight, fn, edges)
         for sign, weight in ((+1.0, phase_rot), (-1.0, np.conj(phase_rot)))
-        for fn, edges in _half_line_piece(params, profile, L, tau, sign, spec.max_panels)
+        for fn, edges in _half_line_piece(params, profile, L, tau, sign)
     ]
-    return _refine(pieces, spec, f"panel budget exceeded at tau={tau}, L={L}")
+    return _refine(pieces, f"panel budget exceeded at tau={tau}, L={L}")
 
 
-def fourier_cosine_mu(
-    params: SymbolParams,
-    profile: CutoffProfile,
-    tau: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> complex:
+def fourier_cosine_mu(params: SymbolParams, profile: CutoffProfile, tau: float) -> complex:
     """Cosine transform 2 * integral_0^inf lam^-beta e^{i lam^alpha} cutoff cos(tau lam)."""
-    return fourier_cosine_mu_derivative(params, profile, tau, 0, spec)
+    return fourier_cosine_mu_derivative(params, profile, tau, 0)
 
 
 def fourier_cosine_mu_dyadic(
@@ -414,7 +398,6 @@ def fourier_cosine_mu_dyadic(
     k: int,
     tau: float,
     L: int = 0,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
     """Dyadic piece of the cosine transform: the bump phi(lam / 2^k) localizes
     integration to the compact band [2^(k-1), 2^(k+1)], so no tail is needed."""
@@ -429,16 +412,12 @@ def fourier_cosine_mu_dyadic(
         scale / 2.0,
         scale * 2.0,
         lambda lam: dyadic_bump(profile, lam / scale),
-        spec.max_panels,
     )
-    return _refine([piece], spec, f"dyadic panel budget exceeded at k={k}, tau={tau}")
+    return _refine([piece], f"dyadic panel budget exceeded at k={k}, tau={tau}")
 
 
 def fourier_cosine_low_band_correction(
-    params: SymbolParams,
-    profile: CutoffProfile,
-    tau: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    params: SymbolParams, profile: CutoffProfile, tau: float
 ) -> complex:
     """Exact defect between the resummed dyadic transforms and the full one.
 
@@ -456,9 +435,8 @@ def fourier_cosine_low_band_correction(
         0.5,
         2.0,
         lambda lam: 1.0 - psi0(profile, lam) - phi_cutoff(profile, lam),
-        spec.max_panels,
     )
-    return _refine([piece], spec, f"low-band panel budget exceeded at tau={tau}")
+    return _refine([piece], f"low-band panel budget exceeded at tau={tau}")
 
 
 def dyadic_tail_order(
@@ -468,7 +446,6 @@ def dyadic_tail_order(
     tau_lo: float = 2.0,
     tau_hi: float = 10.0,
     n_samples: int = 15,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> dict:
     """Fitted decay order of a dyadic transform piece in the outer region.
 
@@ -479,32 +456,29 @@ def dyadic_tail_order(
     (2^k * tau, value) pair under "samples"; samples at the quadrature noise
     floor are kept there but left out of the fit.
     """
-    floor = max(1e-13, 1e-3 * spec.abs_tolerance)
     samples = [
-        (float(2.0**k * tau), fourier_cosine_mu_dyadic(params, profile, k, tau, 0, spec))
+        (float(2.0**k * tau), fourier_cosine_mu_dyadic(params, profile, k, tau))
         for tau in np.geomspace(tau_lo, tau_hi, n_samples)
     ]
-    fitted = fit_decay_exponent([(s, abs(v)) for s, v in samples if abs(v) > floor])
+    fitted = fit_decay_exponent(
+        [(s, abs(v)) for s, v in samples], floor=max(1e-13, 1e-3 * _ABS_TOLERANCE)
+    )
     return {"fitted": fitted, "samples": samples}
 
 
-def dyadic_band_ratio(
-    params: SymbolParams,
-    profile: CutoffProfile,
-    k_values=range(4, 9),
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> dict:
+def dyadic_band_ratio(params: SymbolParams, profile: CutoffProfile) -> dict:
     """Middle-region normalization check: |dyadic piece at its resonant tau|
-    divided by 2^{k(1 - beta - alpha/2)} should be comparable across scales.
+    divided by 2^{k(1 - beta - alpha/2)} should be comparable across the
+    scales k = 4..8.
 
     The resonant tau_k = 2^{k(alpha-1)} sits at the geometric center of the
     middle band.  Returns the normalized values and their max/min ratio.
     """
     alpha, beta = params.alpha, params.beta
     normalized = {}
-    for k in k_values:
+    for k in range(4, 9):
         tau_k = 2.0 ** (k * (alpha - 1.0))
-        v = abs(fourier_cosine_mu_dyadic(params, profile, k, tau_k, 0, spec))
+        v = abs(fourier_cosine_mu_dyadic(params, profile, k, tau_k))
         normalized[k] = v / 2.0 ** (k * (1.0 - beta - alpha / 2.0))
     vals = list(normalized.values())
     return {
@@ -524,7 +498,6 @@ def verify_small_tau_decay(
     L: int,
     tau_lo: float,
     tau_hi: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     n_samples: int = 25,
     slope_tol: float = 0.2,
 ) -> dict:
@@ -539,7 +512,7 @@ def verify_small_tau_decay(
         raise ValueError("need 0 < tau_lo < tau_hi <= 200")
     predicted = small_tau_exponent(params.alpha, params.beta, L)
     samples = [
-        (float(t), fourier_cosine_mu_derivative(params, profile, t, L, spec))
+        (float(t), fourier_cosine_mu_derivative(params, profile, t, L))
         for t in np.geomspace(tau_lo, tau_hi, n_samples)
     ]
     mods = np.array([abs(v) for _, v in samples])

@@ -125,6 +125,15 @@ class TestExitCodes:
         code = main(["rate-riesz", "--out", str(tmp_path / "o")])
         assert code == EXIT_NON_CONVERGENCE
 
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_output_path_blocked_by_a_file_is_usage_error(self, tmp_path, capsys, target):
+        (tmp_path / "file").write_text("not a directory")
+        assert main(["rate-riesz", "--out", str(tmp_path / target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "not a directory"
+
     def test_failed_run_removes_the_directories_it_created(self, tmp_path):
         out = tmp_path / "new" / "o"
         argv = ["symbol-decay", "--alpha", "0.75", "--tau-lo", "1e-3", "--out", str(out)]

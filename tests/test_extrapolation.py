@@ -11,12 +11,12 @@ from oscimax import (
     combination_apply,
     combination_coefficients,
     convergence_error,
-    fit_rate,
+    fit_decay_exponent,
     pure_mode,
     random_spectral_field,
     combination_rate_experiment,
 )
-from oscimax.extrapolation import atom_uniformity_experiment
+from oscimax.extrapolation import ROUNDOFF_FLOOR, atom_uniformity_experiment
 
 
 def binomial_candidate(N: int) -> np.ndarray:
@@ -109,15 +109,27 @@ class TestTaylorRemainder:
 
 
 class TestFitRate:
+    """`fit_decay_exponent` with the combination experiment's noise floor,
+    10 * ROUNDOFF_FLOOR for a unit-scale field."""
+
+    FLOOR = 10.0 * ROUNDOFF_FLOOR
+
     def test_discards_floor(self):
         t = np.geomspace(1e-6, 1e-2, 20)
-        errors = np.maximum(t**2, 2e-14)  # flat bottom below the floor
-        fit = fit_rate(t, errors)
+        errors = np.maximum(t**2, 2e-14)
+        fit = fit_decay_exponent(list(zip(t, errors)), floor=self.FLOOR)
         assert fit.slope == pytest.approx(2.0, abs=0.01)
+
+    def test_flat_bottom_at_the_floor_is_dropped(self):
+        t = np.geomspace(1e-9, 1e-2, 20)
+        errors = np.maximum(t**2, self.FLOOR)
+        fit = fit_decay_exponent(list(zip(t, errors)), floor=self.FLOOR)
+        assert fit.slope == pytest.approx(2.0, abs=1e-10)
+        assert fit.sample_count == np.count_nonzero(errors > self.FLOOR) < t.size
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            fit_rate([1e-3, 1e-2], [1e-20, 1e-20])
+            fit_decay_exponent([(1e-3, 1e-20), (1e-2, 1e-20)], floor=self.FLOOR)
 
 
 class TestCombinationRateExperiment:

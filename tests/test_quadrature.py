@@ -7,7 +7,6 @@ from scipy import integrate
 from oscimax import (
     ConvergenceError,
     CutoffProfile,
-    QuadratureSpec,
     SymbolParams,
     dyadic_band_ratio,
     dyadic_tail_order,
@@ -44,7 +43,7 @@ def _panel_integrate(fn, edges):
     return complex(np.sum(v16)), float(np.sum(err)), float(np.sum(np.abs(v16)))
 
 
-def geometric_ray(amp, alpha, tau, sign, start, direction, budget, max_panels):
+def geometric_ray(amp, alpha, tau, sign, start, direction, budget):
     """Integrand and edges, in s, of the ray lam = start + i*direction*s, with
     the ray grading the library used before it graded by |lam|: a 4/(s +
     1e-8 s_max) term from s = 1e-10 s_max, which clusters panels at s = 0."""
@@ -68,12 +67,12 @@ def geometric_ray(amp, alpha, tau, sign, start, direction, budget, max_panels):
         g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
         return (g1 + g2) / budget + 4.0 / (s + 1e-8 * s_max)
 
-    edges = _breakpoints(1e-10 * s_max, s_max, rho, max_panels)
+    edges = _breakpoints(1e-10 * s_max, s_max, rho)
     edges[0] = 0.0
     return integrand, edges
 
 
-def real_segment_transform(params, tau, L, spec=QuadratureSpec()):
+def real_segment_transform(params, tau, L):
     """The contour the library used before it turned at twice the stationary
     point: the minus phase stays on the real axis up to (4/tau)^{1/(1-alpha)},
     the cutoff multiplies every segment node, the rays are graded from s = 0
@@ -94,23 +93,21 @@ def real_segment_transform(params, tau, L, spec=QuadratureSpec()):
             return lam**amp * phi_cutoff(PROFILE, lam) * np.exp(1j * phase)
 
         density = phase_density(alpha, tau, sign, budget)
-        seg = _panel_integrate(integrand, _breakpoints(1.0, lam_end, density, spec.max_panels))
-        ray = _panel_integrate(
-            *geometric_ray(amp, alpha, tau, sign, lam_end, direction, budget, spec.max_panels)
-        )
+        seg = _panel_integrate(integrand, _breakpoints(1.0, lam_end, density))
+        ray = _panel_integrate(*geometric_ray(amp, alpha, tau, sign, lam_end, direction, budget))
         return [a + b for a, b in zip(seg, ray)]
 
     budget, previous = 0.4, None
     while True:
         (vp, ep, mp), (vm, em, mm) = half_line(1.0, budget), half_line(-1.0, budget)
         value = rot * vp + np.conj(rot) * vm
-        tol = max(spec.abs_tolerance, quadrature._RELATIVE_FLOOR * (mp + mm))
+        tol = max(quadrature._ABS_TOLERANCE, quadrature._RELATIVE_FLOOR * (mp + mm))
         if ep + em <= tol or (previous is not None and abs(value - previous) <= tol):
             return value
         previous, budget = value, budget / 2.0
 
 
-def split_band_transform(params, k, tau, L, spec=QuadratureSpec()):
+def split_band_transform(params, k, tau, L):
     """The dyadic transform as the library computed it before a compact band
     became one cosine piece: the cosine split into e^{+-i tau lam}, each
     exponential with its own phase-adapted edges and its own evaluation of
@@ -134,11 +131,11 @@ def split_band_transform(params, k, tau, L, spec=QuadratureSpec()):
         (
             weight,
             make_integrand(sign),
-            _breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4), spec.max_panels),
+            _breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4)),
         )
         for sign, weight in ((+1.0, rot), (-1.0, np.conj(rot)))
     ]
-    return quadrature._refine(pieces, spec, "split band did not converge")
+    return quadrature._refine(pieces, "split band did not converge")
 
 
 def stationary_phase_leading(alpha, beta, tau):
@@ -234,10 +231,12 @@ class TestFourierCosineMu:
         analytic = fourier_cosine_mu_derivative(params, PROFILE, tau, 1)
         assert abs(fd - analytic) / abs(analytic) <= 1e-4
 
-    def test_tolerance_self_consistency(self):
+    def test_tolerance_self_consistency(self, monkeypatch):
         params = SymbolParams(0.5, 1.0)
-        coarse = fourier_cosine_mu(params, PROFILE, 0.3, QuadratureSpec(abs_tolerance=1e-8))
-        fine = fourier_cosine_mu(params, PROFILE, 0.3, QuadratureSpec(abs_tolerance=5e-9))
+        monkeypatch.setattr(quadrature, "_ABS_TOLERANCE", 1e-8)
+        coarse = fourier_cosine_mu(params, PROFILE, 0.3)
+        monkeypatch.setattr(quadrature, "_ABS_TOLERANCE", 5e-9)
+        fine = fourier_cosine_mu(params, PROFILE, 0.3)
         assert abs(coarse - fine) <= 1e-8
 
     def test_unsupported_order(self):
@@ -293,7 +292,7 @@ class TestRefinement:
         assert sum(panel_rounds) <= 1.1 * first_round
 
     @pytest.mark.parametrize("limit", ["below-largest-piece", "below-sum"])
-    def test_budget_checked_before_evaluation(self, panel_rounds, limit):
+    def test_budget_checked_before_evaluation(self, panel_rounds, monkeypatch, limit):
         """A budget one below the largest first-round piece fails while that
         piece's edges are laid down; one below the sum of the pieces holds
         every piece but fails before the first round is evaluated."""
@@ -302,9 +301,9 @@ class TestRefinement:
         pieces = panel_rounds[:4]  # one call per piece: two segments, two rays
         panel_rounds.clear()
         bound = max(pieces) if limit == "below-largest-piece" else sum(pieces)
-        spec = QuadratureSpec(max_panels=bound - 1)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", bound - 1)
         with pytest.raises(ConvergenceError, match="max_panels"):
-            fourier_cosine_mu(params, PROFILE, 1e-2, spec)
+            fourier_cosine_mu(params, PROFILE, 1e-2)
         assert panel_rounds == []
 
     # first-round panels of the same transforms with a 0.4 rad budget and the
@@ -357,8 +356,8 @@ class TestDyadicPieces:
         """The first round is one call on the plus-phase panels of the band
         [8, 32]; this case needs no second round."""
         fourier_cosine_mu_dyadic(SymbolParams(0.5, 1.0), PROFILE, 4, 0.5)
-        density = _phase_density(0.5, 0.5, +1.0)
-        edges = _breakpoints(8.0, 32.0, density, 10**6)
+        density = _phase_density(0.5, 0.5, +1.0, 3.0)
+        edges = _breakpoints(8.0, 32.0, density)
         assert panel_rounds == [edges.size - 1]
 
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 10.0])
