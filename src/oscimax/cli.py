@@ -300,15 +300,8 @@ def _run_kernel_decay(config, out_dir):
     t = config["t"]
     ratios = np.geomspace(config["ratio_lo"], config["ratio_hi"], config["n_samples"])
     radii = ratios * t
-    report = verify_kernel_decay(
-        params,
-        profile,
-        t,
-        radii,
-        eps=config["eps"],
-        M_cap=config["m_cap"],
-        slope_tol=config["slope_tol"],
-    )
+    # the doubled sweep first: an m_cap whose double exceeds the lattice
+    # limit is rejected before any sum is built
     doubled = verify_kernel_decay(
         params,
         profile,
@@ -316,6 +309,15 @@ def _run_kernel_decay(config, out_dir):
         radii,
         eps=config["eps"],
         M_cap=2 * config["m_cap"],
+        slope_tol=config["slope_tol"],
+    )
+    report = verify_kernel_decay(
+        params,
+        profile,
+        t,
+        radii,
+        eps=config["eps"],
+        M_cap=config["m_cap"],
         slope_tol=config["slope_tol"],
     )
     rows = []

@@ -4,6 +4,7 @@ decay checks."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,15 +113,19 @@ def kernel_lattice_sum(
     """1-D kernel at separation x by direct lattice summation:
 
         sum_{m in Z} mu(t|m|) e^{imx} e^{-eps m^2}
-        = 2 * sum_{m>=1} mu(t m) cos(m x) e^{-eps m^2},
+        = 2 * sum_{m=1}^{M_cap} w_m cos(m x),  w_m = mu(t m) e^{-eps m^2},
 
     Gaussian (Abel-Gauss) regularization for conditionally convergent sums.
 
-    Only cos(m x), one product and the sum depend on x: the frequencies m,
-    the symbol mu(t m) and the damping e^{-eps m^2} are reused across calls
-    that share (params, profile, t, eps, M_cap).  One such entry is kept, for
-    the last arguments seen, so a sweep over x at a fixed lattice builds them
-    once.
+    The sum is evaluated in two levels.  With B = ceil(sqrt(M_cap)) write
+    m = 1 + aB + b, 0 <= b < B, so that cos(m x) = cos(theta_a) cos(b x)
+    - sin(theta_a) sin(b x) with theta_a = (1 + aB) x: one product of the
+    weights, blocked by a, with the B pairs (cos bx, sin bx) leaves A =
+    ceil(M_cap/B) pairs to rotate by theta_a.  That is about 4 sqrt(M_cap)
+    cosines and sines per x in place of M_cap cosines; the rounding of
+    theta_a is that of m x, about 1e-16 m |x|.  The weights depend only on
+    (params, profile, t, eps, M_cap) and are kept for the last arguments
+    seen, so a sweep over x at a fixed lattice builds them once.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -128,20 +133,31 @@ def kernel_lattice_sum(
         raise ValueError(
             "unregularized lattice sum requires beta > 1 for absolute convergence"
         )
-    m, symbol, damping = _lattice_weights(params, profile, t, eps, M_cap)
-    phase = m * x
-    terms = symbol * np.cos(phase, out=phase)
-    if damping is not None:
-        terms *= damping
-    return 2.0 * complex(np.sum(terms))
+    if not 1 <= M_cap <= _MAX_LATTICE_TERMS:
+        raise ValueError(f"M_cap must lie in [1, {_MAX_LATTICE_TERMS}], got {M_cap}")
+    weights = _lattice_weights(params, profile, t, eps, M_cap)
+    blocks, B = weights.shape[0] // 2, weights.shape[1]
+    phi = np.arange(B) * x
+    theta = (1.0 + B * np.arange(blocks, dtype=float)) * x
+    # row a of the product: sum_b w (cos bx, sin bx) over block a, for Re w
+    # and then for Im w
+    inner = weights @ np.stack((np.cos(phi), np.sin(phi)), axis=1)
+    rotation = np.stack((np.cos(theta), -np.sin(theta)), axis=1).ravel()
+    re, im = inner.reshape(2, 2 * blocks) @ rotation
+    return 2.0 * complex(re, im)
 
 
-# The x-independent factors of the last lattice sum, keyed by its arguments.
+# The weights of the last lattice sum, keyed by its arguments.
 _lattice_slot: dict = {}
+# Terms per lattice sum: building the weights holds about 32 bytes per term
+# (the complex w_m and the matrix), 512 MB at this cap, and `kernel-decay` sums at
+# twice its m_cap.  Larger caps are rejected before anything is allocated.
+_MAX_LATTICE_TERMS = 2**24
 
 
 def _lattice_weights(params, profile, t, eps, M_cap):
-    """Read-only (m, mu(t m), e^{-eps m^2} or None) for m = 1..M_cap.
+    """Read-only (2A x B) matrix of the weights w_m = mu(t m) e^{-eps m^2},
+    m = 1 + aB + b: Re w in rows a, Im w in rows A + a, zero past M_cap.
 
     Keeps one entry, the last key: the old entry is dropped before a new one
     is built, so two lattices' weights are never held at once.
@@ -150,13 +166,21 @@ def _lattice_weights(params, profile, t, eps, M_cap):
     weights = _lattice_slot.get(key)
     if weights is None:
         _lattice_slot.clear()
+        B = math.isqrt(M_cap - 1) + 1
+        blocks = -(-M_cap // B)
         m = np.arange(1, M_cap + 1, dtype=float)
-        symbol = mu_symbol(params, profile, t, m)
-        damping = np.exp(-eps * m**2) if eps > 0.0 else None
-        for a in (m, symbol, damping):
-            if a is not None:
-                a.flags.writeable = False
-        weights = _lattice_slot[key] = (m, symbol, damping)
+        w = mu_symbol(params, profile, t, m)
+        if eps > 0.0:  # the damping, built in m's buffer
+            np.square(m, out=m)
+            m *= -eps
+            w *= np.exp(m, out=m)
+        del m
+        weights = np.zeros((2, blocks * B))
+        weights[0, :M_cap] = w.real
+        weights[1, :M_cap] = w.imag
+        weights = weights.reshape(2 * blocks, B)
+        weights.flags.writeable = False
+        _lattice_slot[key] = weights
     return weights
 
 
@@ -247,13 +271,11 @@ def riesz_symbol_decay_check(
     if not (z_lo >= 10.0 and z_hi >= 10.0 * z_lo):
         raise ValueError("need z_hi >= 10*z_lo >= 100 for the asymptotic regime")
     edges = np.geomspace(z_lo, z_hi, n_windows + 1)
-    centers, peaks = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        hi = max(hi, lo + 2.5 * np.pi)
-        zs = np.linspace(lo, hi, samples_per_window)
-        centers.append(np.sqrt(lo * hi))
-        peaks.append(np.max(np.abs(riesz_mean_symbol(k, alpha, zs))))
-    fit = fit_decay_exponent(list(zip(centers, peaks)))
+    lo = edges[:-1]
+    hi = np.maximum(edges[1:], lo + 2.5 * np.pi)
+    zs = np.linspace(lo, hi, samples_per_window, axis=1)  # one window per row
+    peaks = np.max(np.abs(riesz_mean_symbol(k, alpha, zs)), axis=1)
+    fit = fit_decay_exponent(list(zip(np.sqrt(lo * hi), peaks)))
     predicted = -min(k, 1.0)
     passed = abs(fit.slope - predicted) <= slope_tol
     return {"fitted": fit, "predicted_slope": predicted, "pass": bool(passed)}

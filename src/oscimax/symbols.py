@@ -157,10 +157,14 @@ def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
 # largest series term is below 8^8/8! ~ 416, so cancellation costs < 1e-13,
 # and 64 terms leave a tail below 8^64/64! ~ 5e-32; above 8 the contour
 # integrand's branch point y = -i|z| is far enough from [0, inf) for a fixed
-# 48-node Gauss-Laguerre rule.
+# 48-node Gauss-Laguerre rule.  The series stops at the first term below
+# 2^-70 at the largest |z| it sums, 17 binary orders under the last bit of
+# the leading 1; the sum then equals the 64-term sum bit for bit (checked for
+# k from 0.1 to 6 and |z| from 1e-3 to 8).
 
 _RIESZ_SERIES_MAX_Z = 8.0
 _RIESZ_SERIES_TERMS = 64
+_RIESZ_SERIES_TAIL = 2.0**-70
 _GLAG48 = np.polynomial.laguerre.laggauss(48)
 
 
@@ -173,8 +177,9 @@ def riesz_mean_symbol(k: float, alpha: float, z):
     shape.
 
     For |z| <= 8 the series sum_n (i|z|)^n Gamma(k+1)/Gamma(n+k+1) is summed
-    by Horner's rule.  For |z| > 8 the segment [0, 1] is deformed onto the
-    rays r = iy/|z| and r = 1 + iy/|z|, y >= 0, which gives
+    by Horner's rule, from the first n whose term is below 2^-70 at the
+    largest such |z| (at most 64 terms).  For |z| > 8 the segment [0, 1] is
+    deformed onto the rays r = iy/|z| and r = 1 + iy/|z|, y >= 0, which gives
 
         Gamma(k+1) (-i)^k |z|^{-k} e^{i|z|}
             + (ik/|z|) integral_0^inf (1 - iy/|z|)^{k-1} e^{-y} dy,
@@ -188,9 +193,15 @@ def riesz_mean_symbol(k: float, alpha: float, z):
     a = np.abs(z)
     out = np.empty(z.shape, dtype=complex)
     small = a <= _RIESZ_SERIES_MAX_Z
-    w = 1j * a[small]
+    series = a[small]
+    z_max = float(series.max(initial=0.0))
+    last, term = 0, 1.0  # term = z_max^n Gamma(k+1) / Gamma(n+k+1) at n = last
+    while term >= _RIESZ_SERIES_TAIL and last < _RIESZ_SERIES_TERMS - 1:
+        last += 1
+        term *= z_max / (last + k)
+    w = 1j * series
     acc = np.ones_like(w)
-    for n in range(_RIESZ_SERIES_TERMS - 1, 0, -1):
+    for n in range(last, 0, -1):
         acc = 1.0 + w * acc / (n + k)
     out[small] = acc
     big = a[~small]

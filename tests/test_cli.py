@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oscimax
-from oscimax import cli
+from oscimax import cli, operators
 from oscimax.cli import (
     DEFAULTS,
     EXIT_CHECK_FAILURE,
@@ -228,6 +228,25 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["rate-combo", "--p", "2", "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == "invalid parameters: p must lie in (0, 1), got 2.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "m_cap, summed", [("1000000000000", 2 * 10**12), ("8388609", 2**24 + 2), ("0", 0)]
+    )
+    def test_m_cap_outside_lattice_range_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, m_cap, summed
+    ):
+        """The runner sums at 2 m_cap, and that sweep runs first: a cap whose
+        double lies outside [1, 2^24] stops before any weights are built."""
+
+        def build(*args):
+            raise AssertionError("weights built for a rejected m_cap")
+
+        monkeypatch.setattr(operators, "_lattice_weights", build)
+        out = tmp_path / "o"
+        assert main(["kernel-decay", "--m-cap", m_cap, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"invalid parameters: M_cap must lie in [1, 16777216], got {summed}\n"
         assert not out.exists()
 
     def test_panel_budget_is_non_convergence(self, tmp_path, capsys):

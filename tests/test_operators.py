@@ -1,5 +1,7 @@
 """Tests for diagonal operators, maximal sweeps, kernel sums, and checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,13 +31,29 @@ PROFILE = CutoffProfile()
 
 
 def direct_lattice_sum(params, profile, t, x, eps, M_cap):
-    """The lattice sum with every factor built per call; oracle for the
-    weights reused across x by kernel_lattice_sum."""
+    """The lattice sum term by term, one cosine per m, with every factor
+    built per call; oracle for kernel_lattice_sum's two-level evaluation."""
     m = np.arange(1, M_cap + 1, dtype=float)
     terms = mu_symbol(params, profile, t, m) * np.cos(m * x)
     if eps > 0.0:
         terms = terms * np.exp(-eps * m**2)
     return 2.0 * complex(np.sum(terms))
+
+
+def lattice_weights(params, profile, t, eps, M_cap):
+    """The float64 weights w_m = mu(t m) e^{-eps m^2}, m = 1..M_cap."""
+    m = np.arange(1, M_cap + 1, dtype=float)
+    return mu_symbol(params, profile, t, m) * np.exp(-eps * m**2)
+
+
+def lattice_rounding_bound(M_cap, x):
+    """First-order rounding error of kernel_lattice_sum relative to
+    2 sum |w_m|: u m|x| <= u M_cap |x| from rounding the argument m x (as
+    theta_a + b x), u (B + 2A) <= 3u B from the two dot products over the
+    B-blocks and the 2A rotated pairs, and a few u for cos, sin and the
+    rotation; u = 2^-53."""
+    B = math.isqrt(M_cap - 1) + 1
+    return 2.0**-53 * (M_cap * abs(x) + 4 * B + 8)
 
 
 class TestTimeGrid:
@@ -243,6 +261,32 @@ class TestKernelLatticeSum:
         b = kernel_lattice_sum(params, PROFILE, 0.5, 0.2, eps=5e-8, M_cap=200_000)
         assert abs(a - b) <= 1e-3 * abs(a)
 
+    @pytest.mark.parametrize("M_cap", [1, 2, 7, 1024, 1023, 1025, 3001])
+    def test_against_mpmath(self, M_cap):
+        """A 30-digit sum of the same float64 weights: one block, a partial
+        last block, a perfect square and its neighbours, and a prime.  At
+        t = 1.5 every weight is nonzero, m = 1 inside the cutoff band."""
+        mpmath = pytest.importorskip("mpmath")
+        params, t, eps = SymbolParams(0.5, 0.5), 1.5, 1e-7
+        w = lattice_weights(params, PROFILE, t, eps, M_cap)
+        scale = 2.0 * np.sum(np.abs(w))
+        for x in (0.0, 1e-3, 0.3, np.pi, 2.0 * np.pi - 1e-3, -0.7):
+            with mpmath.workdps(30):
+                cosines = [mpmath.cos(m * mpmath.mpf(x)) for m in range(1, M_cap + 1)]
+                re = 2 * mpmath.fsum(float(a) * c for a, c in zip(w.real, cosines))
+                im = 2 * mpmath.fsum(float(a) * c for a, c in zip(w.imag, cosines))
+            got = kernel_lattice_sum(params, PROFILE, t, x, eps=eps, M_cap=M_cap)
+            assert abs(got - complex(re, im)) <= lattice_rounding_bound(M_cap, x) * scale
+
+    @pytest.mark.parametrize("M_cap", [0, -3, 2**24 + 1, 10**12])
+    def test_m_cap_outside_range_is_rejected_before_allocation(self, monkeypatch, M_cap):
+        def build(*args):
+            raise AssertionError("weights built for a rejected M_cap")
+
+        monkeypatch.setattr(operators, "_lattice_weights", build)
+        with pytest.raises(ValueError, match=r"M_cap must lie in \[1, 16777216\]"):
+            kernel_lattice_sum(SymbolParams(0.5, 0.5), PROFILE, 0.5, 0.1, eps=1e-7, M_cap=M_cap)
+
 
 class TestLatticeWeights:
     """kernel_lattice_sum reuses its x-independent factors across calls."""
@@ -259,14 +303,20 @@ class TestLatticeWeights:
         ],
     )
     def test_matches_direct_sum_exactly(self, monkeypatch, eps, pair):
-        """Bit-identical to the per-call formula while the slot is rebuilt
-        by alternating M_cap and params, and reused within each x sweep."""
+        """Bit-identical to a build into a fresh slot while the slot is rebuilt
+        by alternating M_cap and params, and reused within each x sweep; within
+        twice the rounding bound of the cosine formula."""
         monkeypatch.setattr(operators, "_lattice_slot", {})
         p, q = pair
         for params, cap in [(p, 3000), (p, 3000), (p, 5000), (q, 3000), (q, 5000), (p, 3000)]:
+            scale = 2.0 * np.sum(np.abs(lattice_weights(params, PROFILE, self.T, eps, cap)))
             for x in self.XS:
                 got = kernel_lattice_sum(params, PROFILE, self.T, x, eps=eps, M_cap=cap)
-                assert got == direct_lattice_sum(params, PROFILE, self.T, x, eps, cap)
+                with monkeypatch.context() as fresh:
+                    fresh.setattr(operators, "_lattice_slot", {})
+                    assert got == kernel_lattice_sum(params, PROFILE, self.T, x, eps=eps, M_cap=cap)
+                direct = direct_lattice_sum(params, PROFILE, self.T, x, eps, cap)
+                assert abs(got - direct) <= 2.0 * lattice_rounding_bound(cap, x) * scale
 
     def test_slot_holds_one_read_only_entry(self, monkeypatch):
         monkeypatch.setattr(operators, "_lattice_slot", {})
@@ -274,16 +324,23 @@ class TestLatticeWeights:
         kernel_lattice_sum(params, PROFILE, self.T, 0.1, eps=1e-7, M_cap=1000)
         kernel_lattice_sum(params, PROFILE, self.T, 0.1, eps=0.0, M_cap=2000)
         assert len(operators._lattice_slot) == 1
-        (key, (m, symbol, damping)), = operators._lattice_slot.items()
+        (key, weights), = operators._lattice_slot.items()
         assert key == (params, PROFILE, self.T, 0.0, 2000)
-        assert m.size == symbol.size == 2000 and damping is None
-        for a in (m, symbol):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
-        kernel_lattice_sum(params, PROFILE, self.T, 0.1, eps=1e-7, M_cap=1000)
-        (_, _, damping), = operators._lattice_slot.values()
+        # B = ceil(sqrt(2000)) = 45 columns, A = ceil(2000/45) = 45 blocks
+        assert weights.shape == (2 * 45, 45)
+        flat = weights.reshape(2, -1)
+        undamped = mu_symbol(params, PROFILE, self.T, np.arange(1, 2001, dtype=float))
+        assert np.array_equal(flat[0, :2000], undamped.real)
+        assert np.array_equal(flat[1, :2000], undamped.imag)
+        assert not np.any(flat[:, 2000:])
         with pytest.raises(ValueError):
-            damping[0] = 0.0
+            weights[0, 0] = 0.0
+        kernel_lattice_sum(params, PROFILE, self.T, 0.1, eps=1e-7, M_cap=1000)
+        (weights,) = operators._lattice_slot.values()
+        damped = lattice_weights(params, PROFILE, self.T, 1e-7, 1000)
+        assert np.array_equal(weights.reshape(2, -1)[:, :1000], [damped.real, damped.imag])
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.0
 
     def test_sweep_builds_the_symbol_once(self, monkeypatch):
         monkeypatch.setattr(operators, "_lattice_slot", {})
@@ -372,6 +429,31 @@ class TestRieszSymbolDecay:
         report = riesz_symbol_decay_check(0.5, 0.5, 100.0, 10_000.0)
         assert report["fitted"].slope == pytest.approx(-0.5, abs=0.15)
         assert report["pass"]
+
+    @pytest.mark.parametrize("k, z_hi", [(1.0, 1000.0), (0.5, 1000.0), (2.0, 10_000.0)])
+    def test_one_symbol_call_equals_the_window_loop(self, monkeypatch, k, z_hi):
+        """All windows go through one riesz_mean_symbol call, and the report
+        equals that of one call per window bit for bit."""
+        edges = np.geomspace(100.0, z_hi, 41)
+        centers, peaks = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            hi = max(hi, lo + 2.5 * np.pi)
+            centers.append(np.sqrt(lo * hi))
+            zs = np.linspace(lo, hi, 48)
+            peaks.append(np.max(np.abs(riesz_mean_symbol(k, 0.5, zs))))
+        fit = fit_decay_exponent(list(zip(centers, peaks)))
+        predicted = -min(k, 1.0)
+        expected = {"fitted": fit, "predicted_slope": predicted,
+                    "pass": bool(abs(fit.slope - predicted) <= 0.15)}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return riesz_mean_symbol(*args)
+
+        monkeypatch.setattr(operators, "riesz_mean_symbol", counted)
+        assert riesz_symbol_decay_check(k, 0.5, 100.0, z_hi) == expected
+        assert len(calls) == 1
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,17 @@ def riesz_mean_symbol_series(k: float, z: float, terms: int = 60) -> complex:
     return complex(total)
 
 
+def riesz_series_64_terms(k: float, z):
+    """The series branch of riesz_mean_symbol with all 64 terms, by the same
+    Horner steps; exact oracle for the library's shorter sums."""
+    z = np.asarray(z, dtype=float)
+    w = 1j * np.abs(z)
+    acc = np.ones_like(w)
+    for n in range(63, 0, -1):
+        acc = 1.0 + w * acc / (n + k)
+    return np.where(z < 0.0, acc.conj(), acc)
+
+
 def where_mu_symbol(params, profile, t, lam):
     """mu_symbol by two np.where selections over a clamped copy of z; oracle
     for the single in-place buffer."""
@@ -342,6 +353,15 @@ class TestRieszSymbol:
                 [complex(mpmath.hyp1f1(1, k + 1, 1j * mpmath.mpf(v))) for v in z]
             )
         np.testing.assert_allclose(riesz_mean_symbol(k, 0.5, z), oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 6.0])
+    def test_short_series_equals_all_64_terms(self, k):
+        """The series stops at the first term below 2^-70 at the largest |z|;
+        the terms it leaves out change no bit, whatever that largest |z|."""
+        rng = np.random.default_rng(11)
+        for z_max in np.geomspace(1e-3, 8.0, 12):
+            z = np.concatenate([[0.0, z_max, -z_max], z_max * rng.uniform(-1.0, 1.0, 500)])
+            assert np.array_equal(riesz_mean_symbol(k, 0.5, z), riesz_series_64_terms(k, z))
 
     def test_scalar_returns_complex(self):
         for z in (0.0, 3.0, -3.0, 30.0, np.float64(30.0)):
