@@ -13,9 +13,14 @@ from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
 from .operators import TimeGrid, maximal_over_times, oscillating_op, schrodinger_propagate
 from .quadrature import DecayFit, fit_decay_exponent
 from .symbols import DEFAULT_PROFILE, SymbolParams
-from .torus import LatticeGrid, SpectralField, forward_transform, inverse_transform
+from .torus import GridField, LatticeGrid, SpectralField, forward_transform, inverse_transform
 
 ROUNDOFF_FLOOR = 1e-15
+
+# Grid samples per block of atoms in `atom_uniformity_experiment`, the size
+# of one 512 x 512 field: a block's stacked arrays are no larger than the
+# arrays of one field on the largest lattice the experiments run.
+_ATOM_BLOCK_SAMPLES = 2**18
 
 # a rate is fitted on at least five error samples above the roundoff floor
 _MIN_RATE_SAMPLES = 5
@@ -147,19 +152,36 @@ def atom_uniformity_experiment(
     radius_lo = max(radius_hi / 4.0, 4.0 * grid.spacing)
     radii = np.geomspace(radius_lo, radius_hi, atom_count)
     rng = np.random.default_rng(seed)
-    quasinorms = []
-    for i, r in enumerate(radii):
-        center = tuple(rng.uniform(0.0, 2.0 * np.pi, size=grid.dimension))
-        spec = AtomSpec(p=p, center=center, radius=float(r), seed=seed + i)
-        atom = make_regular_atom(spec, grid)
-        coeffs = forward_transform(atom.field)
-        maximal = maximal_over_times(
-            coeffs,
-            lambda t, g: oscillating_op(g, params, DEFAULT_PROFILE, t),
-            time_grid.times,
+    specs = [
+        AtomSpec(
+            p=p,
+            center=tuple(rng.uniform(0.0, 2.0 * np.pi, size=grid.dimension)),
+            radius=float(r),
+            seed=seed + i,
         )
-        quasinorms.append(weak_lp_quasinorm(maximal, p))
-    quasinorms = np.array(quasinorms)
+        for i, r in enumerate(radii)
+    ]
+
+    def family(t, g):
+        return oscillating_op(g, params, DEFAULT_PROFILE, t)
+
+    def block_quasinorms(block):
+        """One maximal function for a block of atoms: each time's symbol and
+        FFT serve the whole block."""
+        samples = np.stack([make_regular_atom(spec, grid).field.samples for spec in block])
+        stack = forward_transform(GridField(grid, samples, stacked=True))
+        del samples
+        maximal = maximal_over_times(stack, family, time_grid.times)
+        return [weak_lp_quasinorm(GridField(grid, row), p) for row in maximal.samples]
+
+    per_block = max(1, _ATOM_BLOCK_SAMPLES // math.prod(grid.spatial_shape))
+    quasinorms = np.array(
+        [
+            q
+            for start in range(0, atom_count, per_block)
+            for q in block_quasinorms(specs[start : start + per_block])
+        ]
+    )
     # np.median's mean of the middle slice, without its NaN check, which
     # imports numpy.ma in the middle of the run
     ordered = np.sort(quasinorms)

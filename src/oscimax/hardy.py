@@ -177,6 +177,8 @@ def hp_quasinorm_estimate(f: SpectralField, p: float, heat_times=None) -> float:
     """Lower-bound estimate of the heat-maximal H^p quasinorm: the L^p norm of
     the pointwise max of |heat_semigroup(f, t)| over the finite time grid,
     by default 48 times geometric on [1e-6, 10]."""
+    if f.stacked:
+        raise ValueError("hp_quasinorm_estimate takes a single field, not a stack")
     if p <= 0.0:
         raise ValueError("p must be positive")
     if heat_times is None:
@@ -199,6 +201,8 @@ def weak_lp_quasinorm(f: GridField, p: float) -> float:
     For a simple function the sup is the limit from the left at a sample
     value v, v * measure{|f| >= v}^{1/p}, which is never below the value at v.
     """
+    if f.stacked:
+        raise ValueError("weak_lp_quasinorm takes a single field, not a stack")
     if p <= 0.0:
         raise ValueError("p must be positive")
     mags = np.sort(np.abs(f.samples).ravel())

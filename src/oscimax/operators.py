@@ -52,10 +52,26 @@ class TimeGrid:
         return TimeGrid(self.sigma, 2 * self.count - 1, self.span_octaves)
 
 
+# numpy would multiply a fresh operand of at least this many bytes in place
+# (temporary elision), swapping the operands of `c * m(lam)`; complex products
+# round differently in the two orders, so the order is fixed here instead.
+_ELIDED_BYTES = 256 * 1024
+
+
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Multiply the coefficient at each lattice point by m(|xi|)."""
-    lam = f.grid.eigenvalue_array()
-    return SpectralField(f.grid, f.coefficients * m(lam))
+    """Multiply the coefficient at each lattice point by m(|xi|).
+
+    m(lam) must return a new array: a complex one of at least _ELIDED_BYTES
+    is the left operand and, for a single field, takes the product in place.
+    For a stack, m is evaluated once on the lattice and broadcast over the
+    members, so each member's product equals its own bit for bit.
+    """
+    mult = np.asarray(m(f.grid.eigenvalue_array()))
+    if mult.dtype == complex and mult.nbytes >= _ELIDED_BYTES:
+        out = np.multiply(mult, f.coefficients, out=None if f.stacked else mult)
+    else:
+        out = f.coefficients * mult
+    return SpectralField(f.grid, out, f.stacked)
 
 
 def schrodinger_propagate(f: SpectralField, alpha: float, s: float) -> SpectralField:
@@ -85,7 +101,7 @@ def riesz_mean_op(f: SpectralField, k: float, alpha: float, t: float) -> Spectra
 
 def maximal_over_times(f: SpectralField, family, times) -> GridField:
     """Pointwise max over `times` of |inverse_transform(family(t, f))|, as
-    real samples.
+    real samples; for a stack, one maximum per member.
 
     `family` maps a time t and a field to a field.  `times` is increasing
     (a TimeGrid's `.times`); they are reduced in that fixed order for
@@ -99,7 +115,7 @@ def maximal_over_times(f: SpectralField, family, times) -> GridField:
         else:
             np.maximum(best, mag, out=best)
         del mag  # no slice outlives its step into the next transform
-    return GridField(f.grid, best)
+    return GridField(f.grid, best, f.stacked)
 
 
 def kernel_lattice_sum(
@@ -149,10 +165,14 @@ def kernel_lattice_sum(
 
 # The weights of the last lattice sum, keyed by its arguments.
 _lattice_slot: dict = {}
-# Terms per lattice sum: building the weights holds about 32 bytes per term
-# (the complex w_m and the matrix), 512 MB at this cap, and `kernel-decay` sums at
-# twice its m_cap.  Larger caps are rejected before anything is allocated.
+# Terms per lattice sum: the weights hold 16 bytes per term, 256 MB at this
+# cap, and `kernel-decay` sums at twice its m_cap.  Larger caps are rejected
+# before anything is allocated.
 _MAX_LATTICE_TERMS = 2**24
+# Terms per symbol evaluation while the weights are built: the temporaries of
+# one chunk stay small against the matrix, and they are the same size for
+# every lattice, so the peak memory of a build is the matrix and one chunk.
+_WEIGHT_CHUNK = 2**14
 
 
 def _lattice_weights(params, profile, t, eps, M_cap):
@@ -168,16 +188,16 @@ def _lattice_weights(params, profile, t, eps, M_cap):
         _lattice_slot.clear()
         B = math.isqrt(M_cap - 1) + 1
         blocks = -(-M_cap // B)
-        m = np.arange(1, M_cap + 1, dtype=float)
-        w = mu_symbol(params, profile, t, m)
-        if eps > 0.0:  # the damping, built in m's buffer
-            np.square(m, out=m)
-            m *= -eps
-            w *= np.exp(m, out=m)
-        del m
         weights = np.zeros((2, blocks * B))
-        weights[0, :M_cap] = w.real
-        weights[1, :M_cap] = w.imag
+        for lo in range(0, M_cap, _WEIGHT_CHUNK):
+            m = np.arange(lo + 1, min(lo + _WEIGHT_CHUNK, M_cap) + 1, dtype=float)
+            w = mu_symbol(params, profile, t, m)
+            if eps > 0.0:  # the damping, built in m's buffer
+                np.square(m, out=m)
+                m *= -eps
+                w *= np.exp(m, out=m)
+            weights[0, lo : lo + w.size] = w.real
+            weights[1, lo : lo + w.size] = w.imag
         weights = weights.reshape(2 * blocks, B)
         weights.flags.writeable = False
         _lattice_slot[key] = weights

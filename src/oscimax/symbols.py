@@ -205,13 +205,13 @@ def riesz_mean_symbol(k: float, alpha: float, z):
         acc = 1.0 + w * acc / (n + k)
     out[small] = acc
     big = a[~small]
-    integral = np.zeros_like(big, dtype=complex)
-    for y, weight in zip(*_GLAG48):
-        integral += weight * (1.0 - 1j * y / big) ** (k - 1.0)
-    out[~small] = (
-        math.gamma(k + 1.0) * (-1j) ** k * big**-k * np.exp(1j * big)
-        + 1j * k / big * integral
-    )
-    neg = z < 0.0
-    out[neg] = out[neg].conj()
+    if big.size:  # the contour pass costs the same for one value as for many
+        integral = np.zeros_like(big, dtype=complex)
+        for y, weight in zip(*_GLAG48):
+            integral += weight * (1.0 - 1j * y / big) ** (k - 1.0)
+        out[~small] = (
+            math.gamma(k + 1.0) * (-1j) ** k * big**-k * np.exp(1j * big)
+            + 1j * k / big * integral
+        )
+    np.conjugate(out, out=out, where=z < 0.0)
     return out if out.ndim else complex(out)

@@ -5,6 +5,11 @@ Frequencies live on the integer lattice with each coordinate in
 Normalization: c(xi) = (2pi)^{-n} * integral of f(x) exp(-i<xi, x>) dx,
 so a pure mode exp(i<xi, x>) has coefficient 1 at xi and Parseval reads
 integral |f|^2 = (2pi)^n * sum |c(xi)|^2.
+
+A field may also hold a stack of fields on one grid (`stacked=True`): one
+leading axis indexes the members, the transforms act on the trailing
+`dimension` axes, and diagonal operators broadcast one multiplier over the
+whole stack.  Norms are per field, so they reject stacks.
 """
 
 from __future__ import annotations
@@ -107,23 +112,31 @@ def eigenvalue(grid: LatticeGrid, xi) -> float:
     return float(np.sqrt(np.sum(xi_arr.astype(float) ** 2)))
 
 
+def _check_shape(what: str, shape: tuple, grid_shape: tuple, stacked: bool) -> None:
+    """Exactly the grid's shape, or one leading stack axis before it."""
+    if shape[stacked:] != grid_shape:
+        stack = "a stack of " if stacked else ""
+        raise ValueError(f"{what} shape {shape} does not match {stack}grid shape {grid_shape}")
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients, one per lattice point, in FFT order."""
+    """Complex Fourier coefficients, one per lattice point, in FFT order;
+    with `stacked`, one leading axis of such arrays."""
 
     grid: LatticeGrid
     coefficients: np.ndarray = field(repr=False)
+    stacked: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != self.grid.spectral_shape:
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match lattice {self.grid.spectral_shape}"
-            )
+        _check_shape("coefficient", c.shape, self.grid.spectral_shape, self.stacked)
         object.__setattr__(self, "coefficients", c)
 
     def l2_norm(self) -> float:
         """Spectral L2 norm: ((2pi)^n * sum |c|^2)^{1/2} (Parseval)."""
+        if self.stacked:  # a norm of one field, never summed across a stack
+            raise ValueError("l2_norm takes a single field, not a stack")
         n = self.grid.dimension
         return float(np.sqrt(PERIOD**n * np.sum(np.abs(self.coefficients) ** 2)))
 
@@ -131,36 +144,48 @@ class SpectralField:
 @dataclass(frozen=True)
 class GridField:
     """Real or complex samples on the uniform spatial grid; integer samples
-    are promoted to float."""
+    are promoted to float.  With `stacked`, one leading axis of such arrays."""
 
     grid: LatticeGrid
     samples: np.ndarray = field(repr=False)
+    stacked: bool = False
 
     def __post_init__(self):
         s = np.asarray(self.samples)
         if not np.issubdtype(s.dtype, np.inexact):
             s = s.astype(float)
-        if s.shape != self.grid.spatial_shape:
-            raise ValueError(
-                f"sample shape {s.shape} does not match spatial grid {self.grid.spatial_shape}"
-            )
+        _check_shape("sample", s.shape, self.grid.spatial_shape, self.stacked)
         object.__setattr__(self, "samples", s)
 
 
+def _grid_axes(grid: LatticeGrid) -> tuple:
+    return tuple(range(-grid.dimension, 0))
+
+
 def forward_transform(f: GridField) -> SpectralField:
-    """Grid samples -> lattice coefficients (FFT; FFT order is lattice order)."""
+    """Grid samples -> lattice coefficients (FFT; FFT order is lattice order),
+    per member of a stack."""
     grid = f.grid
-    return SpectralField(grid, np.fft.fftn(f.samples) / grid.modes_per_axis**grid.dimension)
+    out = np.empty(f.samples.shape, dtype=complex)
+    np.fft.fftn(f.samples, axes=_grid_axes(grid), out=out)
+    out /= grid.modes_per_axis**grid.dimension
+    return SpectralField(grid, out, f.stacked)
 
 
 def inverse_transform(F: SpectralField) -> GridField:
-    """Lattice coefficients -> grid samples (inverse FFT)."""
+    """Lattice coefficients -> grid samples (inverse FFT), per member of a
+    stack."""
     grid = F.grid
-    return GridField(grid, np.fft.ifftn(F.coefficients) * grid.modes_per_axis**grid.dimension)
+    out = np.empty(F.coefficients.shape, dtype=complex)
+    np.fft.ifftn(F.coefficients, axes=_grid_axes(grid), out=out)
+    out *= grid.modes_per_axis**grid.dimension
+    return GridField(grid, out, F.stacked)
 
 
 def grid_norm(f: GridField, p: float) -> float:
     """L^p (quasi)norm by Riemann sum: (sum |f|^p * cell)^(1/p)."""
+    if f.stacked:
+        raise ValueError("grid_norm takes a single field, not a stack")
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     return float(

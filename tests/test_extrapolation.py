@@ -1,12 +1,18 @@
 """Tests for the Vandermonde combination scheme and the rate experiments."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import comb
 
 from oscimax import (
+    AtomSpec,
     CombinationScheme,
     LatticeGrid,
+    SymbolParams,
     TimeGrid,
     combination_apply,
     combination_coefficients,
@@ -15,8 +21,37 @@ from oscimax import (
     pure_mode,
     random_spectral_field,
     combination_rate_experiment,
+    forward_transform,
+    make_regular_atom,
+    maximal_over_times,
+    oscillating_op,
+    weak_lp_quasinorm,
 )
+from oscimax import extrapolation
 from oscimax.extrapolation import ROUNDOFF_FLOOR, atom_uniformity_experiment
+from oscimax.symbols import DEFAULT_PROFILE
+
+
+def per_atom_quasinorms(grid, p, alpha, beta, atom_count, seed, time_grid):
+    """The weak-L^p quasinorms of atom_uniformity_experiment one atom at a
+    time, one maximal function each; oracle for the stacked blocks."""
+    params = SymbolParams(alpha, beta)
+    radius_hi = np.pi / 10.0
+    radius_lo = max(radius_hi / 4.0, 4.0 * grid.spacing)
+    radii = np.geomspace(radius_lo, radius_hi, atom_count)
+    rng = np.random.default_rng(seed)
+    quasinorms = []
+    for i, r in enumerate(radii):
+        center = tuple(rng.uniform(0.0, 2.0 * np.pi, size=grid.dimension))
+        spec = AtomSpec(p=p, center=center, radius=float(r), seed=seed + i)
+        atom = make_regular_atom(spec, grid)
+        maximal = maximal_over_times(
+            forward_transform(atom.field),
+            lambda t, g: oscillating_op(g, params, DEFAULT_PROFILE, t),
+            time_grid.times,
+        )
+        quasinorms.append(weak_lp_quasinorm(maximal, p))
+    return np.array(quasinorms)
 
 
 def binomial_candidate(N: int) -> np.ndarray:
@@ -188,3 +223,34 @@ class TestAtomUniformity:
             time_grid=TimeGrid(count=12, span_octaves=8),
         )
         assert report["ratio"] <= 10.0
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        atom_count=st.integers(1, 7),
+        per_block=st.integers(1, 4),
+        seed=st.integers(0, 1000),
+        count=st.integers(2, 6),
+    )
+    @example(dimension=1, atom_count=5, per_block=2, seed=3, count=4)
+    @example(dimension=2, atom_count=3, per_block=2, seed=0, count=3)
+    def test_blocks_equal_the_per_atom_oracle(self, dimension, atom_count, per_block, seed, count):
+        """Bit for bit, whether the atoms fill one block or several, and
+        whether the last block is full or not."""
+        grid = LatticeGrid(dimension, 512 if dimension == 1 else 128)
+        time_grid = TimeGrid(count=count, span_octaves=6)
+        expected = per_atom_quasinorms(grid, 0.5, 0.5, 0.75, atom_count, seed, time_grid)
+        block_samples = per_block * grid.spatial_points_per_axis**dimension
+        with mock.patch.object(extrapolation, "_ATOM_BLOCK_SAMPLES", block_samples):
+            report = atom_uniformity_experiment(
+                grid, 0.5, 0.5, 0.75, atom_count=atom_count, seed=seed, time_grid=time_grid
+            )
+        assert np.array_equal(report["quasinorms"], expected)
+
+    def test_default_block_equals_the_per_atom_oracle(self):
+        """The 1-D lattice of the benchmark: 20 atoms in one block."""
+        grid = LatticeGrid(1, 4096)
+        time_grid = TimeGrid(count=48, span_octaves=12.0)
+        expected = per_atom_quasinorms(grid, 0.5, 0.5, 0.75, 20, 0, time_grid)
+        report = atom_uniformity_experiment(grid, 0.5, 0.5, 0.75, atom_count=20, seed=0)
+        assert np.array_equal(report["quasinorms"], expected)

@@ -143,3 +143,14 @@ class TestWeakLp:
         f = GridField(grid, np.zeros(64, dtype=complex))
         with pytest.raises(ValueError):
             weak_lp_quasinorm(f, 0.0)
+
+
+def test_quasinorms_reject_stacks():
+    """A quasinorm is of one field: a stack of two must not be measured as
+    one function on a doubled set."""
+    grid = LatticeGrid(1, 64)
+    stack = GridField(grid, np.ones((2, 64)), stacked=True)
+    with pytest.raises(ValueError, match="not a stack"):
+        weak_lp_quasinorm(stack, 0.5)
+    with pytest.raises(ValueError, match="not a stack"):
+        hp_quasinorm_estimate(forward_transform(stack), 0.5)

@@ -8,6 +8,7 @@ import pytest
 from oscimax import (
     CutoffProfile,
     LatticeGrid,
+    SpectralField,
     SymbolParams,
     TimeGrid,
     apply_multiplier,
@@ -209,6 +210,74 @@ class TestMaximalOverTimes:
         assert np.array_equal(maximal, np.max(slices, axis=0))
 
 
+class TestStackedOperators:
+    """A stack goes through the diagonal operators and the maximal function
+    as its members would, one at a time, bit for bit."""
+
+    PARAMS = SymbolParams(0.5, 0.75)
+
+    @staticmethod
+    def stack(grid, count, seed):
+        rng = np.random.default_rng(seed)
+        shape = (count,) + grid.spectral_shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize(
+        "dimension, modes", [(1, 8192), (1, 16384), (2, 64), (2, 128)]
+    )
+    def test_multiplier_on_either_side_of_the_elided_size(self, dimension, modes):
+        """From 256 KiB the multiplier is the left operand, below it the
+        right one, for a single field and a stack alike."""
+        grid = LatticeGrid(dimension, modes)
+        c = self.stack(grid, 3, modes)
+        t = 4.0 / float(np.max(grid.eigenvalue_array()))
+        ops = [
+            lambda g: oscillating_op(g, self.PARAMS, PROFILE, t),
+            lambda g: schrodinger_propagate(g, 0.5, t),
+            lambda g: riesz_mean_op(g, 1.0, 0.5, t),
+            lambda g: apply_multiplier(g, lambda lam: np.exp(-t * lam)),
+        ]
+        for op in ops:
+            out = op(SpectralField(grid, c, stacked=True))
+            assert out.stacked
+            for row, member in zip(out.coefficients, c):
+                single = op(SpectralField(grid, member)).coefficients
+                assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "dimension, modes", [(1, 8192), (1, 16384), (2, 64), (2, 128)]
+    )
+    def test_operand_order_does_not_depend_on_elision(self, dimension, modes):
+        """A multiplier that is still referenced is never elided by numpy,
+        yet it gets the same operand order as a fresh one; from 256 KiB a
+        single field's product takes the multiplier's buffer."""
+        grid = LatticeGrid(dimension, modes)
+        c = self.stack(grid, 1, modes)[0]
+        held = np.exp(1j * np.sqrt(grid.eigenvalue_array() + 0.5))
+        elided = held.nbytes >= operators._ELIDED_BYTES
+        expected = np.multiply(held, c) if elided else np.multiply(c, held)
+        assert not np.array_equal(np.multiply(held, c), np.multiply(c, held))
+        mult = held.copy()
+        out = apply_multiplier(SpectralField(grid, c), lambda lam: mult)
+        assert np.array_equal(out.coefficients.view(np.uint64), expected.view(np.uint64))
+        assert np.shares_memory(out.coefficients, mult) == elided
+
+    @pytest.mark.parametrize("dimension, modes", [(1, 64), (2, 16)])
+    def test_maximal_function_per_member(self, dimension, modes):
+        grid = LatticeGrid(dimension, modes)
+        c = self.stack(grid, 4, 9)
+        times = TimeGrid(count=6, span_octaves=6).times
+
+        def family(t, g):
+            return oscillating_op(g, self.PARAMS, PROFILE, t)
+
+        maximal = maximal_over_times(SpectralField(grid, c, stacked=True), family, times)
+        assert maximal.stacked
+        for row, member in zip(maximal.samples, c):
+            single = maximal_over_times(SpectralField(grid, member), family, times).samples
+            assert np.array_equal(row, single)
+
+
 class TestKernelLatticeSum:
     def test_matches_operator_on_grid(self):
         """Circular convolution with the band-matched kernel reproduces the
@@ -341,6 +410,19 @@ class TestLatticeWeights:
         assert np.array_equal(weights.reshape(2, -1)[:, :1000], [damped.real, damped.imag])
         with pytest.raises(ValueError):
             weights[0, 0] = 0.0
+
+    @pytest.mark.parametrize("eps", [1e-7, 0.0])
+    def test_chunked_build_equals_one_chunk(self, monkeypatch, eps):
+        """The weights are built in chunks of m; any chunk size, whole or
+        ragged, gives the same matrix bit for bit."""
+        params = SymbolParams(0.5, 1.5)
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        whole = operators._lattice_weights(params, PROFILE, self.T, eps, 2000)
+        for chunk in (1, 7, 500, 1999):
+            monkeypatch.setattr(operators, "_lattice_slot", {})
+            monkeypatch.setattr(operators, "_WEIGHT_CHUNK", chunk)
+            chunked = operators._lattice_weights(params, PROFILE, self.T, eps, 2000)
+            assert np.array_equal(chunked.view(np.uint64), whole.view(np.uint64))
 
     def test_sweep_builds_the_symbol_once(self, monkeypatch):
         monkeypatch.setattr(operators, "_lattice_slot", {})

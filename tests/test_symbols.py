@@ -59,6 +59,27 @@ def riesz_series_64_terms(k: float, z):
     return np.where(z < 0.0, acc.conj(), acc)
 
 
+def riesz_every_branch(k: float, z):
+    """riesz_mean_symbol with the contour sum, the Gamma term and the
+    conjugation run whatever z holds; oracle for the skipped branches."""
+    z = np.asarray(z, dtype=float)
+    a = np.abs(z)
+    small = a <= 8.0
+    out = np.empty(z.shape, dtype=complex)
+    out[small] = riesz_mean_symbol(k, 0.5, a[small])
+    big = a[~small]
+    integral = np.zeros_like(big, dtype=complex)
+    for y, weight in zip(*np.polynomial.laguerre.laggauss(48)):
+        integral += weight * (1.0 - 1j * y / big) ** (k - 1.0)
+    out[~small] = (
+        math.gamma(k + 1.0) * (-1j) ** k * big**-k * np.exp(1j * big)
+        + 1j * k / big * integral
+    )
+    neg = z < 0.0
+    out[neg] = out[neg].conj()
+    return out if out.ndim else complex(out)
+
+
 def where_mu_symbol(params, profile, t, lam):
     """mu_symbol by two np.where selections over a clamped copy of z; oracle
     for the single in-place buffer."""
@@ -362,6 +383,26 @@ class TestRieszSymbol:
         for z_max in np.geomspace(1e-3, 8.0, 12):
             z = np.concatenate([[0.0, z_max, -z_max], z_max * rng.uniform(-1.0, 1.0, 500)])
             assert np.array_equal(riesz_mean_symbol(k, 0.5, z), riesz_series_64_terms(k, z))
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5])
+    def test_skipped_branches_change_no_bit(self, k):
+        """Without |z| > 8 the contour pass is skipped, and without z < 0 the
+        conjugation; the values are those of running every branch."""
+        rng = np.random.default_rng(5)
+        cases = [
+            np.array([]),
+            np.linspace(0.0, 8.0, 64),
+            np.linspace(-8.0, 8.0, 33),
+            np.array([0.0, -0.0, 8.0, -8.0, np.nextafter(8.0, 9.0), -40.0]),
+            rng.uniform(-50.0, 50.0, (4, 5)),
+        ]
+        for z in cases:
+            got, want = riesz_mean_symbol(k, 0.5, z), riesz_every_branch(k, z)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for z in (0.0, -0.0, 3.0, -3.0, 30.0, -30.0):
+            got, want = riesz_mean_symbol(k, 0.5, z), riesz_every_branch(k, z)
+            assert np.array_equal(np.array([got]).view(np.uint64), np.array([want]).view(np.uint64))
 
     def test_scalar_returns_complex(self):
         for z in (0.0, 3.0, -3.0, 30.0, np.float64(30.0)):

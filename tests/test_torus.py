@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscimax import (
     GridField,
@@ -140,6 +142,79 @@ class TestTransforms:
             SpectralField(grid, np.zeros(8, dtype=complex))
         with pytest.raises(ValueError):
             GridField(grid, np.zeros((16, 16), dtype=complex))
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bytes of a complex or real array, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+STACK_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def stacks(draw):
+    """A grid of dimension 1 or 2 and a random stack of 1 to 5 fields on it."""
+    dimension = draw(st.sampled_from([1, 2]))
+    modes = draw(st.sampled_from([8, 16, 64, 256] if dimension == 1 else [8, 16, 32]))
+    count = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    grid = LatticeGrid(dimension, modes)
+    rng = np.random.default_rng(seed)
+    shape = (count,) + grid.spectral_shape
+    return grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStackedFields:
+    def test_one_leading_axis(self):
+        grid = LatticeGrid(2, 8)
+        assert SpectralField(grid, np.zeros((3, 8, 8)), stacked=True).coefficients.shape == (3, 8, 8)
+        assert GridField(grid, np.zeros((1, 8, 8)), stacked=True).samples.shape == (1, 8, 8)
+        for bad in [(8, 8), (3, 8), (2, 3, 8, 8), (3, 8, 16)]:
+            with pytest.raises(ValueError, match="does not match a stack"):
+                SpectralField(grid, np.zeros(bad), stacked=True)
+            with pytest.raises(ValueError, match="does not match a stack"):
+                GridField(grid, np.zeros(bad), stacked=True)
+
+    def test_norms_reject_stacks(self):
+        """Norms are of one field; none sums across the members of a stack."""
+        grid = LatticeGrid(1, 16)
+        ones = np.ones((2, 16))
+        with pytest.raises(ValueError, match="not a stack"):
+            SpectralField(grid, ones, stacked=True).l2_norm()
+        with pytest.raises(ValueError, match="not a stack"):
+            grid_norm(GridField(grid, ones, stacked=True), 2.0)
+
+    def test_transforms_keep_the_stack(self):
+        grid = LatticeGrid(1, 16)
+        f = SpectralField(grid, np.ones((3, 16)), stacked=True)
+        g = inverse_transform(f)
+        assert g.stacked and g.samples.shape == (3, 16)
+        assert forward_transform(g).stacked
+        assert not inverse_transform(SpectralField(grid, np.ones(16))).stacked
+
+    @STACK_SETTINGS
+    @given(stacks())
+    def test_stacked_transforms_equal_per_field_bit_for_bit(self, case):
+        grid, c = case
+        stacked = inverse_transform(SpectralField(grid, c, stacked=True)).samples
+        for row, member in zip(stacked, c):
+            assert np.array_equal(bits(row), bits(inverse_transform(SpectralField(grid, member)).samples))
+        real = c.real
+        stacked = forward_transform(GridField(grid, real, stacked=True)).coefficients
+        for row, member in zip(stacked, real):
+            assert np.array_equal(bits(row), bits(forward_transform(GridField(grid, member)).coefficients))
+
+    @STACK_SETTINGS
+    @given(stacks())
+    def test_stacked_round_trips(self, case):
+        grid, c = case
+        f = SpectralField(grid, c, stacked=True)
+        back = forward_transform(inverse_transform(f)).coefficients
+        np.testing.assert_allclose(back, c, rtol=0, atol=1e-13)
+        samples = inverse_transform(f).samples
+        again = inverse_transform(forward_transform(GridField(grid, samples, stacked=True))).samples
+        np.testing.assert_allclose(again, samples, rtol=0, atol=1e-13 * np.max(np.abs(samples)))
 
 
 class TestEigenvalueArray:
