@@ -28,7 +28,6 @@ from .quadrature import (
     fourier_cosine_mu,
     fourier_cosine_mu_derivative,
     fourier_cosine_mu_dyadic,
-    fourier_cosine_low_band_correction,
     dyadic_tail_order,
     dyadic_band_ratio,
     fit_decay_exponent,

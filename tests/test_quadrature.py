@@ -11,7 +11,6 @@ from oscimax import (
     dyadic_band_ratio,
     dyadic_tail_order,
     fit_decay_exponent,
-    fourier_cosine_low_band_correction,
     fourier_cosine_mu,
     fourier_cosine_mu_derivative,
     fourier_cosine_mu_dyadic,
@@ -23,6 +22,24 @@ from oscimax.quadrature import _breakpoints, _panel_values, _phase_density
 from oscimax.symbols import dyadic_bump, phi_cutoff, psi0
 
 PROFILE = CutoffProfile()
+
+
+def reference_breakpoints(a, b, density):
+    """The library's panel layout before its density grid was sized by
+    log-length: a trapezoid sum in lam on 4,000 geometric nodes, whatever
+    the interval.  The oracle's edges, and the first-round panel counts the
+    log-sized grid must reproduce."""
+    if b <= a:
+        raise ValueError("empty interval")
+    grid = np.geomspace(a, b, 4000)
+    rho = density(grid)
+    w = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid))])
+    if not w[-1] <= quadrature._MAX_PANELS:
+        raise ConvergenceError("panel budget exceeded", complex("nan"), float("inf"))
+    n_panels = max(1, int(np.ceil(w[-1])))
+    edges = np.interp(np.linspace(0.0, w[-1], n_panels + 1), w, grid)
+    edges[0], edges[-1] = a, b
+    return edges
 
 
 def phase_density(alpha, tau, sign, budget):
@@ -67,7 +84,7 @@ def geometric_ray(amp, alpha, tau, sign, start, direction, budget):
         g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
         return (g1 + g2) / budget + 4.0 / (s + 1e-8 * s_max)
 
-    edges = _breakpoints(1e-10 * s_max, s_max, rho)
+    edges = reference_breakpoints(1e-10 * s_max, s_max, rho)
     edges[0] = 0.0
     return integrand, edges
 
@@ -93,7 +110,7 @@ def real_segment_transform(params, tau, L):
             return lam**amp * phi_cutoff(PROFILE, lam) * np.exp(1j * phase)
 
         density = phase_density(alpha, tau, sign, budget)
-        seg = _panel_integrate(integrand, _breakpoints(1.0, lam_end, density))
+        seg = _panel_integrate(integrand, reference_breakpoints(1.0, lam_end, density))
         ray = _panel_integrate(*geometric_ray(amp, alpha, tau, sign, lam_end, direction, budget))
         return [a + b for a, b in zip(seg, ray)]
 
@@ -131,11 +148,48 @@ def split_band_transform(params, k, tau, L):
         (
             weight,
             make_integrand(sign),
-            _breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4)),
+            reference_breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4)),
         )
         for sign, weight in ((+1.0, rot), (-1.0, np.conj(rot)))
     ]
     return quadrature._refine(pieces, "split band did not converge")
+
+
+def low_band_correction(params, tau):
+    """Exact defect between the resummed dyadic transforms and the full one.
+
+    The dyadic pieces carry no main cutoff, so summing them reconstructs the
+    symbol with cutoff (1 - psi0) instead of the band cutoff; the difference
+    is supported on [1/2, 2]:
+
+        2 * integral (1 - psi0(lam) - cutoff(lam)) e^{i lam^alpha} lam^-beta
+                     cos(tau lam) dlam.
+    """
+    piece = quadrature._band_piece(
+        params,
+        tau,
+        0,
+        0.5,
+        2.0,
+        lambda lam: 1.0 - psi0(PROFILE, lam) - phi_cutoff(PROFILE, lam),
+    )
+    return quadrature._refine([piece], f"low-band panel budget exceeded at tau={tau}")
+
+
+def fine_first_round(alpha, beta, tau):
+    """First-round panels of the library's contour for the L = 0 transform,
+    laid out by the oracles: a 0.4 rad budget on the segments, and the rays
+    graded by 4/(s + 1e-8 s_max) from s = 1e-10 s_max."""
+    panels = 0
+    for sign in (1.0, -1.0):
+        if sign < 0:
+            lam_end, direction = max(2.0, 2.0 * (alpha / tau) ** (1.0 / (1.0 - alpha))), -1.0
+        else:
+            lam_end, direction = 2.0, 1.0
+        segment = reference_breakpoints(1.0, lam_end, phase_density(alpha, tau, sign, 0.4))
+        _, ray = geometric_ray(-beta, alpha, tau, sign, lam_end, direction, 0.4)
+        panels += segment.size + ray.size - 2
+    return panels
 
 
 def stationary_phase_leading(alpha, beta, tau):
@@ -159,6 +213,29 @@ def panel_rounds(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_panel_values", counted)
     return counts
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Every `_breakpoints` call, in call order: its interval, its density,
+    the number of points the density was evaluated on, and the edges (None
+    when the call raised)."""
+    calls = []
+    lay_out = quadrature._breakpoints
+
+    def recorded(a, b, density):
+        call = {"a": a, "b": b, "density": density, "nodes": 0, "edges": None}
+        calls.append(call)
+
+        def counted(x):
+            call["nodes"] += x.size
+            return density(x)
+
+        call["edges"] = lay_out(a, b, counted)
+        return call["edges"]
+
+    monkeypatch.setattr(quadrature, "_breakpoints", recorded)
+    return calls
 
 
 def brute_force_transform(params, tau, upper=4000.0, L=0):
@@ -306,20 +383,72 @@ class TestRefinement:
             fourier_cosine_mu(params, PROFILE, 1e-2)
         assert panel_rounds == []
 
-    # first-round panels of the same transforms with a 0.4 rad budget and the
-    # rays graded by 4/(s + 1e-8 s_max) from s = 1e-10 s_max
-    @pytest.mark.parametrize("tau,fine_first_round", [(1e-3, 1537), (1e-4, 8361)])
-    def test_first_round_is_coarse(self, panel_rounds, tau, fine_first_round):
+    @pytest.mark.parametrize("tau,fine", [(1e-3, 1537), (1e-4, 8361)])
+    def test_first_round_is_coarse(self, panel_rounds, tau, fine):
         """The 1.6 rad budget and the |lam| ray grading lay down at most half
-        the panels of that finer first round."""
+        the panels of the oracles' finer first round."""
+        assert fine_first_round(0.5, 0.5, tau) == fine
         fourier_cosine_mu(SymbolParams(0.5, 0.5), PROFILE, tau)
-        assert sum(panel_rounds[:4]) <= fine_first_round / 2
+        assert sum(panel_rounds[:4]) <= fine / 2
 
     def test_huge_segment_raises_before_allocating(self, panel_rounds):
         """The alpha = 3/4 segment at tau = 1e-3 needs about 8e7 panels."""
         with pytest.raises(ConvergenceError, match="panel budget exceeded"):
             fourier_cosine_mu(SymbolParams(0.75, 0.5), PROFILE, 1e-3)
         assert panel_rounds == []
+
+
+class TestLayout:
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+    def test_log_sized_grid_keeps_the_panel_count(self, layouts, alpha, tau):
+        """Segments, rays and bands evaluate their density on at most
+        8 ln(b/a) + 17 points, and lay down within 5% of the panels of the
+        4,000-node layout; a segment too long for the panel budget is refused
+        by both."""
+        params = SymbolParams(alpha, 0.5)
+        for sign in (1.0, -1.0):
+            try:
+                quadrature._half_line_piece(params, PROFILE, 0, tau, sign)
+            except ConvergenceError:
+                pass
+        # the k = 0 and k = 6 dyadic bands; their window plays no part in the layout
+        for lo in (0.5, 32.0):
+            quadrature._band_piece(params, tau, 0, lo, 4.0 * lo, window=None)
+        assert len(layouts) >= 4  # a segment and a ray of the plus phase, two bands
+        for call in layouts:
+            a, b = call["a"], call["b"]
+            assert call["nodes"] <= 8.0 * np.log(b / a) + 17.0
+            if call["edges"] is None:
+                with pytest.raises(ConvergenceError):
+                    reference_breakpoints(a, b, call["density"])
+                continue
+            fine = reference_breakpoints(a, b, call["density"]).size - 1
+            assert abs(call["edges"].size - 1 - fine) <= 0.05 * fine, (a, b)
+
+
+class TestPanelValues:
+    @pytest.mark.parametrize("piece", [0, 1])  # the minus phase's segment and its ray
+    def test_one_integrand_call_per_round(self, piece):
+        """Both node sets go through one call of the integrand; the 16-node
+        values and the 16/8 differences are those of separate evaluations."""
+        params = SymbolParams(0.5, 0.5)
+        fn, edges = quadrature._half_line_piece(params, PROFILE, 1, 1e-2, -1.0)[piece]
+        lo, hi = edges[:-1], edges[1:]
+        shapes = []
+
+        def counted(x):
+            shapes.append(x.shape)
+            return fn(x)
+
+        v16, err = _panel_values(counted, lo, hi)
+        assert shapes == [(lo.size, 24)]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        (x16, w16), (x8, w8) = (np.polynomial.legendre.leggauss(n) for n in (16, 8))
+        s16 = fn(mid[:, None] + half[:, None] * x16) @ w16 * half
+        s8 = fn(mid[:, None] + half[:, None] * x8) @ w8 * half
+        assert np.all(np.abs(v16 - s16) <= 1e-15 * np.abs(s16))
+        assert np.all(np.abs(err - np.abs(s16 - s8)) <= 1e-15 * np.abs(s16))
 
 
 class TestDyadicPieces:
@@ -374,7 +503,7 @@ class TestDyadicPieces:
             )[0]
             for part in (np.real, np.imag)
         ]
-        ours = fourier_cosine_low_band_correction(params, PROFILE, tau)
+        ours = low_band_correction(params, tau)
         assert abs(ours - complex(*parts)) <= 1e-10
 
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 10.0])
@@ -383,7 +512,7 @@ class TestDyadicPieces:
         the low-band cutoff-mismatch correction."""
         params = SymbolParams(0.5, 0.5)
         full = fourier_cosine_mu(params, PROFILE, tau)
-        corr = fourier_cosine_low_band_correction(params, PROFILE, tau)
+        corr = low_band_correction(params, tau)
         total, tiny_streak = 0.0 + 0.0j, 0
         for k in range(16):
             piece = fourier_cosine_mu_dyadic(params, PROFILE, k, tau)
