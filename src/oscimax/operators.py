@@ -52,26 +52,45 @@ class TimeGrid:
         return TimeGrid(self.sigma, 2 * self.count - 1, self.span_octaves)
 
 
-# numpy would multiply a fresh operand of at least this many bytes in place
-# (temporary elision), swapping the operands of `c * m(lam)`; complex products
-# round differently in the two orders, so the order is fixed here instead.
+# Lattice points per symbol evaluation, for the kernel weights and the
+# diagonal multipliers alike: the temporaries of one evaluation are O(chunk)
+# and the same size for every lattice, so a build or a product peaks at its
+# result plus one chunk.
+_SYMBOL_CHUNK = 2**14
+
+# numpy multiplies a fresh operand of at least this many bytes in place
+# (temporary elision), which swapped the operands of `c * m(lam)` when m was
+# evaluated on the whole lattice, and complex products round differently in
+# the two orders.  Products written with `out=` are never elided; the rule is
+# kept so that the products stay byte-identical to the whole-lattice ones:
+# the multiplier is the left operand when the whole-lattice multiplier would
+# be a complex array of at least this size, the right one below it.
 _ELIDED_BYTES = 256 * 1024
 
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Multiply the coefficient at each lattice point by m(|xi|).
+    """Multiply the coefficient at each lattice point by m(|xi|), into a
+    fresh array.
 
-    m(lam) must return a new array: a complex one of at least _ELIDED_BYTES
-    is the left operand and, for a single field, takes the product in place.
-    For a stack, m is evaluated once on the lattice and broadcast over the
-    members, so each member's product equals its own bit for bit.
+    m must be elementwise in lam: it is called on consecutive 1-D chunks of
+    the flattened |xi| array, each of at most _SYMBOL_CHUNK points, so the
+    temporaries of one call do not grow with the lattice.  For a stack, each
+    chunk's multiplier is broadcast over the members, so each member's
+    product equals its own bit for bit.
     """
-    mult = np.asarray(m(f.grid.eigenvalue_array()))
-    if mult.dtype == complex and mult.nbytes >= _ELIDED_BYTES:
-        out = np.multiply(mult, f.coefficients, out=None if f.stacked else mult)
-    else:
-        out = f.coefficients * mult
-    return SpectralField(f.grid, out, f.stacked)
+    lam = f.grid.eigenvalue_array().ravel()
+    shape = f.coefficients.shape
+    c = f.coefficients.reshape(shape[: f.stacked] + lam.shape)
+    out = np.empty(c.shape, dtype=complex)
+    for lo in range(0, lam.size, _SYMBOL_CHUNK):
+        chunk = slice(lo, lo + _SYMBOL_CHUNK)
+        mult = np.asarray(m(lam[chunk]))
+        if mult.dtype == complex and mult.itemsize * lam.size >= _ELIDED_BYTES:
+            np.multiply(mult, c[..., chunk], out=out[..., chunk])
+        else:
+            np.multiply(c[..., chunk], mult, out=out[..., chunk])
+        del mult  # no chunk's multiplier outlives its step into the next one
+    return SpectralField(f.grid, out.reshape(shape), f.stacked)
 
 
 def schrodinger_propagate(f: SpectralField, alpha: float, s: float) -> SpectralField:
@@ -169,10 +188,6 @@ _lattice_slot: dict = {}
 # cap, and `kernel-decay` sums at twice its m_cap.  Larger caps are rejected
 # before anything is allocated.
 _MAX_LATTICE_TERMS = 2**24
-# Terms per symbol evaluation while the weights are built: the temporaries of
-# one chunk stay small against the matrix, and they are the same size for
-# every lattice, so the peak memory of a build is the matrix and one chunk.
-_WEIGHT_CHUNK = 2**14
 
 
 def _lattice_weights(params, profile, t, eps, M_cap):
@@ -189,8 +204,8 @@ def _lattice_weights(params, profile, t, eps, M_cap):
         B = math.isqrt(M_cap - 1) + 1
         blocks = -(-M_cap // B)
         weights = np.zeros((2, blocks * B))
-        for lo in range(0, M_cap, _WEIGHT_CHUNK):
-            m = np.arange(lo + 1, min(lo + _WEIGHT_CHUNK, M_cap) + 1, dtype=float)
+        for lo in range(0, M_cap, _SYMBOL_CHUNK):
+            m = np.arange(lo + 1, min(lo + _SYMBOL_CHUNK, M_cap) + 1, dtype=float)
             w = mu_symbol(params, profile, t, m)
             if eps > 0.0:  # the damping, built in m's buffer
                 np.square(m, out=m)

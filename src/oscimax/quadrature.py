@@ -234,7 +234,18 @@ def _ray_tail(
     env = np.abs(integrand(probe))
     floor = max(env.max(), 1.0) * 1e-18
     beyond = np.where(env <= floor * (1.0 + probe))[0]
-    s_max = probe[beyond[0]] if beyond.size else s_huge
+    if not beyond.size:
+        s_max = s_huge
+    elif beyond[0] == 0:
+        s_max = probe[0]
+    else:
+        # the crossing, by linear interpolation in log s of the log margin
+        # log(env / (floor (1+s))) between the two nodes that bracket it
+        i = beyond[0]
+        with np.errstate(divide="ignore"):
+            above, below = np.log(env[i - 1 : i + 1] / (floor * (1.0 + probe[i - 1 : i + 1])))
+        lo, hi = np.log(probe[i - 1 : i + 1])
+        s_max = np.exp(lo + (hi - lo) * above / (above - below))
 
     # both phases get the plus-phase rate, an upper bound for either
     density = _phase_density(alpha, tau, +1.0, 4.0)

@@ -196,13 +196,21 @@ def grid_norm(f: GridField, p: float) -> float:
 def random_spectral_field(
     grid: LatticeGrid, rng: np.random.Generator, band_limit: float | None = None
 ) -> SpectralField:
-    """Gaussian random coefficients, optionally restricted to |xi| <= band_limit."""
-    if band_limit is not None and band_limit < 0:
+    """Gaussian random coefficients, optionally restricted to |xi| <= band_limit.
+
+    The real parts are drawn first, then the imaginary parts, through one
+    real buffer into one complex array, which is then zeroed outside the
+    band in place.
+    """
+    if band_limit is not None and not band_limit >= 0:
         raise ValueError(f"band_limit must be nonnegative, got {band_limit}")
     shape = grid.spectral_shape
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = np.empty(shape, dtype=complex)
+    draw = rng.standard_normal(shape)
+    c.real = draw
+    c.imag = rng.standard_normal(out=draw)
     if band_limit is not None:
-        c = np.where(grid.eigenvalue_array() <= band_limit, c, 0.0)
+        c[grid.eigenvalue_array() > band_limit] = 0.0
     return SpectralField(grid, c)
 
 

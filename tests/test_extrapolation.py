@@ -1,5 +1,6 @@
 """Tests for the Vandermonde combination scheme and the rate experiments."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -99,6 +100,30 @@ class TestCombinationCoefficients:
             binomial_candidate(N),
             rtol=1e-7,
         )
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        N=st.integers(1, 12),
+        data=st.data(),
+        t=st.floats(1e-3, 1e3),
+    )
+    def test_vandermonde_moments(self, N, data, t):
+        """The dilated moments sum_k c_k (k t)^j are 1 at j = 0, vanish for
+        0 < j < N and equal (-1)^(N-1) N! t^N at j = N, the leading term of
+        the combination's error.  Each to a rounding error relative to
+        sum_k |c_k| (k t)^j, grown by the system's conditioning, at most
+        4^N in the last bit."""
+        j = data.draw(st.integers(0, N), label="j")
+        c = combination_coefficients(N).coefficients
+        powers = (np.arange(1, N + 1) * t) ** j
+        if j == 0:
+            expected = 1.0
+        elif j < N:
+            expected = 0.0
+        else:
+            expected = (-1.0) ** (N - 1) * math.factorial(N) * t**N
+        scale = float(np.sum(np.abs(c) * powers))
+        assert abs(float(np.sum(c * powers)) - expected) <= 4.0**N * 1e-15 * scale
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for diagonal operators, maximal sweeps, kernel sums, and checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from oscimax import (
     schrodinger_propagate,
     verify_kernel_decay,
 )
-from oscimax import operators
+from oscimax import hardy, operators
+from oscimax.hardy import heat_semigroup
 from oscimax.symbols import mu_symbol, riesz_mean_symbol
 
 PROFILE = CutoffProfile()
@@ -55,6 +57,36 @@ def lattice_rounding_bound(M_cap, x):
     rotation; u = 2^-53."""
     B = math.isqrt(M_cap - 1) + 1
     return 2.0**-53 * (M_cap * abs(x) + 4 * B + 8)
+
+
+def full_lattice_multiplier(f, m):
+    """m evaluated once on the whole |xi| array and multiplied in with
+    numpy's operand order at that size (elided in place from 256 KiB); the
+    oracle for the bytes of apply_multiplier's chunked products."""
+    mult = np.asarray(m(f.grid.eigenvalue_array()))
+    if mult.dtype == complex and mult.nbytes >= operators._ELIDED_BYTES:
+        out = np.multiply(mult, f.coefficients, out=None if f.stacked else mult)
+    else:
+        out = f.coefficients * mult
+    return SpectralField(f.grid, out, f.stacked)
+
+
+def diagonal_ops(grid):
+    """Every diagonal operator, named.  The Riesz means run at the time
+    where the lattice's largest z = t |xi|^(1/2) is 8.5, so the chunks sum
+    the series to different lengths and the top of the lattice takes the
+    contour branch."""
+    params = SymbolParams(0.5, 0.75)
+    t_riesz = 8.5 / math.sqrt(float(np.max(grid.eigenvalue_array())))
+    ops = {
+        "oscillating-t=1/2": lambda g: oscillating_op(g, params, PROFILE, 0.5),
+        "oscillating-t=0.01": lambda g: oscillating_op(g, params, PROFILE, 0.01),
+        "schrodinger": lambda g: schrodinger_propagate(g, 0.5, 0.7),
+        "heat": lambda g: heat_semigroup(g, 1e-4),
+    }
+    for k in (0.5, 1.0, 2.5):
+        ops[f"riesz-k={k}"] = lambda g, k=k: riesz_mean_op(g, k, 0.5, t_riesz)
+    return ops
 
 
 class TestTimeGrid:
@@ -248,19 +280,22 @@ class TestStackedOperators:
         "dimension, modes", [(1, 8192), (1, 16384), (2, 64), (2, 128)]
     )
     def test_operand_order_does_not_depend_on_elision(self, dimension, modes):
-        """A multiplier that is still referenced is never elided by numpy,
-        yet it gets the same operand order as a fresh one; from 256 KiB a
-        single field's product takes the multiplier's buffer."""
+        """The chunks are written with `out=` and never elided, yet from a
+        256 KiB whole-lattice multiplier the multiplier is the left operand,
+        below it the right one, as numpy would have ordered the whole
+        product."""
         grid = LatticeGrid(dimension, modes)
         c = self.stack(grid, 1, modes)[0]
-        held = np.exp(1j * np.sqrt(grid.eigenvalue_array() + 0.5))
+
+        def m(lam):
+            return np.exp(1j * np.sqrt(lam + 0.5))
+
+        held = m(grid.eigenvalue_array())
         elided = held.nbytes >= operators._ELIDED_BYTES
         expected = np.multiply(held, c) if elided else np.multiply(c, held)
         assert not np.array_equal(np.multiply(held, c), np.multiply(c, held))
-        mult = held.copy()
-        out = apply_multiplier(SpectralField(grid, c), lambda lam: mult)
+        out = apply_multiplier(SpectralField(grid, c), m)
         assert np.array_equal(out.coefficients.view(np.uint64), expected.view(np.uint64))
-        assert np.shares_memory(out.coefficients, mult) == elided
 
     @pytest.mark.parametrize("dimension, modes", [(1, 64), (2, 16)])
     def test_maximal_function_per_member(self, dimension, modes):
@@ -276,6 +311,85 @@ class TestStackedOperators:
         for row, member in zip(maximal.samples, c):
             single = maximal_over_times(SpectralField(grid, member), family, times).samples
             assert np.array_equal(row, single)
+
+
+class TestChunkedMultiplier:
+    """apply_multiplier evaluates m on chunks of the flattened lattice; the
+    products equal the whole-lattice ones byte for byte."""
+
+    LATTICES = [(1, 256), (1, 16384), (1, 65536), (2, 128), (2, 200), (2, 512)]
+
+    @pytest.mark.parametrize("dimension, modes", LATTICES)
+    def test_equals_the_full_lattice_oracle(self, monkeypatch, dimension, modes):
+        grid = LatticeGrid(dimension, modes)
+        rng = np.random.default_rng(modes)
+        shape = (2,) + grid.spectral_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fields = [SpectralField(grid, c[0]), SpectralField(grid, c, stacked=True)]
+        for name, op in diagonal_ops(grid).items():
+            with monkeypatch.context() as patched:
+                patched.setattr(operators, "apply_multiplier", full_lattice_multiplier)
+                patched.setattr(hardy, "apply_multiplier", full_lattice_multiplier)
+                expected = [op(f).coefficients for f in fields]
+            for f, want in zip(fields, expected):
+                got = op(f).coefficients
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, f.stacked)
+
+    @pytest.mark.parametrize("chunk", [1000, 4097])
+    @pytest.mark.parametrize("dimension, modes", [(1, 16384), (2, 200)])
+    def test_any_chunk_size_gives_the_same_bytes(self, monkeypatch, chunk, dimension, modes):
+        """Ragged chunks too: the last one short, and boundaries at no
+        multiple of a vector width."""
+        grid = LatticeGrid(dimension, modes)
+        rng = np.random.default_rng(1)
+        shape = (2,) + grid.spectral_shape
+        f = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), stacked=True)
+        ops = diagonal_ops(grid)
+        whole = {name: op(f).coefficients for name, op in ops.items()}
+        monkeypatch.setattr(operators, "_SYMBOL_CHUNK", chunk)
+        for name, op in ops.items():
+            assert np.array_equal(op(f).coefficients.view(np.uint64), whole[name].view(np.uint64)), name
+
+    def test_multiplier_sees_chunks_of_the_flattened_lattice(self):
+        grid = LatticeGrid(2, 200)
+        seen = []
+
+        def m(lam):
+            seen.append(lam)
+            return np.ones_like(lam)
+
+        f = random_spectral_field(grid, np.random.default_rng(0))
+        out = apply_multiplier(f, m)
+        assert [a.shape for a in seen] == [(2**14,), (2**14,), (40000 - 2**15,)]
+        assert np.array_equal(np.concatenate(seen), grid.eigenvalue_array().ravel())
+        assert not np.shares_memory(out.coefficients, f.coefficients)
+        assert np.array_equal(out.coefficients, f.coefficients)
+
+    WORKING_SET_OPS = {
+        "oscillating-t=1/2": lambda f: oscillating_op(f, SymbolParams(0.5, 0.75), PROFILE, 0.5),
+        "oscillating-t=0.01": lambda f: oscillating_op(f, SymbolParams(0.5, 0.75), PROFILE, 0.01),
+        "riesz": lambda f: riesz_mean_op(f, 0.5, 0.5, 0.1),
+    }
+
+    @pytest.mark.parametrize("name", WORKING_SET_OPS)
+    def test_working_set_is_bounded_by_the_chunk(self, name):
+        """On a 512^2 lattice one call holds at most 1.5 MiB beyond its 4 MiB
+        result; evaluated on the whole lattice at once the same calls held
+        4.4, 7.6 and 18.3 MiB.  The Riesz mean is taken where every z sums
+        the series (with the contour branch too, at k = 1 and t = 1, it
+        holds 1.64 MiB).  The cached |xi| array is built first, since it is
+        not a temporary of the call."""
+        grid = LatticeGrid(2, 512)
+        f = random_spectral_field(grid, np.random.default_rng(0))
+        grid.eigenvalue_array()
+        tracemalloc.start()
+        try:
+            out = self.WORKING_SET_OPS[name](f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.coefficients.nbytes <= 1.5 * 2**20, name
 
 
 class TestKernelLatticeSum:
@@ -420,7 +534,7 @@ class TestLatticeWeights:
         whole = operators._lattice_weights(params, PROFILE, self.T, eps, 2000)
         for chunk in (1, 7, 500, 1999):
             monkeypatch.setattr(operators, "_lattice_slot", {})
-            monkeypatch.setattr(operators, "_WEIGHT_CHUNK", chunk)
+            monkeypatch.setattr(operators, "_SYMBOL_CHUNK", chunk)
             chunked = operators._lattice_weights(params, PROFILE, self.T, eps, 2000)
             assert np.array_equal(chunked.view(np.uint64), whole.view(np.uint64))
 

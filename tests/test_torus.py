@@ -16,6 +16,7 @@ from oscimax import (
     pure_mode,
     random_spectral_field,
 )
+from oscimax.torus import PERIOD
 
 
 def is_conjugate_symmetric(f: SpectralField, tol: float = 1e-12) -> bool:
@@ -217,6 +218,66 @@ class TestStackedFields:
         np.testing.assert_allclose(again, samples, rtol=0, atol=1e-13 * np.max(np.abs(samples)))
 
 
+def mirrored(c: np.ndarray, dimension: int) -> np.ndarray:
+    """c at -xi (mod M) for every xi of the trailing `dimension` axes: flip
+    them, then roll by one so that index 0 stays in place."""
+    axes = tuple(range(-dimension, 0))
+    return np.roll(np.flip(c, axis=axes), 1, axis=axes)
+
+
+class TestTransformProperties:
+    """Parseval and conjugate symmetry, per member of a stack."""
+
+    @staticmethod
+    def energy(a: np.ndarray, dimension: int) -> np.ndarray:
+        return np.sum(np.abs(a) ** 2, axis=tuple(range(-dimension, 0)))
+
+    @STACK_SETTINGS
+    @given(stacks())
+    def test_parseval(self, case):
+        """integral |f|^2 = (2pi)^n sum |c|^2 through the stacked inverse
+        transform, and through the forward one from real samples."""
+        grid, c = case
+        n = grid.dimension
+        samples = inverse_transform(SpectralField(grid, c, stacked=True)).samples
+        np.testing.assert_allclose(
+            self.energy(samples, n) * grid.cell_volume, PERIOD**n * self.energy(c, n), rtol=1e-12
+        )
+        coefficients = forward_transform(GridField(grid, c.real, stacked=True)).coefficients
+        np.testing.assert_allclose(
+            PERIOD**n * self.energy(coefficients, n), self.energy(c.real, n) * grid.cell_volume, rtol=1e-12
+        )
+
+    @STACK_SETTINGS
+    @given(stacks())
+    def test_real_samples_iff_hermitian_coefficients(self, case):
+        """Real samples have coefficients with c(-xi) = conj c(xi).  Split
+        any coefficients into the Hermitian part and the rest: the first
+        gives the real part of the samples, the second the imaginary part, so
+        the samples are real exactly when the rest vanishes."""
+        grid, c = case
+        n = grid.dimension
+        coefficients = forward_transform(GridField(grid, c.real, stacked=True)).coefficients
+        np.testing.assert_allclose(
+            mirrored(coefficients, n),
+            np.conj(coefficients),
+            rtol=0,
+            atol=1e-15 * np.max(np.abs(coefficients)),
+        )
+        hermitian = 0.5 * (c + np.conj(mirrored(c, n)))
+        rest = c - hermitian
+        samples = inverse_transform(SpectralField(grid, c, stacked=True)).samples
+        real = inverse_transform(SpectralField(grid, hermitian, stacked=True)).samples
+        tol = 1e-13 * np.max(np.abs(samples))
+        np.testing.assert_allclose(real.imag, 0.0, rtol=0, atol=tol)
+        np.testing.assert_allclose(samples.real, real.real, rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            self.energy(samples.imag, n) * grid.cell_volume,
+            PERIOD**n * self.energy(rest, n),
+            rtol=1e-11,
+        )
+
+
 class TestEigenvalueArray:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_built_once_and_read_only(self, dimension):
@@ -263,8 +324,24 @@ class TestRandomField:
         lam = grid.eigenvalue_array()
         assert np.all(f.coefficients[lam > 5.0] == 0.0)
         assert np.any(f.coefficients[lam <= 5.0] != 0.0)
-        with pytest.raises(ValueError, match="band_limit must be nonnegative"):
-            random_spectral_field(grid, rng, band_limit=-1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="band_limit must be nonnegative"):
+                random_spectral_field(grid, rng, band_limit=bad)
+
+    @pytest.mark.parametrize("band_limit", [None, 0.0, 5.0, 11.3])
+    @pytest.mark.parametrize("dimension, modes", [(1, 64), (2, 32)])
+    def test_equals_the_two_draw_expression(self, dimension, modes, band_limit):
+        """Built in place, the field is bit for bit the sum of the two draws
+        masked by the band, as a fresh complex expression would give it."""
+        grid = LatticeGrid(dimension, modes)
+        shape = grid.spectral_shape
+        for seed in (0, 1, 12345):
+            f = random_spectral_field(grid, np.random.default_rng(seed), band_limit)
+            rng = np.random.default_rng(seed)
+            expected = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if band_limit is not None:
+                expected = np.where(grid.eigenvalue_array() <= band_limit, expected, 0.0)
+            assert np.array_equal(bits(f.coefficients), bits(expected))
 
     def test_determinism(self):
         grid = LatticeGrid(1, 16)
