@@ -18,7 +18,6 @@ from .symbols import (
     phi_cutoff,
     psi0,
     dyadic_bump,
-    partition_residual,
     mu_symbol,
     riesz_mean_symbol,
 )

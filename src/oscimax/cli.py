@@ -38,7 +38,7 @@ from .quadrature import (
     fit_decay_exponent,
     verify_small_tau_decay,
 )
-from .symbols import CUTOFF_KINDS, CutoffProfile, SymbolParams, partition_residual
+from .symbols import CUTOFF_KINDS, CutoffProfile, SymbolParams
 from .torus import LatticeGrid, pure_mode, random_spectral_field
 
 EXIT_PASS = 0
@@ -47,14 +47,6 @@ EXIT_USAGE = 2
 EXIT_NON_CONVERGENCE = 3
 
 DEFAULTS = {
-    "partition-check": {
-        "samples": 10_000,
-        "u_max": 1e6,
-        "cutoff_kind": "smoothstep_poly",
-        "cutoff_order": 7,
-        "tolerance": 1e-12,
-        "seed": 0,
-    },
     "symbol-decay": {
         "alpha": 0.5,
         "beta": 0.5,
@@ -214,32 +206,6 @@ def _fit_dict(fit) -> dict:
     }
 
 
-def _run_partition_check(config, out_dir):
-    """residual of the telescoping dyadic partition of unity over sampled
-    arguments"""
-    if config["samples"] < 1:
-        raise ValueError(f"samples must be >= 1, got {config['samples']}")
-    profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
-    rng = np.random.default_rng(config["seed"])
-    u_values = rng.uniform(-config["u_max"], config["u_max"], size=config["samples"])
-    K = np.maximum(0, np.ceil(np.log2(np.maximum(np.abs(u_values), 1.0)))).astype(int)
-    residuals = np.empty_like(u_values)
-    for k in sorted(set(K.tolist())):
-        same = K == k
-        residuals[same] = partition_residual(u_values[same], k, profile)
-    worst = float(residuals.max(initial=0.0))
-    _write_csv(
-        out_dir / "partition-check.csv",
-        ["u", "residual"],
-        zip(u_values.tolist(), residuals.tolist()),
-    )
-    return {
-        "max_residual": worst,
-        "tolerance": config["tolerance"],
-        "pass": bool(worst <= config["tolerance"]),
-    }
-
-
 def _run_symbol_decay(config, out_dir):
     """small-tau blow-up exponent of the cosine transform of the oscillating
     symbol (and its tau-derivatives) against the predicted
@@ -356,7 +322,6 @@ def _run_rate_combo(config, out_dir):
     return {
         "fitted": _fit_dict(report.fit),
         "predicted_rate": report.predicted_rate,
-        "degenerate": report.degenerate,
         "pass": report.passed,
     }
 
@@ -416,6 +381,10 @@ def _run_maximal_sweep(config, out_dir):
         count=config["time_count"],
         span_octaves=config["span_octaves"],
     )
+    # mu(t|xi|) vanishes wherever t|xi| <= 1, and no time exceeds sigma
+    reach = config["sigma"] * np.max(grid.eigenvalue_array(), where=f.coefficients != 0, initial=0.0)
+    if reach <= 1.0:
+        raise ValueError(f"sigma * max |xi| = {reach} <= 1: the symbol vanishes on every mode")
 
     def family(t, g):
         return oscillating_op(g, params, profile, t)
@@ -444,7 +413,6 @@ def _run_maximal_sweep(config, out_dir):
 
 
 RUNNERS = {
-    "partition-check": _run_partition_check,
     "symbol-decay": _run_symbol_decay,
     "dyadic-decay": _run_dyadic_decay,
     "kernel-decay": _run_kernel_decay,

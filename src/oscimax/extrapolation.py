@@ -45,7 +45,6 @@ class RateReport:
     errors: np.ndarray
     predicted_rate: float
     passed: bool
-    degenerate: bool = False
 
 
 def combination_coefficients(N: int) -> CombinationScheme:
@@ -95,7 +94,8 @@ def combination_rate_experiment(
     """Convergence-rate check for the combination scheme on a band-limited
     field, sampled at `times` (default 24 points geometric on [1e-4, 1e-2],
     at least 5): fitted slope must reach beta/alpha - 0.1 (the claimed rate
-    is a one-sided o(t^{beta/alpha}) bound)."""
+    is a one-sided o(t^{beta/alpha}) bound).  Raises ValueError when fewer
+    than 5 errors lie above the roundoff floor, as for a constant field."""
     if times is None:
         times = np.geomspace(1e-4, 1e-2, 24)
     if len(times) < _MIN_RATE_SAMPLES:
@@ -118,10 +118,6 @@ def combination_rate_experiment(
     predicted = beta / alpha
     # errors within 10x of the roundoff floor are flat bottoms, not a rate
     floor = 10.0 * ROUNDOFF_FLOOR * scale
-    if np.all(errors <= floor):
-        # vacuous pass (e.g. a constant field): flagged, not fitted
-        dummy = DecayFit(predicted, 0.0, 1.0, (times[0], times[-1]), len(times))
-        return RateReport(dummy, errors, predicted, passed=True, degenerate=True)
     fit = fit_decay_exponent(list(zip(times, errors)), floor=floor)
     return RateReport(
         fit=fit,

@@ -96,7 +96,8 @@ def fit_decay_exponent(samples, floor: float | None = None) -> DecayFit:
         above = mods > floor
         taus, mods = taus[above], mods[above]
     if taus.size < 5:
-        raise ValueError("need at least 5 samples")
+        where = "" if floor is None else f" above the floor {floor:.3g}"
+        raise ValueError(f"need at least 5 samples{where}, got {taus.size}")
     ordered = np.sort(taus)
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("tau values must be distinct")

@@ -112,22 +112,6 @@ def dyadic_bump(profile: CutoffProfile, lam):
     return phi_cutoff(profile, 2.0 * lam) - phi_cutoff(profile, lam)
 
 
-def partition_residual(u, K: int, profile: CutoffProfile = DEFAULT_PROFILE):
-    """|sum_{k=0}^{K} bump(|u|/2^k) + psi0(|u|) - 1|, elementwise in u.
-
-    K must satisfy 2^K >= |u|, otherwise the truncated sum genuinely misses
-    mass and the residual reported is the true truncation error.  A float
-    for scalar u, else an array of u's shape.
-    """
-    u = np.abs(np.asarray(u, dtype=float))
-    # phi(2^{1-k} u) for k = 0..K+1: bump(u/2^k) is phi[k] - phi[k+1] and
-    # psi0(u) is 1 - phi[0]; scaling by powers of two is exact.
-    phi = phi_cutoff(profile, u[..., None] * 2.0 ** (1 - np.arange(K + 2)))
-    total = np.sum(phi[..., :-1] - phi[..., 1:], axis=-1) + (1.0 - phi[..., 0])
-    residual = np.abs(total - 1.0)
-    return float(residual) if residual.ndim == 0 else residual
-
-
 def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
     """Oscillating symbol e^{i(t lam)^a} (t lam)^{-b} cutoff(t lam).
 

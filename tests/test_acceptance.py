@@ -17,12 +17,13 @@ from oscimax import (
     SymbolParams,
     combination_coefficients,
     dyadic_band_ratio,
+    dyadic_bump,
     dyadic_tail_order,
     fit_decay_exponent,
     fourier_cosine_mu,
     grid_norm,
     inverse_transform,
-    partition_residual,
+    psi0,
     pure_mode,
     random_spectral_field,
     riesz_mean_op,
@@ -81,11 +82,12 @@ class TestCriterion1Partition:
     def test_partition_residual(self):
         """Residual of the dyadic partition of unity at 10^4 sampled points."""
         rng = np.random.default_rng(0)
-        u_values = rng.uniform(-1e6, 1e6, size=10_000)
-        worst = 0.0
-        for u in u_values:
-            K = max(0, int(np.ceil(np.log2(max(abs(u), 1.0)))))
-            worst = max(worst, partition_residual(float(u), K, PROFILE))
+        u = np.abs(rng.uniform(-1e6, 1e6, size=10_000))
+        # 2^20 > 10^6: bumps past a point's own 2^K >= |u| add exact zeros
+        total = psi0(PROFILE, u)
+        for k in range(21):
+            total = total + dyadic_bump(PROFILE, u / 2.0**k)
+        worst = float(np.max(np.abs(total - 1.0)))
         report(f"criterion 1 partition: max residual {worst:.2e} (tol 1e-12)")
         assert worst <= 1e-12
 
@@ -408,7 +410,7 @@ class TestCriterion12Determinism:
     @pytest.mark.parametrize(
         "experiment,extra",
         [
-            ("partition-check", ["--samples", "500"]),
+            ("maximal-sweep", ["--dimension", "2", "--n-modes", "16", "--band-limit", "4"]),
             ("rate-combo", []),
             ("rate-riesz", []),
             ("dyadic-decay", []),

@@ -34,7 +34,7 @@ from oscimax.torus import LatticeGrid, random_spectral_field
 class TestCatalog:
     def test_contains_all_experiments(self):
         text = list_experiments()
-        assert len(RUNNERS) == 8
+        assert len(RUNNERS) == 7
         for name in RUNNERS:
             assert name in text
 
@@ -54,11 +54,12 @@ class TestCatalog:
 
 
 class TestExitCodes:
-    def test_partition_check_passes(self, tmp_path):
-        code = main(
-            ["partition-check", "--samples", "200", "--out", str(tmp_path / "o")]
-        )
-        assert code == EXIT_PASS
+    def test_partition_check_is_not_an_experiment(self, capsys):
+        """The partition of unity is a proof device, checked in the symbol tests."""
+        with pytest.raises(SystemExit) as exc:
+            main(["partition-check"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'partition-check'" in capsys.readouterr().err
 
     def test_precondition_violation_is_usage_error(self, tmp_path):
         code = main(
@@ -76,7 +77,7 @@ class TestExitCodes:
 
     def test_inapplicable_flag_is_usage_error(self, tmp_path):
         code = main(
-            ["partition-check", "--alpha", "0.5", "--out", str(tmp_path / "o")]
+            ["rate-riesz", "--beta", "0.5", "--out", str(tmp_path / "o")]
         )
         assert code == EXIT_USAGE
 
@@ -104,7 +105,7 @@ class TestExitCodes:
             ("symbol-decay", {"n_samples": 12.0}),
             ("rate-riesz", {"n_modes": None}),
             ("rate-combo", {"seed": True}),
-            ("partition-check", {"cutoff_kind": "bogus"}),
+            ("symbol-decay", {"cutoff_kind": "bogus"}),
             ("rate-riesz", [1, 2]),
         ],
     )
@@ -199,13 +200,6 @@ class TestExitCodes:
         assert "span_octaves must be positive" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_partition_samples_is_usage_error(self, tmp_path, capsys):
-        """No samples would pass the check with max_residual 0.0."""
-        out = tmp_path / "o"
-        assert main(["partition-check", "--samples", "0", "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "invalid parameters: samples must be >= 1, got 0\n"
-        assert not out.exists()
-
     def test_too_few_rate_samples_is_usage_error(self, tmp_path, capsys):
         """No times left nothing to fit, nor a time range to report."""
         out = tmp_path / "new" / "o"
@@ -222,6 +216,38 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "band_limit must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rate_of_a_constant_field_is_usage_error(self, tmp_path, capsys):
+        """At band limit 0 the combination reproduces the field exactly: no
+        error lies above the roundoff floor, so there is no rate to fit."""
+        out = tmp_path / "new" / "o"
+        assert main(["rate-combo", "--band-limit", "0", "--out", str(out)]) == EXIT_USAGE
+        assert "need at least 5 samples above the floor" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--band-limit", "0"], ["--band-limit", "2"], ["--sigma", "0.01", "--n-modes", "64"]],
+        ids=["band-0", "band-2", "sigma-0.01"],
+    )
+    def test_field_below_the_symbol_band_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        """mu(t|xi|) vanishes wherever t|xi| <= 1, and every time is at most
+        sigma: the maximal function would be 0 everywhere."""
+
+        def transform(*args):
+            raise AssertionError("transform run for a rejected field")
+
+        monkeypatch.setattr(operators, "inverse_transform", transform)
+        out = tmp_path / "new" / "o"
+        assert main(["maximal-sweep", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert "the symbol vanishes on every mode" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_field_just_above_the_symbol_band_runs(self, tmp_path):
+        """At band limit 3 the top modes reach sigma |xi| = 1.5."""
+        out = tmp_path / "o"
+        assert main(["maximal-sweep", "--band-limit", "3", "--out", str(out)]) == EXIT_PASS
+        assert json.loads((out / "summary.json").read_text())["sup_maximal"] > 0.0
 
     def test_p_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
         """At p = 2 the threshold n alpha (1/p - 1/2) drops to 0 and admits any beta."""
@@ -258,6 +284,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric non-convergence: panel budget exceeded")
         assert err.count("\n") == 1
+
+
+# Configs whose verdict must fail, one per experiment whose verdict can fail
+# along the axis it claims to test.  No entry yet: symbol-decay,
+# dyadic-decay, rate-riesz, atom-uniformity (its ratio passes at beta = 0.25
+# and at beta = 2) and maximal-sweep (its monotone flag holds by
+# construction).
+NEGATIVE_CONTROLS = [
+    # N = 1 cancels no moment: the error falls like t, below the rate beta/alpha
+    ["rate-combo", "--N", "1"],
+    # x/t in [0.05, 1] is pre-asymptotic: the fitted slope is near -1, not -1/2
+    ["kernel-decay", "--m-cap", "20000", "--n-samples", "6"],
+]
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize("argv", NEGATIVE_CONTROLS, ids=lambda argv: argv[0])
+    def test_verdict_fails(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_CHECK_FAILURE
+        assert json.loads((out / "summary.json").read_text())["pass"] is False
 
 
 class TestReports:
@@ -348,13 +395,11 @@ class TestReports:
 class TestDeterminism:
     @pytest.mark.parametrize(
         "experiment",
-        ["partition-check", "rate-combo", "rate-riesz", "symbol-decay"],
+        ["rate-combo", "rate-riesz", "symbol-decay"],
     )
     def test_byte_identical_bodies(self, tmp_path, experiment):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = [experiment, "--out"]
-        if experiment == "partition-check":
-            args = [experiment, "--samples", "300", "--out"]
         assert main(args + [str(out_a)]) == EXIT_PASS
         assert main(args + [str(out_b)]) == EXIT_PASS
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
@@ -377,7 +422,6 @@ class TestDeterminism:
 
 # One small run of every experiment, each cheap enough for a subprocess.
 TINY_RUNS = [
-    ["partition-check", "--samples", "50"],
     ["symbol-decay", "--tau-lo", "0.02", "--n-samples", "5"],
     ["dyadic-decay", "--n-samples", "6"],
     ["kernel-decay", "--m-cap", "2000", "--n-samples", "5"],

@@ -208,12 +208,12 @@ class TestCombinationRateExperiment:
         assert report.fit.slope >= report.predicted_rate - 0.1
         assert report.passed
 
-    def test_degenerate_flagged(self):
+    def test_degenerate_rejected(self):
+        """A constant field leaves no error above the roundoff floor to fit."""
         grid = LatticeGrid(1, 16)
         f = pure_mode(grid, (0,))  # constant field: combination is exact
-        report = combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2)
-        assert report.degenerate
-        assert report.passed
+        with pytest.raises(ValueError, match="above the floor"):
+            combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2)
 
     def test_admissibility_precondition(self):
         grid = LatticeGrid(1, 16)

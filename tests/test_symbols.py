@@ -15,7 +15,6 @@ from oscimax import (
     SymbolParams,
     dyadic_bump,
     mu_symbol,
-    partition_residual,
     phi_cutoff,
     psi0,
     riesz_mean_symbol,
@@ -113,12 +112,14 @@ def clipped_ramp(profile, s):
 
 
 def telescoped_residual(u, K, profile):
-    """partition_residual summed from dyadic_bump and psi0; oracle for the
-    single-cutoff-call evaluation."""
-    u = abs(float(u))
-    k = np.arange(K + 1)
-    total = float(np.sum(dyadic_bump(profile, u / 2.0**k))) + float(psi0(profile, u))
-    return abs(total - 1.0)
+    """|sum_{k=0}^{K} dyadic_bump(|u|/2^k) + psi0(|u|) - 1|, elementwise in u.
+
+    The partition of unity telescopes exactly when 2^K >= |u|; a smaller K
+    misses mass, and the residual is the true truncation error.
+    """
+    u = np.abs(np.asarray(u, dtype=float))
+    bumps = dyadic_bump(profile, u[..., None] / 2.0 ** np.arange(K + 1))
+    return np.abs(np.sum(bumps, axis=-1) + psi0(profile, u) - 1.0)
 
 
 class TestCutoffs:
@@ -230,32 +231,29 @@ class TestPartition:
     def test_exact_telescoping(self, profile):
         for u in (0.0, 0.3, 1.0, 2.0, 3.7, 7.7, 16.0, 500.0, 1000.0, -42.5):
             K = max(0, int(np.ceil(np.log2(max(abs(u), 1.0)))))
-            assert partition_residual(u, K, profile) <= 1e-12
+            assert telescoped_residual(u, K, profile) <= 1e-12
 
     @pytest.mark.parametrize("profile", KINDS)
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(u=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_exact_for_any_argument(self, profile, u):
         K = max(0, int(np.ceil(np.log2(max(abs(u), 1.0)))))
-        residual = partition_residual(u, K, profile)
-        assert residual <= 1e-12
-        assert residual == telescoped_residual(u, K, profile)
+        assert telescoped_residual(u, K, profile) <= 1e-12
 
     @pytest.mark.parametrize("profile", KINDS)
     def test_array_call_matches_scalar_calls(self, profile):
+        """The cutoffs give each element of an array the bits of its scalar call."""
         rng = np.random.default_rng(1)
         for K in (0, 3, 20):
             u = rng.uniform(-(2.0**K), 2.0**K, size=400)
             u[:3] = (0.0, 2.0**K, -(2.0 ** (K - 1)))
-            residuals = partition_residual(u, K, profile)
-            scalars = [partition_residual(float(v), K, profile) for v in u]
-            assert all(type(r) is float for r in scalars)
-            assert np.array_equal(residuals, scalars)
-            assert np.array_equal(residuals, [telescoped_residual(v, K, profile) for v in u])
+            residuals = telescoped_residual(u, K, profile)
+            assert np.all(residuals <= 1e-12)
+            assert np.array_equal(residuals, [telescoped_residual(float(v), K, profile) for v in u])
 
     def test_truncation_reported(self):
         """Too-small K genuinely misses mass and the residual says so."""
-        assert partition_residual(1000.0, 2) > 0.5
+        assert telescoped_residual(1000.0, 2, CutoffProfile()) > 0.5
 
 
 class TestMuSymbol:
