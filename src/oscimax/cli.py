@@ -3,7 +3,8 @@
 Each experiment writes one CSV per sweep plus a JSON summary into the output
 directory.  Report bodies are deterministic for a fixed resolved config; the
 only timestamp lives on the first line of summary.txt so the remaining files
-can be compared byte for byte.
+can be compared byte for byte.  Every runner returns its verdict as a list
+of named checks with fixed bounds; `pass` is their conjunction.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 numeric non-convergence.
@@ -33,6 +34,7 @@ from .operators import (
     verify_kernel_decay,
 )
 from .quadrature import (
+    check,
     dyadic_band_ratio,
     dyadic_tail_order,
     fit_decay_exponent,
@@ -54,7 +56,6 @@ DEFAULTS = {
         "tau_lo": 1e-3,
         "tau_hi": 1e-1,
         "n_samples": 25,
-        "slope_tol": 0.2,
         "cutoff_kind": "smoothstep_poly",
         "cutoff_order": 7,
     },
@@ -65,8 +66,6 @@ DEFAULTS = {
         "tau_lo": 2.0,
         "tau_hi": 10.0,
         "n_samples": 15,
-        "min_order": 3.0,
-        "max_ratio": 10.0,
         "cutoff_kind": "smoothstep_poly",
         "cutoff_order": 7,
     },
@@ -79,7 +78,6 @@ DEFAULTS = {
         "ratio_lo": 0.05,
         "ratio_hi": 1.0,
         "n_samples": 20,
-        "slope_tol": 0.3,
         "cutoff_kind": "smoothstep_poly",
         "cutoff_order": 7,
     },
@@ -103,7 +101,6 @@ DEFAULTS = {
         "t_lo": 1e-4,
         "t_hi": 1e-2,
         "n_samples": 12,
-        "slope_tol": 0.05,
     },
     "atom-uniformity": {
         "p": 0.5,
@@ -112,7 +109,6 @@ DEFAULTS = {
         "n_modes": 1024,
         "atom_count": 50,
         "seed": 0,
-        "max_ratio": 10.0,
     },
     "maximal-sweep": {
         "alpha": 0.5,
@@ -191,8 +187,10 @@ def _write_summary(out_dir: Path, experiment: str, config: dict, summary: dict) 
         fh.write("\n")
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
     lines.append(f"experiment: {experiment}")
-    for key in sorted(summary):
-        lines.append(f"{key}: {summary[key]}")
+    lines += [f"{key}: {summary[key]}" for key in sorted(summary) if key != "checks"]
+    for c in summary["checks"]:
+        verdict = "pass" if c["pass"] else "FAIL"
+        lines.append(f"check {c['name']}: {c['value']!r} {c['relation']} {c['bound']!r} {verdict}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -219,15 +217,13 @@ def _run_symbol_decay(config, out_dir):
         config["tau_lo"],
         config["tau_hi"],
         n_samples=config["n_samples"],
-        slope_tol=config["slope_tol"],
     )
     rows = [(tau, v.real, v.imag, abs(v)) for tau, v in report["samples"]]
     _write_csv(out_dir / "symbol-decay.csv", ["tau", "re", "im", "modulus"], rows)
     return {
         "predicted_exponent": report["predicted_exponent"],
-        "branch": report["branch"],
         "fitted": _fit_dict(report["fitted"]),
-        "pass": report["pass"],
+        "checks": report["checks"],
     }
 
 
@@ -254,7 +250,10 @@ def _run_dyadic_decay(config, out_dir):
         "tail_fit": _fit_dict(fit),
         "band_normalized": {str(kk): float(v) for kk, v in band["normalized"].items()},
         "band_ratio": float(band["ratio"]),
-        "pass": bool(order >= config["min_order"] and band["ratio"] <= config["max_ratio"]),
+        "checks": [
+            check("fitted_order", order, ">=", 3.0),
+            check("band_ratio", band["ratio"], "<=", 10.0),
+        ],
     }
 
 
@@ -268,23 +267,9 @@ def _run_kernel_decay(config, out_dir):
     radii = ratios * t
     # the doubled sweep first: an m_cap whose double exceeds the lattice
     # limit is rejected before any sum is built
-    doubled = verify_kernel_decay(
-        params,
-        profile,
-        t,
-        radii,
-        eps=config["eps"],
-        M_cap=2 * config["m_cap"],
-        slope_tol=config["slope_tol"],
-    )
-    report = verify_kernel_decay(
-        params,
-        profile,
-        t,
-        radii,
-        eps=config["eps"],
-        M_cap=config["m_cap"],
-        slope_tol=config["slope_tol"],
+    doubled, report = (
+        verify_kernel_decay(params, profile, t, radii, eps=config["eps"], M_cap=cap)
+        for cap in (2 * config["m_cap"], config["m_cap"])
     )
     rows = []
     for x, u in zip(radii, ratios):
@@ -295,10 +280,7 @@ def _run_kernel_decay(config, out_dir):
     return {
         "fitted": _fit_dict(report["fitted"]),
         "predicted_slope": report["predicted_slope"],
-        "branch": report["branch"],
-        "m_cap_doubling_delta": delta,
-        "stable": bool(delta < 0.05),
-        "pass": bool(report["pass"] and delta < 0.05),
+        "checks": [*report["checks"], check("m_cap_doubling_delta", delta, "<", 0.05)],
     }
 
 
@@ -322,7 +304,7 @@ def _run_rate_combo(config, out_dir):
     return {
         "fitted": _fit_dict(report.fit),
         "predicted_rate": report.predicted_rate,
-        "pass": report.passed,
+        "checks": report.checks,
     }
 
 
@@ -341,7 +323,7 @@ def _run_rate_riesz(config, out_dir):
     return {
         "fitted": _fit_dict(fit),
         "predicted_slope": 1.0,
-        "pass": bool(abs(fit.slope - 1.0) <= config["slope_tol"]),
+        "checks": [check("slope", abs(fit.slope - 1.0), "<=", 0.05)],
     }
 
 
@@ -363,8 +345,7 @@ def _run_atom_uniformity(config, out_dir):
         "max": report["max"],
         "median": report["median"],
         "ratio": report["ratio"],
-        "max_ratio": config["max_ratio"],
-        "pass": bool(report["ratio"] <= config["max_ratio"]),
+        "checks": [check("ratio", report["ratio"], "<=", 10.0)],
     }
 
 
@@ -391,8 +372,8 @@ def _run_maximal_sweep(config, out_dir):
 
     maxima = maximal_over_times(f, family, time_grid.times).samples
     fine = maximal_over_times(f, family, time_grid.refined().times).samples
-    monotone = bool(np.all(fine >= maxima - 1e-15))
     delta = float(np.max(fine - maxima))
+    monotone = check("monotone", np.min(fine - maxima), ">=", -1e-15)
     coords = grid.coords_1d.tolist()
     if grid.dimension == 1:
         _write_csv(out_dir / "maximal-sweep.csv", ["x", "maximal"], zip(coords, maxima.tolist()))
@@ -407,8 +388,7 @@ def _run_maximal_sweep(config, out_dir):
     return {
         "sup_maximal": float(np.max(maxima)),
         "refinement_delta": delta,
-        "monotone": monotone,
-        "pass": monotone,
+        "checks": [monotone],
     }
 
 
@@ -488,8 +468,9 @@ def main(argv=None) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    summary["pass"] = all(c["pass"] for c in summary["checks"])
     _write_summary(out_dir, args.experiment, config, summary)
-    status = EXIT_PASS if summary.get("pass", False) else EXIT_CHECK_FAILURE
+    status = EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILURE
     print(f"{args.experiment}: {'pass' if status == EXIT_PASS else 'CHECK FAILED'} "
           f"(reports in {out_dir})")
     return status

@@ -11,7 +11,7 @@ import numpy.random
 
 from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
 from .operators import TimeGrid, maximal_over_times, oscillating_op, schrodinger_propagate
-from .quadrature import DecayFit, fit_decay_exponent
+from .quadrature import DecayFit, check, fit_decay_exponent
 from .symbols import DEFAULT_PROFILE, SymbolParams
 from .torus import GridField, LatticeGrid, SpectralField, forward_transform, inverse_transform
 
@@ -39,12 +39,13 @@ class CombinationScheme:
 
 @dataclass(frozen=True)
 class RateReport:
-    """`errors` holds the grid-sup convergence error at every sampled time."""
+    """`errors` holds the grid-sup convergence error at every sampled time,
+    `checks` the verdict "rate" (fitted slope >= predicted_rate - 0.1)."""
 
     fit: DecayFit
     errors: np.ndarray
     predicted_rate: float
-    passed: bool
+    checks: list
 
 
 def combination_coefficients(N: int) -> CombinationScheme:
@@ -93,9 +94,10 @@ def combination_rate_experiment(
 ) -> RateReport:
     """Convergence-rate check for the combination scheme on a band-limited
     field, sampled at `times` (default 24 points geometric on [1e-4, 1e-2],
-    at least 5): fitted slope must reach beta/alpha - 0.1 (the claimed rate
-    is a one-sided o(t^{beta/alpha}) bound).  Raises ValueError when fewer
-    than 5 errors lie above the roundoff floor, as for a constant field."""
+    at least 5): its check "rate" needs a fitted slope of at least
+    beta/alpha - 0.1 (the claimed rate is a one-sided o(t^{beta/alpha})
+    bound).  Raises ValueError when fewer than 5 errors lie above the
+    roundoff floor, as for a constant field."""
     if times is None:
         times = np.geomspace(1e-4, 1e-2, 24)
     if len(times) < _MIN_RATE_SAMPLES:
@@ -123,7 +125,7 @@ def combination_rate_experiment(
         fit=fit,
         errors=errors,
         predicted_rate=predicted,
-        passed=bool(fit.slope >= predicted - 0.1),
+        checks=[check("rate", fit.slope, ">=", predicted - 0.1)],
     )
 
 

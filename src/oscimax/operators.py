@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import fit_decay_exponent
+from .quadrature import check, fit_decay_exponent, slope_or_bounded
 from .symbols import (
     CutoffProfile,
     SymbolParams,
@@ -226,13 +226,15 @@ def verify_kernel_decay(
     radii,
     eps: float = 1e-7,
     M_cap: int = 200_000,
-    slope_tol: float = 0.3,
 ) -> dict:
     """Fit |kernel(x, t)| against x/t on a log-log scale for x/t <= 1.
 
     For beta = n*alpha/2 + excess (n = 1 here) the local singularity predicts
-    slope -1 + excess/(1 - alpha); when that is >= 0 the kernel is predicted
-    bounded on the window and a sup/inf ratio check replaces the fit.
+    slope -1 + excess/(1 - alpha), and the check "slope" requires the fitted
+    slope within 0.3 of it; when the prediction is >= 0 the kernel is
+    predicted bounded on the window and the check "bounded" (sup/inf <= 10)
+    replaces it.  Returns that check under "checks" and its verdict under
+    "pass".
 
     The predicted slope is the x/t -> 0 law: it comes from the stationary
     point lam* = (alpha * t/x)^{1/(1-alpha)} of the phase, at lattice
@@ -266,17 +268,12 @@ def verify_kernel_decay(
     )
     ratios = radii / t
     fit = fit_decay_exponent(list(zip(ratios, mods)))
-    if predicted < 0.0:
-        passed = abs(fit.slope - predicted) <= slope_tol
-        branch = "slope"
-    else:
-        passed = bool(np.max(mods) <= 10.0 * np.min(mods))
-        branch = "bounded"
+    verdict = slope_or_bounded(fit, predicted, 0.3, np.max(mods) / np.min(mods))
     return {
         "fitted": fit,
         "predicted_slope": predicted,
-        "branch": branch,
-        "pass": bool(passed),
+        "checks": [verdict],
+        "pass": verdict["pass"],
         "eps": eps,
         "M_cap": M_cap,
     }
@@ -289,7 +286,6 @@ def riesz_symbol_decay_check(
     z_hi: float,
     n_windows: int = 40,
     samples_per_window: int = 48,
-    slope_tol: float = 0.15,
 ) -> dict:
     """Fit the upper envelope of |riesz_mean_symbol| against z.
 
@@ -301,7 +297,8 @@ def riesz_symbol_decay_check(
 
     so the envelope decays like z^{-min(k, 1)}: the oscillating term leads
     for k < 1, the non-oscillating k/(-iz) term for k > 1, and both are of
-    order 1/z at k = 1.  The predicted slope is -min(k, 1).
+    order 1/z at k = 1.  The predicted slope is -min(k, 1); the check
+    "slope" requires the fitted one within 0.15 of it.
     """
     if not (z_lo >= 10.0 and z_hi >= 10.0 * z_lo):
         raise ValueError("need z_hi >= 10*z_lo >= 100 for the asymptotic regime")
@@ -312,5 +309,6 @@ def riesz_symbol_decay_check(
     peaks = np.max(np.abs(riesz_mean_symbol(k, alpha, zs)), axis=1)
     fit = fit_decay_exponent(list(zip(np.sqrt(lo * hi), peaks)))
     predicted = -min(k, 1.0)
-    passed = abs(fit.slope - predicted) <= slope_tol
-    return {"fitted": fit, "predicted_slope": predicted, "pass": bool(passed)}
+    verdict = check("slope", abs(fit.slope - predicted), "<=", 0.15)
+    return {"fitted": fit, "predicted_slope": predicted,
+            "checks": [verdict], "pass": verdict["pass"]}

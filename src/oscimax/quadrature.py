@@ -117,6 +117,22 @@ def fit_decay_exponent(samples, floor: float | None = None) -> DecayFit:
     )
 
 
+def check(name: str, value, relation: str, bound: float) -> dict:
+    """One named verdict, `value relation bound` with relation "<=", "<" or
+    ">=": the only place a measured value meets its bound."""
+    value, bound = float(value), float(bound)
+    holds = {"<=": value <= bound, "<": value < bound, ">=": value >= bound}[relation]
+    return {"name": name, "value": value, "relation": relation, "bound": bound, "pass": holds}
+
+
+def slope_or_bounded(fit: DecayFit, predicted: float, tol: float, spread: float) -> dict:
+    """The decay check: the fitted slope within `tol` of a negative predicted
+    exponent, or, when the prediction is bounded, a modulus spread <= 10."""
+    if predicted < 0.0:
+        return check("slope", abs(fit.slope - predicted), "<=", tol)
+    return check("bounded", spread, "<=", 10.0)
+
+
 # ---------------------------------------------------------------------------
 # panel machinery
 
@@ -512,14 +528,14 @@ def verify_small_tau_decay(
     tau_lo: float,
     tau_hi: float,
     n_samples: int = 25,
-    slope_tol: float = 0.2,
 ) -> dict:
     """Check the small-tau decay law of the transformed symbol on [tau_lo, tau_hi].
 
-    If the predicted exponent is negative the fitted log-log slope must match
-    it within `slope_tol`; otherwise the transform is predicted bounded and
-    the check is sup modulus <= 10x the modulus at tau_hi.  Every evaluated
-    (tau, value) pair is returned under "samples".
+    If the predicted exponent is negative the check "slope" requires the
+    fitted log-log slope within 0.2 of it; otherwise the transform is
+    predicted bounded and the check "bounded" requires sup modulus <= 10x
+    the modulus at tau_hi.  Returns that check under "checks", its verdict
+    under "pass", and every evaluated (tau, value) pair under "samples".
     """
     if not 0.0 < tau_lo < tau_hi <= 200.0:
         raise ValueError("need 0 < tau_lo < tau_hi <= 200")
@@ -530,16 +546,11 @@ def verify_small_tau_decay(
     ]
     mods = np.array([abs(v) for _, v in samples])
     fit = fit_decay_exponent([(t, abs(v)) for t, v in samples])
-    if predicted < 0.0:
-        passed = abs(fit.slope - predicted) <= slope_tol
-        branch = "slope"
-    else:
-        passed = bool(np.max(mods) <= 10.0 * mods[-1])
-        branch = "bounded"
+    verdict = slope_or_bounded(fit, predicted, 0.2, np.max(mods) / mods[-1])
     return {
         "fitted": fit,
         "samples": samples,
         "predicted_exponent": predicted,
-        "branch": branch,
-        "pass": bool(passed),
+        "checks": [verdict],
+        "pass": verdict["pass"],
     }

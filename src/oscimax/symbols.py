@@ -185,8 +185,10 @@ def riesz_mean_symbol(k: float, alpha: float, z):
         term *= z_max / (last + k)
     w = 1j * series
     acc = np.ones_like(w)
-    for n in range(last, 0, -1):
-        acc = 1.0 + w * acc / (n + k)
+    for n in range(last, 0, -1):  # acc = 1 + w * acc / (n + k), in place
+        np.multiply(w, acc, out=acc)
+        acc /= n + k
+        acc += 1.0
     out[small] = acc
     big = a[~small]
     if big.size:  # the contour pass costs the same for one value as for many

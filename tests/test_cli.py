@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -81,22 +82,31 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
-    def test_failed_check_returns_one(self, tmp_path):
-        # an intentionally impossible ratio bound forces a check failure
-        code = main(
-            [
-                "atom-uniformity",
-                "--n-modes",
-                "512",
-                "--atom-count",
-                "6",
-                "--max-ratio",
-                "0.5",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert code == EXIT_CHECK_FAILURE
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate-riesz", "--slope-tol", "1"],
+            ["dyadic-decay", "--min-order", "0"],
+            ["atom-uniformity", "--max-ratio", "100"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_retired_verdict_bound_flag_is_usage_error(self, tmp_path, capsys, argv):
+        """Verdict bounds are fixed where each check is built, not user knobs."""
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retired_verdict_bound_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps({"slope_tol": 0.2}))
+        out = tmp_path / "o"
+        assert main(["symbol-decay", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "unknown config key 'slope_tol'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiment, loaded",
@@ -287,24 +297,32 @@ class TestExitCodes:
 
 
 # Configs whose verdict must fail, one per experiment whose verdict can fail
-# along the axis it claims to test.  No entry yet: symbol-decay,
-# dyadic-decay, rate-riesz, atom-uniformity (its ratio passes at beta = 0.25
-# and at beta = 2) and maximal-sweep (its monotone flag holds by
-# construction).
+# along the axis it claims to test, each with the verdict of every check.
+# No entry yet: symbol-decay, dyadic-decay, rate-riesz, atom-uniformity (its
+# ratio passes at beta = 0.25 and at beta = 2) and maximal-sweep (its
+# monotone check holds by construction).
 NEGATIVE_CONTROLS = [
     # N = 1 cancels no moment: the error falls like t, below the rate beta/alpha
-    ["rate-combo", "--N", "1"],
-    # x/t in [0.05, 1] is pre-asymptotic: the fitted slope is near -1, not -1/2
-    ["kernel-decay", "--m-cap", "20000", "--n-samples", "6"],
+    (["rate-combo", "--N", "1"], {"rate": False}),
+    # x/t in [0.05, 1] is pre-asymptotic: the fitted slope is near -1, not
+    # -1/2, and doubling m_cap does not move it
+    (
+        ["kernel-decay", "--m-cap", "20000", "--n-samples", "6"],
+        {"slope": False, "m_cap_doubling_delta": True},
+    ),
 ]
 
 
 class TestNegativeControls:
-    @pytest.mark.parametrize("argv", NEGATIVE_CONTROLS, ids=lambda argv: argv[0])
-    def test_verdict_fails(self, tmp_path, argv):
+    @pytest.mark.parametrize(
+        "argv, verdicts", NEGATIVE_CONTROLS, ids=[argv[0] for argv, _ in NEGATIVE_CONTROLS]
+    )
+    def test_verdict_fails(self, tmp_path, argv, verdicts):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_CHECK_FAILURE
-        assert json.loads((out / "summary.json").read_text())["pass"] is False
+        body = json.loads((out / "summary.json").read_text())
+        assert body["pass"] is False
+        assert {c["name"]: c["pass"] for c in body["checks"]} == verdicts
 
 
 class TestReports:
@@ -430,6 +448,30 @@ TINY_RUNS = [
     ["atom-uniformity", "--n-modes", "128", "--atom-count", "2"],
     ["maximal-sweep", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
 ]
+
+
+RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
+class TestVerdictContract:
+    @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+    def test_pass_is_the_conjunction_of_named_checks(self, tmp_path, argv):
+        """Every experiment reports named checks of one shape; its verdict,
+        and its exit code, is their conjunction."""
+        out = tmp_path / "o"
+        code = main([*argv, "--out", str(out)])
+        body = json.loads((out / "summary.json").read_text())
+        checks = body["checks"]
+        assert checks
+        for c in checks:
+            assert set(c) == {"name", "value", "relation", "bound", "pass"}, c
+            assert c["pass"] is RELATIONS[c["relation"]](c["value"], c["bound"]), c
+        assert body["pass"] is all(c["pass"] for c in checks)
+        assert code == (EXIT_PASS if body["pass"] else EXIT_CHECK_FAILURE)
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("check ")] == [
+            f"check {c['name']}" for c in checks
+        ]
 
 
 class TestImports:

@@ -551,13 +551,13 @@ class TestVerifySmallTauDecay:
     def test_slope_branch(self):
         params = SymbolParams(0.5, 0.5)
         report = verify_small_tau_decay(params, PROFILE, 0, 1e-3, 1e-1)
-        assert report["branch"] == "slope"
+        assert [c["name"] for c in report["checks"]] == ["slope"]
         assert report["pass"]
 
     def test_bounded_branch(self):
         params = SymbolParams(0.5, 3.0)
         report = verify_small_tau_decay(params, PROFILE, 0, 1e-3, 1e-1, n_samples=10)
-        assert report["branch"] == "bounded"
+        assert [c["name"] for c in report["checks"]] == ["bounded"]
         assert report["pass"]
 
     def test_window_validation(self):
