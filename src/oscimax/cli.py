@@ -1,10 +1,11 @@
 """Experiment runner: config parsing, dispatch, and machine-readable reports.
 
-Each experiment writes one CSV per sweep plus a JSON summary into the output
-directory.  Report bodies are deterministic for a fixed resolved config; the
-only timestamp lives on the first line of summary.txt so the remaining files
-can be compared byte for byte.  Every runner returns its verdict as a list
-of named checks with fixed bounds; `pass` is their conjunction.
+Each runner is a pure function of its resolved config: it returns its summary,
+whose verdict is a list of named checks with fixed bounds, and the lines of
+one CSV per sweep; `main` writes them, summary.json and summary.txt only after
+the verdict.  Report bodies are deterministic for a fixed resolved config; the
+only timestamp is the first line of summary.txt, so the rest compares byte
+for byte.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 numeric non-convergence.
@@ -13,10 +14,9 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import locale  # noqa: F401 -- argparse's gettext imports it when main() builds the parser
-import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -144,36 +144,36 @@ def _check_value(key: str, value, default) -> None:
 
 
 def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
+    """The defaults, then the file's values, then the flags: one check and coercion for all."""
     defaults = DEFAULTS[experiment]
-    config = dict(defaults)
+    loaded = {}
     if config_file is not None:
         with open(config_file) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key == "experiment":
-                continue
-            if key not in config:
-                raise ValueError(f"unknown config key {key!r} for {experiment}")
-            _check_value(key, value, defaults[key])
-            config[key] = value
-    for key, value in flag_values.items():
-        if value is None:
-            continue
-        if key not in config:
+        named = loaded.pop("experiment", experiment)
+        if named != experiment:
+            raise ValueError(f"config file is for experiment {named!r}, not {experiment}")
+    config = dict(defaults)
+    sources = [(key, value, False) for key, value in loaded.items()]
+    sources += [(key, value, True) for key, value in flag_values.items() if value is not None]
+    for key, value, is_flag in sources:
+        if key not in config and is_flag:
             raise ValueError(f"flag --{key.replace('_', '-')} does not apply to {experiment}")
+        if key not in config:
+            raise ValueError(f"unknown config key {key!r} for {experiment}")
         _check_value(key, value, defaults[key])
         config[key] = float(value) if isinstance(defaults[key], float) else value
     return config
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+def _csv(header, rows):
+    """CSV lines of a header and numeric rows, float cells as repr(float(v)):
+    for such plain cells, the bytes csv.writer writes."""
+    yield ",".join(header) + "\r\n"
+    for row in rows:
+        yield ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row]) + "\r\n"
 
 
 def _write_summary(out_dir: Path, experiment: str, config: dict, summary: dict) -> None:
@@ -195,16 +195,10 @@ def _write_summary(out_dir: Path, experiment: str, config: dict, summary: dict) 
 
 
 def _fit_dict(fit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "tau_range": list(fit.tau_range),
-        "sample_count": fit.sample_count,
-    }
+    return {**dataclasses.asdict(fit), "tau_range": list(fit.tau_range)}
 
 
-def _run_symbol_decay(config, out_dir):
+def _run_symbol_decay(config):
     """small-tau blow-up exponent of the cosine transform of the oscillating
     symbol (and its tau-derivatives) against the predicted
     -L/(1-alpha) + (alpha-2+2*beta)/(2*(1-alpha))"""
@@ -219,15 +213,14 @@ def _run_symbol_decay(config, out_dir):
         n_samples=config["n_samples"],
     )
     rows = [(tau, v.real, v.imag, abs(v)) for tau, v in report["samples"]]
-    _write_csv(out_dir / "symbol-decay.csv", ["tau", "re", "im", "modulus"], rows)
     return {
         "predicted_exponent": report["predicted_exponent"],
         "fitted": _fit_dict(report["fitted"]),
         "checks": report["checks"],
-    }
+    }, {"symbol-decay.csv": _csv(["tau", "re", "im", "modulus"], rows)}
 
 
-def _run_dyadic_decay(config, out_dir):
+def _run_dyadic_decay(config):
     """outer-region decay order and middle-region normalized magnitude of the
     frequency-localized transform pieces"""
     params = SymbolParams(config["alpha"], config["beta"])
@@ -242,7 +235,6 @@ def _run_dyadic_decay(config, out_dir):
     )
     band = dyadic_band_ratio(params, profile)
     rows = [(s, v.real, v.imag, abs(v)) for s, v in tail["samples"]]
-    _write_csv(out_dir / "dyadic-decay.csv", ["scaled_tau", "re", "im", "modulus"], rows)
     fit = tail["fitted"]
     order = -fit.slope
     return {
@@ -254,10 +246,10 @@ def _run_dyadic_decay(config, out_dir):
             check("fitted_order", order, ">=", 3.0),
             check("band_ratio", band["ratio"], "<=", 10.0),
         ],
-    }
+    }, {"dyadic-decay.csv": _csv(["scaled_tau", "re", "im", "modulus"], rows)}
 
 
-def _run_kernel_decay(config, out_dir):
+def _run_kernel_decay(config):
     """near-diagonal decay of the 1-D kernel lattice sum against the predicted
     x/t power law, with truncation-doubling stability"""
     params = SymbolParams(config["alpha"], config["beta"])
@@ -275,16 +267,15 @@ def _run_kernel_decay(config, out_dir):
     for x, u in zip(radii, ratios):
         v = kernel_lattice_sum(params, profile, t, float(x), eps=config["eps"], M_cap=config["m_cap"])
         rows.append((float(u), v.real, v.imag, abs(v)))
-    _write_csv(out_dir / "kernel-decay.csv", ["x_over_t", "re", "im", "modulus"], rows)
     delta = abs(doubled["fitted"].slope - report["fitted"].slope)
     return {
         "fitted": _fit_dict(report["fitted"]),
         "predicted_slope": report["predicted_slope"],
         "checks": [*report["checks"], check("m_cap_doubling_delta", delta, "<", 0.05)],
-    }
+    }, {"kernel-decay.csv": _csv(["x_over_t", "re", "im", "modulus"], rows)}
 
 
-def _run_rate_combo(config, out_dir):
+def _run_rate_combo(config):
     """convergence rate of the Vandermonde time-combination of fractional
     propagators toward the identity"""
     grid = LatticeGrid(1, config["n_modes"])
@@ -300,15 +291,14 @@ def _run_rate_combo(config, out_dir):
         N=config["N"] or None,
     )
     rows = [(float(t), float(e)) for t, e in zip(times, report.errors)]
-    _write_csv(out_dir / "rate-combo.csv", ["t", "error"], rows)
     return {
         "fitted": _fit_dict(report.fit),
         "predicted_rate": report.predicted_rate,
         "checks": report.checks,
-    }
+    }, {"rate-combo.csv": _csv(["t", "error"], rows)}
 
 
-def _run_rate_riesz(config, out_dir):
+def _run_rate_riesz(config):
     """single-mode convergence rate of Riesz means of the fractional
     propagator"""
     grid = LatticeGrid(1, config["n_modes"])
@@ -319,15 +309,14 @@ def _run_rate_riesz(config, out_dir):
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients
         rows.append((float(t), float(np.sqrt(np.sum(np.abs(diff) ** 2)))))
     fit = fit_decay_exponent(rows)
-    _write_csv(out_dir / "rate-riesz.csv", ["t", "error"], rows)
     return {
         "fitted": _fit_dict(fit),
         "predicted_slope": 1.0,
         "checks": [check("slope", abs(fit.slope - 1.0), "<=", 0.05)],
-    }
+    }, {"rate-riesz.csv": _csv(["t", "error"], rows)}
 
 
-def _run_atom_uniformity(config, out_dir):
+def _run_atom_uniformity(config):
     """weak-type quasinorm spread of the maximal oscillating operator over a
     batch of cancellative atoms"""
     grid = LatticeGrid(1, config["n_modes"])
@@ -339,17 +328,16 @@ def _run_atom_uniformity(config, out_dir):
         atom_count=config["atom_count"],
         seed=config["seed"],
     )
-    rows = list(zip((float(r) for r in report["radii"]), (float(q) for q in report["quasinorms"])))
-    _write_csv(out_dir / "atom-uniformity.csv", ["radius", "quasinorm"], rows)
+    rows = zip(report["radii"], report["quasinorms"])
     return {
         "max": report["max"],
         "median": report["median"],
         "ratio": report["ratio"],
         "checks": [check("ratio", report["ratio"], "<=", 10.0)],
-    }
+    }, {"atom-uniformity.csv": _csv(["radius", "quasinorm"], rows)}
 
 
-def _run_maximal_sweep(config, out_dir):
+def _run_maximal_sweep(config):
     """maximal function of the oscillating operator over a time grid, with
     refinement-stability delta"""
     grid = LatticeGrid(config["dimension"], config["n_modes"])
@@ -375,21 +363,21 @@ def _run_maximal_sweep(config, out_dir):
     delta = float(np.max(fine - maxima))
     monotone = check("monotone", np.min(fine - maxima), ">=", -1e-15)
     coords = grid.coords_1d.tolist()
-    if grid.dimension == 1:
-        _write_csv(out_dir / "maximal-sweep.csv", ["x", "maximal"], zip(coords, maxima.tolist()))
-    else:
-        # The same bytes as _write_csv, one x-row per write: each coordinate
-        # is formatted once and no list of all rows is held.
+
+    def lines_2d():
+        """The same bytes as _csv, one x-row per line chunk: each coordinate
+        is formatted once and no list of all rows is held."""
         cells = [repr(c) + "," for c in coords]
-        with open(out_dir / "maximal-sweep.csv", "w", newline="") as fh:
-            fh.write("x,y,maximal\r\n")
-            for x, row in zip(cells, maxima):
-                fh.write("".join([x + y + repr(v) + "\r\n" for y, v in zip(cells, row.tolist())]))
+        yield "x,y,maximal\r\n"
+        for x, row in zip(cells, maxima):
+            yield "".join([x + y + repr(v) + "\r\n" for y, v in zip(cells, row.tolist())])
+
+    lines = lines_2d() if grid.dimension > 1 else _csv(["x", "maximal"], zip(coords, maxima.tolist()))
     return {
         "sup_maximal": float(np.max(maxima)),
         "refinement_delta": delta,
         "checks": [monotone],
-    }
+    }, {"maximal-sweep.csv": lines}
 
 
 RUNNERS = {
@@ -446,30 +434,30 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     out_dir = args.out or Path(f"oscimax-out-{args.experiment}")
-    # the outermost directory this run creates; removed again if the run fails
-    created = None
-    for path in (out_dir, *out_dir.parents):
-        if path.exists():
-            break
-        created = path
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. a file where the directory should be
-        print(f"config error: {exc}", file=sys.stderr)
+    # e.g. a file where the directory should be: refused before the run
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        print(f"config error: --out {out_dir}: {existing} is not a directory", file=sys.stderr)
         return EXIT_USAGE
     try:
-        summary = RUNNERS[args.experiment](config, out_dir)
-    except (RuntimeError, ValueError) as exc:
-        if created is not None:
-            shutil.rmtree(created)
-        if isinstance(exc, RuntimeError):
-            print(f"numeric non-convergence: {exc}", file=sys.stderr)
-            return EXIT_NON_CONVERGENCE
+        summary, csvs = RUNNERS[args.experiment](config)
+    except RuntimeError as exc:
+        print(f"numeric non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NON_CONVERGENCE
+    except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     summary["pass"] = all(c["pass"] for c in summary["checks"])
-    _write_summary(out_dir, args.experiment, config, summary)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, lines in csvs.items():
+            with open(out_dir / name, "w", newline="") as fh:
+                fh.writelines(lines)
+        _write_summary(out_dir, args.experiment, config, summary)
+    except OSError as exc:
+        print(f"cannot write reports: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     status = EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILURE
     print(f"{args.experiment}: {'pass' if status == EXIT_PASS else 'CHECK FAILED'} "
           f"(reports in {out_dir})")

@@ -233,7 +233,8 @@ def verify_kernel_decay(
     slope -1 + excess/(1 - alpha), and the check "slope" requires the fitted
     slope within 0.3 of it; when the prediction is >= 0 the kernel is
     predicted bounded on the window and the check "bounded" (sup/inf <= 10)
-    replaces it.  Returns that check under "checks" and its verdict under
+    replaces it.  Returns the fit under "fitted", the prediction under
+    "predicted_slope", that check under "checks" and its verdict under
     "pass".
 
     The predicted slope is the x/t -> 0 law: it comes from the stationary
@@ -274,8 +275,6 @@ def verify_kernel_decay(
         "predicted_slope": predicted,
         "checks": [verdict],
         "pass": verdict["pass"],
-        "eps": eps,
-        "M_cap": M_cap,
     }
 
 

@@ -145,6 +145,35 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert (tmp_path / "file").read_text() == "not a directory"
 
+    @pytest.mark.parametrize("blocked", ["rate-riesz.csv", "summary.json"])
+    def test_report_path_blocked_by_a_directory_is_usage_error(self, tmp_path, capsys, blocked):
+        """The output directory exists, but one report file's name is taken
+        by a directory: the run computes its verdict, then cannot write."""
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        argv = ["rate-riesz", "--n-modes", "16", "--mode", "3", "--n-samples", "5", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (out / blocked).is_dir()
+
+    def test_config_file_for_another_experiment_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "combo.json"
+        cfg.write_text(json.dumps({"experiment": "rate-combo", "alpha": 0.5, "beta": 0.75}))
+        out = tmp_path / "new" / "o"
+        assert main(["symbol-decay", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "rate-combo" in err
+        assert not (tmp_path / "new").exists()
+
+    def test_config_file_naming_its_own_experiment_runs(self, tmp_path):
+        cfg = tmp_path / "riesz.json"
+        cfg.write_text(json.dumps({"experiment": "rate-riesz", "n_modes": 16, "mode": 3}))
+        out = tmp_path / "o"
+        assert main(["rate-riesz", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        assert json.loads((out / "summary.json").read_text())["config"]["mode"] == 3
+
     def test_failed_run_removes_the_directories_it_created(self, tmp_path):
         out = tmp_path / "new" / "o"
         argv = ["symbol-decay", "--alpha", "0.75", "--tau-lo", "1e-3", "--out", str(out)]
@@ -354,6 +383,17 @@ class TestReports:
         body = json.loads((out / "summary.json").read_text())
         assert body["config"]["mode"] == 9
 
+    def test_file_and_flag_give_the_same_report(self, tmp_path):
+        """An integer for a float key reads as a float from either source."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_hi": 1}))
+        common = ["symbol-decay", "--tau-lo", "0.1", "--n-samples", "5", "--out"]
+        code = main([*common, str(tmp_path / "file"), "--config", str(cfg)])
+        assert main([*common, str(tmp_path / "flag"), "--tau-hi", "1"]) == code
+        from_file = (tmp_path / "file" / "summary.json").read_bytes()
+        assert from_file == (tmp_path / "flag" / "summary.json").read_bytes()
+        assert b'"tau_hi": 1.0,' in from_file
+
     def test_rate_combo_fits_the_configured_times(self, tmp_path):
         out = tmp_path / "rpt"
         code = main(["rate-combo", "--t-lo", "1e-3", "--n-samples", "12", "--out", str(out)])
@@ -472,6 +512,35 @@ class TestVerdictContract:
         assert [line.split(":")[0] for line in lines if line.startswith("check ")] == [
             f"check {c['name']}" for c in checks
         ]
+
+
+class TestRunners:
+    @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+    def test_runner_is_pure(self, tmp_path, monkeypatch, argv):
+        """A runner returns its summary and CSV lines and creates no file,
+        not even when its lines are consumed."""
+        monkeypatch.chdir(tmp_path)
+        args = vars(build_parser().parse_args(argv))
+        flags = {k: v for k, v in args.items() if k not in ("experiment", "config", "out")}
+        result = RUNNERS[argv[0]](cli._resolve_config(argv[0], None, flags))
+        assert isinstance(result, tuple) and len(result) == 2
+        summary, csvs = result
+        assert summary["checks"]
+        assert list(csvs) == [f"{argv[0]}.csv"]
+        for lines in csvs.values():
+            assert "".join(lines).endswith("\r\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+    def test_csv_is_what_csv_writer_writes(self, tmp_path, argv):
+        """Each CSV equals csv.writer's re-serialization of its own rows."""
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) in (EXIT_PASS, EXIT_CHECK_FAILURE)
+        written = (out / f"{argv[0]}.csv").read_bytes()
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(csv.reader(io.StringIO(written.decode(), newline="")))
+        assert written == expected.getvalue().encode()
+        assert written.count(b"\r\n") > 1
 
 
 class TestImports:
