@@ -54,11 +54,9 @@ from .hardy import (
     moment_integrals,
 )
 from .extrapolation import (
-    CombinationScheme,
     RateReport,
-    combination_coefficients,
+    combination_error_symbol,
     combination_apply,
-    convergence_error,
     combination_rate_experiment,
     atom_uniformity_experiment,
 )

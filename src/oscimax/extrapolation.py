@@ -1,5 +1,10 @@
-"""Vandermonde combination scheme for the fractional propagator and the
-convergence-rate and atom-uniformity experiments."""
+"""The order-N combination of fractional propagators, its convergence-rate
+experiment, and the atom-uniformity experiment.
+
+The combination's coefficients c_k = (-1)^{k-1} C(N, k) solve the Vandermonde
+moment system, so it differs from the identity by the one multiplier
+E_N(t|xi|^alpha) = -(1 - e^{it|xi|^alpha})^N.  With errors that exact, the
+rate check can fail only for an N below floor(beta/alpha) + 1."""
 
 from __future__ import annotations
 
@@ -10,31 +15,18 @@ import numpy as np
 import numpy.random
 
 from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
-from .operators import TimeGrid, maximal_over_times, oscillating_op, schrodinger_propagate
+from .operators import TimeGrid, apply_multiplier, maximal_over_times, oscillating_op
 from .quadrature import DecayFit, check, fit_decay_exponent
 from .symbols import DEFAULT_PROFILE, SymbolParams
 from .torus import GridField, LatticeGrid, SpectralField, forward_transform, inverse_transform
-
-ROUNDOFF_FLOOR = 1e-15
 
 # Grid samples per block of atoms in `atom_uniformity_experiment`, the size
 # of one 512 x 512 field: a block's stacked arrays are no larger than the
 # arrays of one field on the largest lattice the experiments run.
 _ATOM_BLOCK_SAMPLES = 2**18
 
-# a rate is fitted on at least five error samples above the roundoff floor
+# a rate is fitted on at least five nonzero error samples
 _MIN_RATE_SAMPLES = 5
-
-
-@dataclass(frozen=True)
-class CombinationScheme:
-    """Coefficients c_1..c_N with sum 1 and vanishing power moments
-    sum c_k k^j = 0 for j = 1..N-1; `residual` is the max violation of the
-    defining linear system."""
-
-    N: int
-    coefficients: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -48,40 +40,35 @@ class RateReport:
     checks: list
 
 
-def combination_coefficients(N: int) -> CombinationScheme:
-    """Solve the N x N power-moment (Vandermonde) system: rows k^j for
-    j = 0..N-1, k = 1..N, right-hand side (1, 0, ..., 0)."""
+def combination_error_symbol(N: int, z):
+    """E_N(z) = sum_k c_k e^{ikz} - 1 for the order-N combination, evaluated
+    as -(-2i sin(z/2) e^{iz/2})^N: no term cancels, so it is accurate to
+    rounding relative to |E_N(z)| = |2 sin(z/2)|^N."""
     if not 1 <= N <= 12:
         raise ValueError(f"N must lie in [1, 12], got {N}")
-    k = np.arange(1, N + 1, dtype=float)
-    mat = k[None, :] ** np.arange(N, dtype=float)[:, None]
-    rhs = np.zeros(N)
-    rhs[0] = 1.0
-    coeffs = np.linalg.solve(mat, rhs)
-    residual = float(np.max(np.abs(mat @ coeffs - rhs)))
-    return CombinationScheme(N=N, coefficients=coeffs, residual=residual)
+    half = 0.5 * np.asarray(z, dtype=float)
+    return -((-2j * np.sin(half) * np.exp(1j * half)) ** N)
 
 
-def combination_apply(
-    f: SpectralField, alpha: float, t: float, scheme: CombinationScheme
-) -> SpectralField:
-    """sum_k c_k * propagate(f, alpha, k*t)."""
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _error_multiplier(alpha: float, t: float, N: int):
+    """lam -> E_N(t lam^alpha), the order-N combination minus the identity
+    at time t."""
+    _check_alpha(alpha)
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    out = np.zeros_like(f.coefficients)
-    for k, c in enumerate(scheme.coefficients, start=1):
-        out = out + c * schrodinger_propagate(f, alpha, k * t).coefficients
-    return SpectralField(f.grid, out)
+    return lambda lam: combination_error_symbol(N, t * lam**alpha)
 
 
-def convergence_error(
-    f: SpectralField, alpha: float, t: float, scheme: CombinationScheme
-) -> float:
-    """Sup of |combination_apply(f, t) - f| on the spatial grid."""
-    diff = SpectralField(
-        f.grid, combination_apply(f, alpha, t, scheme).coefficients - f.coefficients
-    )
-    return float(np.max(np.abs(inverse_transform(diff).samples)))
+def combination_apply(f: SpectralField, alpha: float, t: float, N: int) -> SpectralField:
+    """sum_k c_k * propagate(f, alpha, k*t), as the one multiplier
+    1 + E_N(t |xi|^alpha)."""
+    error = _error_multiplier(alpha, t, N)
+    return apply_multiplier(f, lambda lam: 1.0 + error(lam))
 
 
 def combination_rate_experiment(
@@ -92,18 +79,21 @@ def combination_rate_experiment(
     times: np.ndarray | None = None,
     N: int | None = None,
 ) -> RateReport:
-    """Convergence-rate check for the combination scheme on a band-limited
-    field, sampled at `times` (default 24 points geometric on [1e-4, 1e-2],
-    at least 5): its check "rate" needs a fitted slope of at least
-    beta/alpha - 0.1 (the claimed rate is a one-sided o(t^{beta/alpha})
-    bound).  Raises ValueError when fewer than 5 errors lie above the
-    roundoff floor, as for a constant field."""
+    """Convergence-rate check for the order-N combination (default N =
+    floor(beta/alpha) + 1) on a band-limited field at `times` (default 24
+    points geometric on [1e-4, 1e-2], at least 5).  The error at t is the
+    grid sup of the field under E_N(t|xi|^alpha); only exact zeros are left
+    out of the fit, and fewer than 5 nonzero errors, as for a constant
+    field, raise ValueError.  The check "rate" needs a slope of at least
+    beta/alpha - 0.1 (a one-sided o(t^{beta/alpha}) bound); the slope is N,
+    so it can fail only for an N below floor(beta/alpha) + 1."""
     if times is None:
         times = np.geomspace(1e-4, 1e-2, 24)
     if len(times) < _MIN_RATE_SAMPLES:
         raise ValueError(f"need at least {_MIN_RATE_SAMPLES} times to fit a rate, got {len(times)}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    _check_alpha(alpha)
     n = f.grid.dimension
     if beta < n * alpha * (1.0 / p - 0.5) - 1e-12:
         raise ValueError(
@@ -112,15 +102,10 @@ def combination_rate_experiment(
         )
     if N is None:
         N = math.floor(beta / alpha) + 1
-    scheme = combination_coefficients(N)
-    scale = float(np.max(np.abs(f.coefficients))) or 1.0
-    errors = np.array(
-        [convergence_error(f, alpha, t, scheme) for t in times]
-    )
+    fields = (apply_multiplier(f, _error_multiplier(alpha, t, N)) for t in times)
+    errors = np.array([np.max(np.abs(inverse_transform(g).samples)) for g in fields])
     predicted = beta / alpha
-    # errors within 10x of the roundoff floor are flat bottoms, not a rate
-    floor = 10.0 * ROUNDOFF_FLOOR * scale
-    fit = fit_decay_exponent(list(zip(times, errors)), floor=floor)
+    fit = fit_decay_exponent(list(zip(times, errors)), floor=0.0)
     return RateReport(
         fit=fit,
         errors=errors,

@@ -6,16 +6,16 @@ and parameter choices are fixed, not tuned per run.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from oscimax import (
-    CombinationScheme,
     CutoffProfile,
     LatticeGrid,
     SymbolParams,
-    combination_coefficients,
+    combination_error_symbol,
     dyadic_band_ratio,
     dyadic_bump,
     dyadic_tail_order,
@@ -258,20 +258,31 @@ class TestSupBound:
 
 class TestCriterion6Vandermonde:
     def test_moment_system(self):
-        worst = 0.0
-        for N in range(1, 9):
-            scheme = combination_coefficients(N)
-            worst = max(worst, scheme.residual)
-        two = combination_coefficients(2).coefficients
-        three = combination_coefficients(3).coefficients
-        exact2 = float(np.max(np.abs(two - [2.0, -1.0])))
-        exact3 = float(np.max(np.abs(three - [3.0, -3.0, 1.0])))
-        report(
-            f"criterion 6 combination: residual {worst:.2e} (tol 1e-8), "
-            f"exact dev {max(exact2, exact3):.2e} (tol 1e-10)"
+        """The alternating binomials c_k = (-1)^{k-1} C(N, k) solve the
+        power-moment system exactly, in integers, and the library's error
+        symbol is their combination minus the identity."""
+        coefficients = {
+            N: [(-1) ** (k - 1) * math.comb(N, k) for k in range(1, N + 1)] for N in range(1, 9)
+        }
+        exact_moments = all(
+            [sum(c * k**j for k, c in enumerate(cs, start=1)) for j in range(N)]
+            == [1] + [0] * (N - 1)
+            for N, cs in coefficients.items()
         )
-        assert worst <= 1e-8
-        assert exact2 <= 1e-10 and exact3 <= 1e-10
+        # near z = pi, |2 sin(z/2)|^N >= 1.68^N: the direct sum cancels little
+        z = np.linspace(2.0, 4.0, 6)
+        worst = 0.0
+        for N, cs in coefficients.items():
+            direct = sum(c * np.exp(1j * k * z) for k, c in enumerate(cs, start=1)) - 1.0
+            rel = np.abs(combination_error_symbol(N, z) - direct) / np.abs(direct)
+            worst = max(worst, float(np.max(rel)))
+        report(
+            f"criterion 6 combination: integer moments exact {exact_moments}, "
+            f"symbol vs direct sum {worst:.2e} (tol 1e-14)"
+        )
+        assert coefficients[2] == [2, -1] and coefficients[3] == [3, -3, 1]
+        assert exact_moments
+        assert worst <= 1e-14
 
 
 class TestCriterion7CombinationRate:

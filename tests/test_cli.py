@@ -257,8 +257,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_rate_of_a_constant_field_is_usage_error(self, tmp_path, capsys):
-        """At band limit 0 the combination reproduces the field exactly: no
-        error lies above the roundoff floor, so there is no rate to fit."""
+        """At band limit 0 the combination reproduces the field exactly:
+        every error is exactly zero, so there is no rate to fit."""
         out = tmp_path / "new" / "o"
         assert main(["rate-combo", "--band-limit", "0", "--out", str(out)]) == EXIT_USAGE
         assert "need at least 5 samples above the floor" in capsys.readouterr().err
@@ -293,6 +293,13 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["rate-combo", "--p", "2", "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == "invalid parameters: p must lie in (0, 1), got 2.0\n"
+        assert not out.exists()
+
+    def test_alpha_zero_is_usage_error(self, tmp_path, capsys):
+        """The predicted rate beta/alpha and the default order need alpha > 0."""
+        out = tmp_path / "o"
+        assert main(["rate-combo", "--alpha", "0", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "invalid parameters: alpha must lie in (0, 1), got 0.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -340,6 +347,21 @@ NEGATIVE_CONTROLS = [
         {"slope": False, "m_cap_doubling_delta": True},
     ),
 ]
+
+
+# The positive counterpart of the rate-combo control: at orders N = 7 and 9
+# the errors fall like t^N (to 1.5e-30 at N = 9), and the fitted slope is N.
+POSITIVE_CONTROLS = [(["rate-combo", "--beta", "3"], 7), (["rate-combo", "--beta", "4"], 9)]
+
+
+class TestPositiveControls:
+    @pytest.mark.parametrize("argv, order", POSITIVE_CONTROLS, ids=["beta-3", "beta-4"])
+    def test_high_order_rate_passes(self, tmp_path, argv, order):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_PASS
+        body = json.loads((out / "summary.json").read_text())
+        assert body["fitted"]["slope"] == pytest.approx(order, abs=0.01)
+        assert body["fitted"]["sample_count"] == DEFAULTS["rate-combo"]["n_samples"]
 
 
 class TestNegativeControls:

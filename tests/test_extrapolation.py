@@ -1,8 +1,10 @@
-"""Tests for the Vandermonde combination scheme and the rate experiments."""
+"""Tests for the combination of fractional propagators and the rate and
+atom-uniformity experiments."""
 
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,14 +13,13 @@ from scipy.special import comb
 
 from oscimax import (
     AtomSpec,
-    CombinationScheme,
     LatticeGrid,
+    SpectralField,
     SymbolParams,
     TimeGrid,
     combination_apply,
-    combination_coefficients,
-    convergence_error,
-    fit_decay_exponent,
+    combination_error_symbol,
+    inverse_transform,
     pure_mode,
     random_spectral_field,
     combination_rate_experiment,
@@ -26,10 +27,11 @@ from oscimax import (
     make_regular_atom,
     maximal_over_times,
     oscillating_op,
+    schrodinger_propagate,
     weak_lp_quasinorm,
 )
 from oscimax import extrapolation
-from oscimax.extrapolation import ROUNDOFF_FLOOR, atom_uniformity_experiment
+from oscimax.extrapolation import atom_uniformity_experiment
 from oscimax.symbols import DEFAULT_PROFILE
 
 
@@ -56,15 +58,35 @@ def per_atom_quasinorms(grid, p, alpha, beta, atom_count, seed, time_grid):
 
 
 def binomial_candidate(N: int) -> np.ndarray:
-    """Closed-form alternating-binomial solution, used as a cross-check only."""
+    """The alternating binomials c_k = (-1)^{k-1} C(N, k), k = 1..N: the
+    combination coefficients, exact in float64 for N <= 12."""
     k = np.arange(1, N + 1)
     return (-1.0) ** (k - 1) * comb(N, k)
 
 
+def vandermonde_solution(N: int) -> np.ndarray:
+    """The coefficients as a float64 solve of the power-moment system, rows
+    k^j for j = 0..N-1, right-hand side (1, 0, ..., 0)."""
+    k = np.arange(1, N + 1, dtype=float)
+    mat = k[None, :] ** np.arange(N, dtype=float)[:, None]
+    rhs = np.zeros(N)
+    rhs[0] = 1.0
+    return np.linalg.solve(mat, rhs)
+
+
+def propagated_sum(f, alpha, t, N):
+    """sum_k c_k * propagate(f, alpha, k*t) term by term: oracle for the
+    one-multiplier combination_apply."""
+    out = np.zeros_like(f.coefficients)
+    for k, c in enumerate(binomial_candidate(N), start=1):
+        out = out + c * schrodinger_propagate(f, alpha, k * t).coefficients
+    return SpectralField(f.grid, out)
+
+
 def taylor_remainder(coeffs, w: float) -> complex:
-    """sum_k c_k e^{ikw} - 1 for combination coefficients c_1..c_N; the
-    combination error on a pure mode of frequency m is |taylor_remainder(c,
-    t m^alpha)|.
+    """sum_k c_k e^{ikw} - 1 for combination coefficients c_1..c_N, summed
+    term by term; the combination error on a pure mode of frequency m is
+    |taylor_remainder(c, t m^alpha)|.
 
     When the coefficients solve the extrapolation Vandermonde system this
     equals the order-N Taylor tail, so it vanishes to order N at w = 0.
@@ -76,30 +98,26 @@ def taylor_remainder(coeffs, w: float) -> complex:
 
 class TestCombinationCoefficients:
     def test_small_orders_closed_form(self):
-        np.testing.assert_allclose(
-            combination_coefficients(2).coefficients, [2.0, -1.0], atol=1e-10
-        )
-        np.testing.assert_allclose(
-            combination_coefficients(3).coefficients, [3.0, -3.0, 1.0], atol=1e-10
-        )
+        """E_2 and E_3 are the combinations 2e^{iz} - e^{2iz} and
+        3e^{iz} - 3e^{2iz} + e^{3iz}, minus 1, on z where the direct sum
+        cancels little."""
+        z = np.linspace(2.0, 4.0, 6)
+        for N, c in ((2, [2.0, -1.0]), (3, [3.0, -3.0, 1.0])):
+            direct = np.array([taylor_remainder(c, w) for w in z])
+            np.testing.assert_allclose(combination_error_symbol(N, z), direct, rtol=1e-14)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_moment_annihilation(self, N):
-        scheme = combination_coefficients(N)
-        c = scheme.coefficients
-        k = np.arange(1, N + 1, dtype=float)
-        assert abs(np.sum(c) - 1.0) <= 1e-8
-        for j in range(1, N):
-            assert abs(np.sum(c * k**j)) <= 1e-8
-        assert scheme.residual <= 1e-8
+        """In integers: sum c_k = 1 and sum c_k k^j = 0 for 0 < j < N."""
+        c = [(-1) ** (k - 1) * math.comb(N, k) for k in range(1, N + 1)]
+        moments = [sum(ck * k**j for k, ck in enumerate(c, start=1)) for j in range(N)]
+        assert moments == [1] + [0] * (N - 1)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_matches_binomial_candidate(self, N):
-        np.testing.assert_allclose(
-            combination_coefficients(N).coefficients,
-            binomial_candidate(N),
-            rtol=1e-7,
-        )
+        """The float64 Vandermonde solve, which the combination once used,
+        returns the alternating binomials."""
+        np.testing.assert_allclose(vandermonde_solution(N), binomial_candidate(N), rtol=1e-7)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -109,12 +127,12 @@ class TestCombinationCoefficients:
     )
     def test_vandermonde_moments(self, N, data, t):
         """The dilated moments sum_k c_k (k t)^j are 1 at j = 0, vanish for
-        0 < j < N and equal (-1)^(N-1) N! t^N at j = N, the leading term of
-        the combination's error.  Each to a rounding error relative to
-        sum_k |c_k| (k t)^j, grown by the system's conditioning, at most
-        4^N in the last bit."""
+        0 < j < N and equal (-1)^(N-1) N! t^N at j = N: the premise of
+        sum_k c_k e^{ikz} - 1 = -(1 - e^{iz})^N, whose leading term is
+        (-1)^(N-1) N! (iz)^N / N!.  Each to a rounding error relative to
+        sum_k |c_k| (k t)^j."""
         j = data.draw(st.integers(0, N), label="j")
-        c = combination_coefficients(N).coefficients
+        c = binomial_candidate(N)
         powers = (np.arange(1, N + 1) * t) ** j
         if j == 0:
             expected = 1.0
@@ -123,13 +141,35 @@ class TestCombinationCoefficients:
         else:
             expected = (-1.0) ** (N - 1) * math.factorial(N) * t**N
         scale = float(np.sum(np.abs(c) * powers))
-        assert abs(float(np.sum(c * powers)) - expected) <= 4.0**N * 1e-15 * scale
+        assert abs(float(np.sum(c * powers)) - expected) <= 2e-15 * scale
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            combination_coefficients(0)
-        with pytest.raises(ValueError):
-            combination_coefficients(13)
+        for N in (0, 13):
+            with pytest.raises(ValueError, match="N must lie in"):
+                combination_error_symbol(N, 1.0)
+
+
+class TestCombinationErrorSymbol:
+    @pytest.mark.parametrize("N", [1, 2, 5, 9, 12])
+    def test_against_mpmath(self, N):
+        """Against the direct sum sum_k c_k e^{ikz} - 1 at 250 digits: at
+        N = 12 and z = 1e-6 the value is about 1e-72, from terms as large
+        as C(12, 6) = 924."""
+        z = np.concatenate([np.geomspace(1e-6, 123.0, 40), [np.pi, 2.0 * np.pi]])
+        got = combination_error_symbol(N, z)
+        with mpmath.workdps(250):
+            for zi, gi in zip(z, got):
+                w = mpmath.mpf(float(zi))
+                exact = mpmath.fsum(
+                    (-1) ** (k - 1) * math.comb(N, k) * mpmath.expj(k * w) for k in range(1, N + 1)
+                ) - 1
+                assert abs(complex(exact) - gi) <= 4e-15 * abs(complex(exact))
+
+    def test_zero_is_exact(self):
+        """The constant mode is reproduced exactly, so a constant field's
+        errors are exact zeros."""
+        for N in range(1, 13):
+            assert combination_error_symbol(N, 0.0) == 0.0
 
 
 class TestCombinationApply:
@@ -138,17 +178,35 @@ class TestCombinationApply:
         grid = LatticeGrid(1, 64)
         m = 9
         f = pure_mode(grid, (m,))
-        scheme = combination_coefficients(3)
         for t in (1e-3, 1e-2):
-            err = convergence_error(f, 0.5, t, scheme)
-            scalar = abs(taylor_remainder(scheme.coefficients, t * m**0.5))
+            diff = combination_apply(f, 0.5, t, 3).coefficients - f.coefficients
+            err = np.max(np.abs(inverse_transform(SpectralField(grid, diff)).samples))
+            scalar = abs(taylor_remainder(binomial_candidate(3), t * m**0.5))
             assert err == pytest.approx(scalar, abs=1e-12)
+
+    @pytest.mark.parametrize("dimension, n_modes", [(1, 64), (2, 32)])
+    @pytest.mark.parametrize("N", [1, 2, 5, 9])
+    def test_matches_the_propagated_sum(self, dimension, n_modes, N):
+        grid = LatticeGrid(dimension, n_modes)
+        f = random_spectral_field(grid, np.random.default_rng(N), band_limit=n_modes // 4)
+        for t in (1e-2, 0.3):
+            got = combination_apply(f, 0.5, t, N).coefficients
+            expected = propagated_sum(f, 0.5, t, N).coefficients
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_t_validation(self):
         grid = LatticeGrid(1, 16)
         f = pure_mode(grid, (1,))
-        with pytest.raises(ValueError):
-            combination_apply(f, 0.5, 0.0, combination_coefficients(2))
+        with pytest.raises(ValueError, match="t must be positive"):
+            combination_apply(f, 0.5, 0.0, 2)
+
+    def test_alpha_and_order_validation(self):
+        grid = LatticeGrid(1, 16)
+        f = pure_mode(grid, (1,))
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            combination_apply(f, 1.0, 0.1, 2)
+        with pytest.raises(ValueError, match="N must lie in"):
+            combination_apply(f, 0.5, 0.1, 13)
 
 
 class TestTaylorRemainder:
@@ -160,36 +218,12 @@ class TestTaylorRemainder:
     def test_extrapolated_order(self):
         """Vandermonde coefficients push the vanishing order to N."""
         for N in (2, 3, 4):
-            c = combination_coefficients(N).coefficients
+            c = binomial_candidate(N)
             w = 1e-2
             small = abs(taylor_remainder(c, w))
             smaller = abs(taylor_remainder(c, w / 2.0))
             order = np.log2(small / smaller)
             assert order == pytest.approx(N, abs=0.1)
-
-
-class TestFitRate:
-    """`fit_decay_exponent` with the combination experiment's noise floor,
-    10 * ROUNDOFF_FLOOR for a unit-scale field."""
-
-    FLOOR = 10.0 * ROUNDOFF_FLOOR
-
-    def test_discards_floor(self):
-        t = np.geomspace(1e-6, 1e-2, 20)
-        errors = np.maximum(t**2, 2e-14)
-        fit = fit_decay_exponent(list(zip(t, errors)), floor=self.FLOOR)
-        assert fit.slope == pytest.approx(2.0, abs=0.01)
-
-    def test_flat_bottom_at_the_floor_is_dropped(self):
-        t = np.geomspace(1e-9, 1e-2, 20)
-        errors = np.maximum(t**2, self.FLOOR)
-        fit = fit_decay_exponent(list(zip(t, errors)), floor=self.FLOOR)
-        assert fit.slope == pytest.approx(2.0, abs=1e-10)
-        assert fit.sample_count == np.count_nonzero(errors > self.FLOOR) < t.size
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            fit_decay_exponent([(1e-3, 1e-20), (1e-2, 1e-20)], floor=self.FLOOR)
 
 
 class TestCombinationRateExperiment:

@@ -281,6 +281,30 @@ class TestFitDecayExponent:
             fit_decay_exponent([(t, 0.0) for t in (1.0, 2.0, 3.0, 4.0, 5.0)])
 
 
+class TestFitRate:
+    """`fit_decay_exponent` with a noise floor, as `dyadic_tail_order` fits
+    above one."""
+
+    FLOOR = 1e-14
+
+    def test_discards_floor(self):
+        t = np.geomspace(1e-6, 1e-2, 20)
+        errors = np.maximum(t**2, 2e-14)
+        fit = fit_decay_exponent(list(zip(t, errors)), floor=self.FLOOR)
+        assert fit.slope == pytest.approx(2.0, abs=0.01)
+
+    def test_flat_bottom_at_the_floor_is_dropped(self):
+        t = np.geomspace(1e-9, 1e-2, 20)
+        errors = np.maximum(t**2, self.FLOOR)
+        fit = fit_decay_exponent(list(zip(t, errors)), floor=self.FLOOR)
+        assert fit.slope == pytest.approx(2.0, abs=1e-10)
+        assert fit.sample_count == np.count_nonzero(errors > self.FLOOR) < t.size
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError):
+            fit_decay_exponent([(1e-3, 1e-20), (1e-2, 1e-20)], floor=self.FLOOR)
+
+
 class TestFourierCosineMu:
     def test_against_brute_force(self):
         """Contour scheme matches a plain adaptive oracle when beta is large."""
