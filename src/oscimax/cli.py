@@ -449,6 +449,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     summary["pass"] = all(c["pass"] for c in summary["checks"])
+    # e.g. a directory where a report goes: refused before the first write,
+    # so that no partial report is left behind
+    for path in (out_dir / name for name in (*csvs, "summary.json", "summary.txt")):
+        if path.exists() and not path.is_file():
+            print(f"cannot write reports: {path} is not a regular file", file=sys.stderr)
+            return EXIT_USAGE
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, lines in csvs.items():

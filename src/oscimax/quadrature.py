@@ -40,11 +40,20 @@ of integrand values.  Panel error is estimated by comparing 16- and 8-node
 Gauss values panel by panel, both from one call of the integrand; the
 panels that carry the excess are bisected, and the rest kept, until the
 summed estimate meets the tolerance or the panel budget is hit.
+
+A sweep (the taus of a decay verdict, the scales of the dyadic checks) is
+one quadrature.  Each piece kind (the plus and minus segments and rays, or
+the band) lays out the first round of all its integrals in one pass; each
+round evaluates a kind's new panels in one integrand call per block of
+_NODE_BLOCK nodes; and one loop refines every integral against its own
+tolerance, agreement exit and panel budget.  A value does not depend on the
+sweep it is computed in: the scalar transforms are sweeps of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -151,16 +160,32 @@ _MAX_PANELS = 2_000_000
 _TAIL_NOISE_FLOOR = 1e-13
 
 
-def _log_grid(a: float, b: float):
-    """max(16, ceil(8 ln(b/a)) + 1) geometric nodes from a to b, 0 < a < b,
-    and their spacing h <= 1/8 in ln(lam)."""
+# integrand nodes per call.  A round evaluates the new panels of one piece
+# kind for the whole sweep in blocks of at most this many nodes (24 per
+# panel), splitting an integral's panels across blocks where they do not fit:
+# a panel's value depends on its own nodes only.  A block is about a
+# millisecond of elementwise work, so the call overhead stays small, and the
+# integrand's transients stay near 3 MB however many panels a round has.
+_NODE_BLOCK = 2**15
+
+
+def _log_grid(a, b):
+    """Per row, max(16, ceil(8 ln(b/a)) + 1) geometric nodes from a to b,
+    0 < a < b, padded to a common width by repeating the row's last node;
+    also each row's spacing h <= 1/8 in ln(lam) and its node count."""
     la, lb = np.log(a), np.log(b)
-    n = max(16, int(np.ceil(8.0 * (lb - la))) + 1)
-    return np.exp(np.linspace(la, lb, n)), (lb - la) / (n - 1)
+    n = np.maximum(16, np.ceil(8.0 * (lb - la)).astype(int) + 1)
+    h = (lb - la) / (n - 1)
+    k = np.minimum(np.arange(n.max()), n[:, None] - 1)
+    # np.linspace's arithmetic, row by row
+    u = np.where(k == n[:, None] - 1, lb[:, None], k * h[:, None] + la[:, None])
+    return np.exp(u), h, n
 
 
-def _breakpoints(a: float, b: float, density) -> np.ndarray:
-    """Panel edges on [a, b], a > 0, equidistributing the integral of `density`.
+def _breakpoints(a, b, density):
+    """Panel edges on every interval [a[r], b[r]], a > 0, equidistributing
+    the integral of `density`, which maps a grid with one row per interval to
+    panels per unit length.
 
     The integral is a trapezoid sum in u = ln(lam) on the grid of _log_grid,
     8 nodes per e-fold of b/a (153 nodes for a segment of 19 e-folds).  For a
@@ -169,42 +194,55 @@ def _breakpoints(a: float, b: float, density) -> np.ndarray:
     power in the phase density (-1 <= p <= 0).  Where the two terms of g'
     cancel, near a stationary point, the error is a larger share of the
     density; the counts stay within 0.3% (or the one panel of rounding up)
-    of a 4,000-node layout's on the tests' segments, rays and bands.
+    of a 4,000-node layout's on the tests' segments, rays and bands.  Each
+    row's edges are those np.interp gives on that row alone.
 
-    Raises ConvergenceError, before the edges are built, when more than
-    _MAX_PANELS panels would be needed.
+    Returns the panels each row needs and, for the rows before the first one
+    that needs more than _MAX_PANELS, the lower and upper panel ends, row
+    after row, and each of those rows' panel count: no edge of a row over
+    the budget, or after it, is built.
     """
-    if b <= a:
-        raise ValueError("empty interval")
-    grid, h = _log_grid(a, b)
+    grid, h, n = _log_grid(a, b)
     q = density(grid) * grid
-    w = np.concatenate([[0.0], np.cumsum(0.5 * h * (q[1:] + q[:-1]))])
-    if not w[-1] <= _MAX_PANELS:
-        raise ConvergenceError(
-            f"panel budget exceeded: {w[-1]:.3g} panels needed on "
-            f"[{a:.6g}, {b:.6g}] (max_panels {_MAX_PANELS})",
-            partial_value=complex("nan"),
-            error_estimate=float("inf"),
-        )
-    n_panels = max(1, int(np.ceil(w[-1])))
-    targets = np.linspace(0.0, w[-1], n_panels + 1)
-    edges = np.interp(targets, w, grid)
-    edges[0], edges[-1] = a, b
-    return edges
+    steps = 0.5 * h[:, None] * (q[:, 1:] + q[:, :-1])
+    steps[np.arange(1, grid.shape[1]) >= n[:, None]] = 0.0  # past each row's last node
+    w = np.concatenate([np.zeros((n.size, 1)), np.cumsum(steps, axis=1)], axis=1)
+    needed = w[:, -1]
+    over = np.flatnonzero(~(needed <= _MAX_PANELS))
+    rows = over[0] if over.size else n.size
+    n, total = n[:rows], needed[:rows]
+    counts = np.maximum(1, np.ceil(total)).astype(int)
+    valid = np.arange(grid.shape[1]) < n[:, None]
+    wv, gv = w[:rows][valid], grid[:rows][valid]
+    first = np.cumsum(n) - n
+    # the targets np.linspace(0, total, counts + 1) of every row
+    row = np.repeat(np.arange(rows), counts + 1)
+    last = np.cumsum(counts + 1) - 1
+    t = (np.arange(row.size) - (last - counts)[row]) * (total / counts)[row]
+    t[last] = total
+    # np.interp: the node below each target, by one search on (row, w) keys,
+    # which complex numbers order lexicographically
+    i = np.searchsorted(np.repeat(np.arange(rows), n) + 1j * wv, row + 1j * t, side="right") - 1
+    i = np.clip(i, first[row], first[row] + n[row] - 2)
+    edges = (gv[i + 1] - gv[i]) / (wv[i + 1] - wv[i]) * (t - wv[i]) + gv[i]
+    edges[last - counts], edges[last] = a[:rows], b[:rows]
+    return needed, np.delete(edges, last), np.delete(edges, last - counts), counts
 
 
 def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
     """16-node Gauss value of each panel [lo, hi] and its 16/8-node difference,
-    from one call of `fn` on both node sets."""
+    from one call of `fn` on both node sets.  The weighted sums run node by
+    node within each panel (a BLAS mat-vec may round a row differently by its
+    position), so a panel's value does not depend on the other panels."""
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     f = fn(mid[:, None] + half[:, None] * _GL_NODES[None, :])
-    v16 = f[:, :16] @ _GL16[1] * half
-    v8 = f[:, 16:] @ _GL8[1] * half
+    v16 = np.einsum("ij,j->i", f[:, :16], _GL16[1]) * half
+    v8 = np.einsum("ij,j->i", f[:, 16:], _GL8[1]) * half
     return v16, np.abs(v16 - v8)
 
 
-def _phase_density(alpha: float, tau: float, sign: float, grading: float):
+def _phase_density(alpha: float, tau, sign: float, grading: float):
     """Panels per unit length for phase lam^alpha + sign*tau*lam at distance
     lam from the branch point lam = 0, graded by grading/lam there."""
 
@@ -216,193 +254,330 @@ def _phase_density(alpha: float, tau: float, sign: float, grading: float):
     return rho
 
 
-def _ray_tail(
-    amp_exponent: float,
-    alpha: float,
-    tau: float,
-    sign: float,
-    start: float,
-    direction: float,
-):
-    """Integrand and panel edges, in s, of the tail integral of
-    lam^amp_exponent e^{i(lam^alpha + sign tau lam)} along the vertical ray
-    lam = start + i*direction*s, s in (0, inf)."""
+# Piece kinds.  A sweep is a list of integrals that share their pieces'
+# kinds; a kind holds the per-integral parameters of its piece (tau, the ray
+# start, the band scale) and evaluates every panel of the sweep in one call,
+# each panel with the parameters of the integral `which` names for it.
 
-    def lam_of(s):
-        return start + 1j * direction * s
 
-    def integrand(s):
-        lam = lam_of(s)
-        return (
-            lam**amp_exponent
-            * np.exp(1j * (lam**alpha + sign * tau * lam))
-            * (1j * direction)
-        )
+class _Segment:
+    """The real segments [1, Lambda] of the half-line integrals
 
-    # locate the point where the decaying envelope is negligible
-    if direction > 0:
-        decay = np.sin(alpha * np.pi / 2.0)
-        s_huge = (300.0 / decay) ** (1.0 / alpha) + 10.0 * start
-    else:
-        rate = tau * (1.0 - 2.0 ** (alpha - 1.0))
-        s_huge = 400.0 / rate + 10.0 * start
-    probe, _ = _log_grid(1e-8 * max(1.0, start), s_huge)
-    env = np.abs(integrand(probe))
-    floor = max(env.max(), 1.0) * 1e-18
-    beyond = np.where(env <= floor * (1.0 + probe))[0]
-    if not beyond.size:
-        s_max = s_huge
-    elif beyond[0] == 0:
-        s_max = probe[0]
-    else:
+        integral_1^Lambda lam^(L-beta) cutoff(lam) e^{i(lam^alpha + sign tau lam)} dlam.
+    """
+
+    zero_start = False
+
+    def __init__(self, weight, params, profile, L, sign, tau, lam_end):
+        self.weight, self.profile, self.sign = weight, profile, sign
+        self.alpha, self.amp = params.alpha, L - params.beta
+        self.tau, self.lam_end = tau, lam_end
+
+    def interval(self, which):
+        return np.ones(which.size), self.lam_end[which]
+
+    def density(self, lam, which):
+        return _phase_density(self.alpha, self.tau[which][:, None], self.sign, 3.0)(lam)
+
+    def integrand(self, lam, which):
+        # lam^amp e^{i(lam^alpha + sign tau lam)}, the products in place
+        phase = lam**self.alpha
+        phase += self.sign * self.tau[which][:, None] * lam
+        out = np.multiply(1j, phase)
+        del phase
+        np.exp(out, out=out)
+        out *= lam**self.amp
+        # the cutoff is exactly 1 from lam = 2 on, where most blocks lie
+        band = lam < 2.0
+        if band.any():
+            out[band] *= phi_cutoff(self.profile, lam[band])
+        return out
+
+
+class _Ray:
+    """The tails of the half-line integrals of lam^(L-beta)
+    e^{i(lam^alpha + sign tau lam)} along the vertical rays
+    lam = start + i*direction*s, s in (0, inf), as integrals in s."""
+
+    zero_start = True
+
+    def __init__(self, weight, params, L, sign, tau, start, direction):
+        self.weight, self.sign = weight, sign
+        self.alpha, self.amp = params.alpha, L - params.beta
+        self.tau, self.start, self.direction = tau, start, direction
+
+    def integrand(self, s, which):
+        # lam^amp e^{i(lam^alpha + sign tau lam)} i direction, in place
+        lam = np.empty(s.shape, dtype=complex)
+        lam.real = self.start[which][:, None]
+        np.multiply(self.direction[which][:, None], s, out=lam.imag)
+        out = lam**self.alpha
+        out += self.sign * self.tau[which][:, None] * lam
+        np.multiply(1j, out, out=out)
+        np.exp(out, out=out)
+        np.multiply(lam**self.amp, out, out=out)
+        out *= 1j * self.direction[which][:, None]
+        return out
+
+    def density(self, s, which):
+        # both phases get the plus-phase rate, an upper bound for either
+        rho = _phase_density(self.alpha, self.tau[which][:, None], +1.0, 4.0)
+        return rho(np.hypot(self.start[which][:, None], s))
+
+    def interval(self, which):
+        """[1e-10 s_max, s_max], where s_max is the point beyond which the
+        decaying envelope is negligible, located on a probe grid."""
+        alpha, start, tau = self.alpha, self.start[which], self.tau[which]
+        with np.errstate(divide="ignore"):
+            s_huge = np.where(
+                self.direction[which] > 0,
+                (300.0 / np.sin(alpha * np.pi / 2.0)) ** (1.0 / alpha),
+                400.0 / (tau * (1.0 - 2.0 ** (alpha - 1.0))),
+            ) + 10.0 * start
+        probe, _, _ = _log_grid(1e-8 * np.maximum(1.0, start), s_huge)
+        per_call = max(1, _NODE_BLOCK // probe.shape[1])
+        env = np.concatenate([
+            np.abs(self.integrand(probe[r : r + per_call], which[r : r + per_call]))
+            for r in range(0, which.size, per_call)
+        ])
+        floor = np.maximum(env.max(axis=1), 1.0) * 1e-18
+        beyond = env <= floor[:, None] * (1.0 + probe)
+        first = np.argmax(beyond, axis=1)
         # the crossing, by linear interpolation in log s of the log margin
         # log(env / (floor (1+s))) between the two nodes that bracket it
-        i = beyond[0]
-        with np.errstate(divide="ignore"):
-            above, below = np.log(env[i - 1 : i + 1] / (floor * (1.0 + probe[i - 1 : i + 1])))
-        lo, hi = np.log(probe[i - 1 : i + 1])
-        s_max = np.exp(lo + (hi - lo) * above / (above - below))
-
-    # both phases get the plus-phase rate, an upper bound for either
-    density = _phase_density(alpha, tau, +1.0, 4.0)
-    edges = _breakpoints(1e-10 * s_max, s_max, lambda s: density(np.abs(lam_of(s))))
-    edges[0] = 0.0
-    return integrand, edges
+        r, i = np.arange(which.size), np.maximum(first, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            above = np.log(env[r, i - 1] / (floor * (1.0 + probe[r, i - 1])))
+            below = np.log(env[r, i] / (floor * (1.0 + probe[r, i])))
+            lo, hi = np.log(probe[r, i - 1]), np.log(probe[r, i])
+            cross = np.exp(lo + (hi - lo) * above / (above - below))
+        s_max = np.where(beyond.any(axis=1), np.where(first == 0, probe[:, 0], cross), s_huge)
+        return 1e-10 * s_max, s_max
 
 
-def _half_line_piece(
-    params: SymbolParams,
-    profile: CutoffProfile,
-    L: int,
-    tau: float,
-    sign: float,
-):
-    """Real segment and complex ray, each as (integrand, first-round edges),
-    whose integrals sum to
+class _Band:
+    """The compact bands [scale/2, 2 scale] of the integrals
 
-        integral_1^inf lam^(L-beta) cutoff(lam) e^{i(lam^alpha + sign tau lam)} dlam.
+        2 * integral window(lam/scale) lam^(L-beta) e^{i lam^alpha}
+                     cos(tau lam + L pi/2) dlam,
 
-    The segment ends at Lambda = 2 for the plus phase, whose ray goes up.  The
+    for a window supported in [1/2, 2].  The plus-phase panels resolve both
+    exponentials of the cosine."""
+
+    zero_start = False
+    weight = 1.0
+
+    def __init__(self, params, L, tau, scale, window):
+        self.alpha, self.beta, self.L = params.alpha, params.beta, L
+        self.tau, self.scale, self.window = tau, scale, window
+
+    def interval(self, which):
+        scale = self.scale[which]
+        return scale / 2.0, scale * 2.0
+
+    def density(self, lam, which):
+        return _phase_density(self.alpha, self.tau[which][:, None], +1.0, 3.0)(lam)
+
+    def integrand(self, lam, which):
+        # 2 window lam^(L-beta) e^{i lam^alpha} cos(tau lam + L pi/2), in place
+        tau, scale = self.tau[which][:, None], self.scale[which][:, None]
+        amplitude = 2.0 * self.window(lam / scale)
+        amplitude *= lam ** (self.L - self.beta)
+        out = np.multiply(1j, lam**self.alpha)
+        np.exp(out, out=out)
+        out *= amplitude
+        del amplitude
+        out *= np.cos(tau * lam + self.L * np.pi / 2.0)
+        return out
+
+
+def _half_line_kinds(params: SymbolParams, profile: CutoffProfile, L: int, tau):
+    """The four pieces of the full transforms at the taus of array `tau`:
+    the plus phase's segment and ray, then the minus phase's, whose
+    integrals, weighted by e^{+-i L pi/2}, sum to the transforms.
+
+    The plus phase's segment ends at Lambda = 2, where its ray goes up.  The
     minus phase g = lam^alpha - tau lam is stationary at
     lam* = (alpha/tau)^{1/(1-alpha)}; its segment runs to Lambda = max(2, 2 lam*)
     and its ray goes down, where d/ds Im g >= tau - alpha Lambda^(alpha-1)
-    >= tau (1 - 2^(alpha-1)) > 0, so the integrand decays along it.
+    >= tau (1 - 2^(alpha-1)) > 0, so the integrand decays along it (at
+    tau = 0 it goes up from 2, as the plus phase's).
     """
-    alpha, beta = params.alpha, params.beta
-    amp_exp = L - beta
-
-    if sign < 0 and tau > 0:
-        lam_end = max(2.0, 2.0 * (alpha / tau) ** (1.0 / (1.0 - alpha)))
-        direction = -1.0
-    else:
-        lam_end = 2.0
-        direction = 1.0
-
-    def integrand(lam):
-        out = lam**amp_exp * np.exp(1j * (lam**alpha + sign * tau * lam))
-        # the cutoff is exactly 1 from lam = 2 on
-        band = lam < 2.0
-        out[band] *= phi_cutoff(profile, lam[band])
-        return out
-
-    edges = _breakpoints(1.0, lam_end, _phase_density(alpha, tau, sign, 3.0))
-    ray = _ray_tail(amp_exp, alpha, tau, sign, lam_end, direction)
-    return [(integrand, edges), ray]
+    alpha = params.alpha
+    rot = complex(np.exp(1j * L * np.pi / 2.0))
+    down = tau > 0
+    with np.errstate(divide="ignore"):
+        lam_end = np.where(down, np.maximum(2.0, 2.0 * (alpha / tau) ** (1.0 / (1.0 - alpha))), 2.0)
+    two, up = np.full(tau.shape, 2.0), np.ones(tau.shape)
+    return [
+        _Segment(rot, params, profile, L, +1.0, tau, two),
+        _Ray(rot, params, L, +1.0, tau, two, up),
+        _Segment(rot.conjugate(), params, profile, L, -1.0, tau, lam_end),
+        _Ray(rot.conjugate(), params, L, -1.0, tau, lam_end, np.where(down, -1.0, 1.0)),
+    ]
 
 
-def _band_piece(
-    params: SymbolParams,
-    tau: float,
-    L: int,
-    lo: float,
-    hi: float,
-    window,
-):
-    """One (1.0, integrand, first-round edges) piece whose integral is
-
-        2 * integral_lo^hi window(lam) lam^(L-beta) e^{i lam^alpha}
-                           cos(tau lam + L pi/2) dlam,
-
-    for a window supported in [lo, hi].  The plus-phase panels resolve both
-    exponentials of the cosine.
-    """
-    alpha, beta = params.alpha, params.beta
-
-    def integrand(lam):
-        return (
-            2.0
-            * window(lam)
-            * lam ** (L - beta)
-            * np.exp(1j * lam**alpha)
-            * np.cos(tau * lam + L * np.pi / 2.0)
-        )
-
-    edges = _breakpoints(lo, hi, _phase_density(alpha, tau, +1.0, 3.0))
-    return 1.0, integrand, edges
+def _evaluate(pieces, lo, hi, seg, fresh, v, e) -> None:
+    """Fill v and e, the 16-node values and 16/8-node estimates, of the
+    `fresh` panels: per piece, one integrand call per _NODE_BLOCK nodes of
+    its fresh panels, whichever integrals they belong to.  Panel j belongs
+    to piece seg[j] % P of integral seg[j] // P."""
+    P = len(pieces)
+    new = np.flatnonzero(fresh)
+    kind = seg[new] % P
+    per_call = _NODE_BLOCK // _GL_NODES.size
+    for p, (_, integrand) in enumerate(pieces):
+        sel = new[kind == p]
+        for start in range(0, sel.size, per_call):
+            s = sel[start : start + per_call]
+            v[s], e[s] = _panel_values(partial(integrand, which=seg[s] // P), lo[s], hi[s])
 
 
-def _refine(pieces, message: str) -> complex:
-    """Sum of weight * integral over the (weight, integrand, edges) pieces.
+def _bisect(lo, hi, seg, v, e, keep, split):
+    """The next round's panels lo, hi, seg, v, e and fresh: the `keep`
+    panels, then both halves of the `split` ones, which are fresh; each
+    segment's in the order kept, left halves, right halves."""
+    mid = 0.5 * (lo[split] + hi[split])
+    kept, halves = np.count_nonzero(keep), 2 * mid.size
+    order = np.argsort(np.concatenate([seg[keep], seg[split], seg[split]]), kind="stable")
+    return (
+        np.concatenate([lo[keep], lo[split], mid])[order],
+        np.concatenate([hi[keep], mid, hi[split]])[order],
+        np.concatenate([seg[keep], seg[split], seg[split]])[order],
+        np.concatenate([v[keep], np.empty(halves, dtype=complex)])[order],
+        np.concatenate([e[keep], np.empty(halves)])[order],
+        np.repeat([False, True], [kept, halves])[order],
+    )
 
-    Converged when the summed 16/8-node estimate is at most
-    max(_ABS_TOLERANCE, _RELATIVE_FLOOR * sum |panel value|).  Otherwise the
+
+def _refine(pieces, panels, message) -> list:
+    """Sum of weight * integral over the pieces, for every integral of a
+    sweep, all refined in one loop.
+
+    `pieces` are (weight, integrand) pairs, integrand(x, which) evaluating
+    nodes x, one row per panel, of panels of the integrals `which`; `panels`
+    gives per piece the flat first-round panel ends lo and hi and the panel
+    count of each integral, and is emptied once they are merged.  Integral i
+    is converged when its summed 16/8-node estimate is at most
+    max(_ABS_TOLERANCE, _RELATIVE_FLOOR * sum |panel value|).  Otherwise its
     panels with the largest estimates are bisected, as many as it takes for
     the rest to sum to at most half the tolerance; every other panel is kept
-    and only the new halves are evaluated.
+    and only the new halves are evaluated, with those of every other
+    integral still refining.  Raises the ConvergenceError, with text
+    message(i), of the first integral in sweep order whose next round would
+    exceed _MAX_PANELS.
     """
-    if sum(len(edges) - 1 for _, _, edges in pieces) > _MAX_PANELS:
-        raise ConvergenceError(
-            f"{message} (first round exceeds max_panels {_MAX_PANELS})",
+    P = len(pieces)
+    weights = [complex(w) for w, _ in pieces]
+    m = panels[0][2].size
+    # panels sorted by segment, integral * P + piece, each segment's in its own order
+    seg = np.concatenate([
+        np.repeat(np.arange(m, dtype=np.int32) * P + p, c) for p, (_, _, c) in enumerate(panels)
+    ])
+    order = np.argsort(seg, kind="stable")
+    seg = seg[order]
+    lo = np.concatenate([lo for lo, _, _ in panels])[order]
+    hi = np.concatenate([hi for _, hi, _ in panels])[order]
+    panels.clear()  # its arrays are merged: not held twice while refining
+    v, e = np.empty(seg.size, dtype=complex), np.empty(seg.size)
+    fresh = np.ones(seg.size, dtype=bool)
+    values, previous, error = [None] * m, [None] * m, None
+    while seg.size:
+        _evaluate(pieces, lo, hi, seg, fresh, v, e)
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        firsts = starts[::P]
+        sums = np.add.reduceat(v, starts).tolist()
+        mass = np.add.reduceat(np.abs(v), starts).tolist()
+        errs = np.add.reduceat(e, firsts).tolist()
+        bounds = [*firsts.tolist(), seg.size]
+        split = np.zeros(seg.size, dtype=bool)
+        going = np.zeros(firsts.size, dtype=bool)
+        for j, i in enumerate((seg[firsts] // P).tolist()):
+            value = sum(w * s for w, s in zip(weights, sums[j * P : j * P + P]))
+            err = errs[j]
+            tol = max(_ABS_TOLERANCE, _RELATIVE_FLOOR * sum(mass[j * P : j * P + P]))
+            # the per-panel estimator saturates at the roundoff of the
+            # accumulated panel mass; agreement between successive
+            # refinements is the honest exit in that regime
+            if err <= tol or (previous[i] is not None and abs(value - previous[i]) <= tol):
+                values[i] = value
+                continue
+            own = e[bounds[j] : bounds[j + 1]]
+            order = np.argsort(own, kind="stable")
+            kept = np.searchsorted(np.cumsum(own[order]), 0.5 * tol, side="right")
+            if own.size + (own.size - kept) > _MAX_PANELS:
+                # the integrals after this one no longer matter
+                error = ConvergenceError(
+                    f"{message(i)} (err~{err:.2e} > tol {tol:.2e})",
+                    partial_value=value,
+                    error_estimate=err,
+                )
+                break
+            split[bounds[j] + order[kept:]] = True
+            going[j] = True
+            previous[i] = value
+        keep = np.repeat(going, np.diff(bounds)) & ~split
+        lo, hi, seg, v, e, fresh = _bisect(lo, hi, seg, v, e, keep, split)
+    if error is not None:
+        raise error
+    return values
+
+
+def _first_round(kinds, message):
+    """The first round's panels of a sweep, laid out kind by kind, each kind
+    for every integral in one pass.
+
+    Returns, per kind, the flat panel ends lo and hi and each integral's
+    panel count, for the integrals before the first whose layout fails, and
+    that failure (None if there is none): a piece over the panel budget, or
+    a first round over it in total (with text message(i)), the failure the
+    integral would raise alone.  No piece of that integral or of a later one
+    is laid out after it, and no panel of them is built.
+    """
+    rows, error, panels = kinds[0].tau.size, None, []
+    for kind in kinds:
+        which = np.arange(rows)
+        if rows:
+            a, b = kind.interval(which)
+            needed, lo, hi, counts = _breakpoints(a, b, partial(kind.density, which=which))
+        else:
+            lo, hi, counts = np.empty(0), np.empty(0), np.empty(0, dtype=int)
+        if counts.size < rows:
+            rows = counts.size
+            error = ConvergenceError(
+                f"panel budget exceeded: {needed[rows]:.3g} panels needed on "
+                f"[{a[rows]:.6g}, {b[rows]:.6g}] (max_panels {_MAX_PANELS})",
+                partial_value=complex("nan"),
+                error_estimate=float("inf"),
+            )
+        if kind.zero_start:
+            lo[np.cumsum(counts) - counts] = 0.0
+        panels.append((lo, hi, counts))
+    over = np.flatnonzero(sum(counts[:rows] for _, _, counts in panels) > _MAX_PANELS)
+    if over.size:
+        rows = over[0]
+        error = ConvergenceError(
+            f"{message(rows)} (first round exceeds max_panels {_MAX_PANELS})",
             partial_value=complex("nan"),
             error_estimate=float("inf"),
         )
-    panels = []  # per piece: lo, hi, 16-node values, 16/8-node estimates
-    for _, fn, edges in pieces:
-        lo, hi = edges[:-1], edges[1:]
-        panels.append((lo, hi, *_panel_values(fn, lo, hi)))
-    previous = None
-    while True:
-        value = sum(
-            weight * complex(np.sum(v)) for (weight, _, _), (_, _, v, _) in zip(pieces, panels)
-        )
-        errs = np.concatenate([e for *_, e in panels])
-        err = float(np.sum(errs))
-        mass = float(sum(np.sum(np.abs(v)) for _, _, v, _ in panels))
-        tol = max(_ABS_TOLERANCE, _RELATIVE_FLOOR * mass)
-        if err <= tol:
-            return value
-        # the per-panel estimator saturates at the roundoff of the accumulated
-        # panel mass; agreement between successive refinements is the honest
-        # exit in that regime
-        if previous is not None and abs(value - previous) <= tol:
-            return value
-        order = np.argsort(errs, kind="stable")
-        kept = np.searchsorted(np.cumsum(errs[order]), 0.5 * tol, side="right")
-        split = np.zeros(errs.size, dtype=bool)
-        split[order[kept:]] = True
-        if errs.size + (errs.size - kept) > _MAX_PANELS:
-            raise ConvergenceError(
-                f"{message} (err~{err:.2e} > tol {tol:.2e})",
-                partial_value=value,
-                error_estimate=err,
-            )
-        previous = value
-        offset = 0
-        for i, ((_, fn, _), (lo, hi, v, e)) in enumerate(zip(pieces, panels)):
-            cut = split[offset : offset + lo.size]
-            offset += lo.size
-            if not cut.any():
-                continue
-            mid = 0.5 * (lo[cut] + hi[cut])
-            new_lo = np.concatenate([lo[cut], mid])
-            new_hi = np.concatenate([mid, hi[cut]])
-            new_v, new_e = _panel_values(fn, new_lo, new_hi)
-            panels[i] = (
-                np.concatenate([lo[~cut], new_lo]),
-                np.concatenate([hi[~cut], new_hi]),
-                np.concatenate([v[~cut], new_v]),
-                np.concatenate([e[~cut], new_e]),
-            )
+    return [(lo[: c[:rows].sum()], hi[: c[:rows].sum()], c[:rows]) for lo, hi, c in panels], error
+
+
+def _sweep(kinds, message) -> list:
+    """Values of the integrals sum_p kinds[p].weight * (piece p), one per
+    integral of the kinds, as one quadrature: _first_round lays out the
+    panels and _refine evaluates and refines them all.
+
+    The error raised is the one the integrals, computed one after another in
+    sweep order, would raise first: a layout failure stands unless an
+    integral before it fails to converge.
+    """
+    panels, error = _first_round(kinds, message)
+    values = _refine([(kind.weight, kind.integrand) for kind in kinds], panels, message)
+    if error is not None:
+        raise error
+    return values
 
 
 def _check_order(L: int) -> None:
@@ -412,6 +587,18 @@ def _check_order(L: int) -> None:
         raise ValueError(
             f"derivative order {L} unsupported (max {MAX_DERIVATIVE_ORDER})"
         )
+
+
+def _transforms(params: SymbolParams, profile: CutoffProfile, taus, L: int) -> list:
+    """fourier_cosine_mu_derivative at every tau of `taus`, as one sweep."""
+    _check_order(L)
+    tau = np.asarray(taus, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("tau must be nonnegative")
+    return _sweep(
+        _half_line_kinds(params, profile, L, tau),
+        lambda i: f"panel budget exceeded at tau={taus[i]}, L={L}",
+    )
 
 
 def fourier_cosine_mu_derivative(
@@ -424,23 +611,31 @@ def fourier_cosine_mu_derivative(
 
     2 * integral_0^inf lam^(L-beta) e^{i lam^alpha} cutoff(lam)
                        cos(tau lam + L pi/2) dlam.
-    """
-    _check_order(L)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    phase_rot = np.exp(1j * L * np.pi / 2.0)
 
-    pieces = [
-        (weight, fn, edges)
-        for sign, weight in ((+1.0, phase_rot), (-1.0, np.conj(phase_rot)))
-        for fn, edges in _half_line_piece(params, profile, L, tau, sign)
-    ]
-    return _refine(pieces, f"panel budget exceeded at tau={tau}, L={L}")
+    Splitting the cosine into e^{+-i(tau lam + L pi/2)} gives the two
+    half-line integrals of _half_line_kinds; this is their sweep of one.
+    """
+    return _transforms(params, profile, [tau], L)[0]
 
 
 def fourier_cosine_mu(params: SymbolParams, profile: CutoffProfile, tau: float) -> complex:
     """Cosine transform 2 * integral_0^inf lam^-beta e^{i lam^alpha} cutoff cos(tau lam)."""
     return fourier_cosine_mu_derivative(params, profile, tau, 0)
+
+
+def _dyadic_transforms(params: SymbolParams, profile: CutoffProfile, ks, taus, L: int = 0) -> list:
+    """fourier_cosine_mu_dyadic at every pair (ks[i], taus[i]), as one sweep."""
+    if any(k < 0 for k in ks):
+        raise ValueError("k must be nonnegative")
+    _check_order(L)
+    band = _Band(
+        params,
+        L,
+        np.asarray(taus, dtype=float),
+        np.array([2.0**k for k in ks]),
+        lambda u: dyadic_bump(profile, u),
+    )
+    return _sweep([band], lambda i: f"dyadic panel budget exceeded at k={ks[i]}, tau={taus[i]}")
 
 
 def fourier_cosine_mu_dyadic(
@@ -452,19 +647,7 @@ def fourier_cosine_mu_dyadic(
 ) -> complex:
     """Dyadic piece of the cosine transform: the bump phi(lam / 2^k) localizes
     integration to the compact band [2^(k-1), 2^(k+1)], so no tail is needed."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _check_order(L)
-    scale = 2.0**k
-    piece = _band_piece(
-        params,
-        tau,
-        L,
-        scale / 2.0,
-        scale * 2.0,
-        lambda lam: dyadic_bump(profile, lam / scale),
-    )
-    return _refine([piece], f"dyadic panel budget exceeded at k={k}, tau={tau}")
+    return _dyadic_transforms(params, profile, [k], [tau], L)[0]
 
 
 def dyadic_tail_order(
@@ -488,10 +671,9 @@ def dyadic_tail_order(
     under "fitted" and every (2^k * tau, value) pair under "samples";
     samples at the noise floor are kept there but left out of the fit.
     """
-    samples = [
-        (float(2.0**k * tau), fourier_cosine_mu_dyadic(params, profile, k, tau))
-        for tau in np.geomspace(tau_lo, tau_hi, n_samples)
-    ]
+    taus = np.geomspace(tau_lo, tau_hi, n_samples)
+    values = _dyadic_transforms(params, profile, [k] * taus.size, taus)
+    samples = [(float(2.0**k * tau), v) for tau, v in zip(taus, values)]
     fitted = fit_decay_exponent([(s, abs(v)) for s, v in samples], floor=_TAIL_NOISE_FLOOR)
     return {"fitted": fitted, "samples": samples}
 
@@ -505,11 +687,9 @@ def dyadic_band_ratio(params: SymbolParams, profile: CutoffProfile) -> dict:
     middle band.  Returns the normalized values and their max/min ratio.
     """
     alpha, beta = params.alpha, params.beta
-    normalized = {}
-    for k in range(4, 9):
-        tau_k = 2.0 ** (k * (alpha - 1.0))
-        v = abs(fourier_cosine_mu_dyadic(params, profile, k, tau_k))
-        normalized[k] = v / 2.0 ** (k * (1.0 - beta - alpha / 2.0))
+    ks = range(4, 9)
+    values = _dyadic_transforms(params, profile, ks, [2.0 ** (k * (alpha - 1.0)) for k in ks])
+    normalized = {k: abs(v) / 2.0 ** (k * (1.0 - beta - alpha / 2.0)) for k, v in zip(ks, values)}
     vals = list(normalized.values())
     return {
         "normalized": normalized,
@@ -541,10 +721,8 @@ def verify_small_tau_decay(
     if not 0.0 < tau_lo < tau_hi <= 200.0:
         raise ValueError("need 0 < tau_lo < tau_hi <= 200")
     predicted = small_tau_exponent(params.alpha, params.beta, L)
-    samples = [
-        (float(t), fourier_cosine_mu_derivative(params, profile, t, L))
-        for t in np.geomspace(tau_lo, tau_hi, n_samples)
-    ]
+    taus = np.geomspace(tau_lo, tau_hi, n_samples)
+    samples = [(float(t), v) for t, v in zip(taus, _transforms(params, profile, taus, L))]
     mods = np.array([abs(v) for _, v in samples])
     fit = fit_decay_exponent([(t, abs(v)) for t, v in samples])
     verdict = slope_or_bounded(fit, predicted, 0.2, np.max(mods) / mods[-1])

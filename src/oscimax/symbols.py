@@ -191,13 +191,28 @@ def riesz_mean_symbol(k: float, alpha: float, z):
         acc += 1.0
     out[small] = acc
     big = a[~small]
+    del a, series, w, acc
     if big.size:  # the contour pass costs the same for one value as for many
+        # in place, through one node buffer, with the operations and operand
+        # order of  integral += weight * (1 - 1j*y/big) ** (k-1)
         integral = np.zeros_like(big, dtype=complex)
+        node = np.empty_like(integral)
         for y, weight in zip(*_GLAG48):
-            integral += weight * (1.0 - 1j * y / big) ** (k - 1.0)
-        out[~small] = (
-            math.gamma(k + 1.0) * (-1j) ** k * big**-k * np.exp(1j * big)
-            + 1j * k / big * integral
-        )
+            np.divide(1j * y, big, out=node)
+            np.subtract(1.0, node, out=node)
+            node **= k - 1.0
+            node *= weight
+            integral += node
+        # then gamma(k+1) (-i)^k big^-k e^{i big} + (ik/big) integral with
+        # the same operations, its second term first, so that integral and
+        # big are gone before the first term's product exists.  No product of
+        # two complex arrays writes over one of them: on a length-1 array
+        # numpy rounds that one differently.
+        second = np.multiply(np.divide(1j * k, big, out=node), integral)
+        del integral
+        first = np.multiply(math.gamma(k + 1.0) * (-1j) ** k, big**-k, out=node)
+        phase = np.multiply(1j, big)
+        del big
+        out[~small] = np.add(first * np.exp(phase, out=phase), second, out=second)
     np.conjugate(out, out=out, where=z < 0.0)
     return out if out.ndim else complex(out)

@@ -145,10 +145,10 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert (tmp_path / "file").read_text() == "not a directory"
 
-    @pytest.mark.parametrize("blocked", ["rate-riesz.csv", "summary.json"])
+    @pytest.mark.parametrize("blocked", ["rate-riesz.csv", "summary.json", "summary.txt"])
     def test_report_path_blocked_by_a_directory_is_usage_error(self, tmp_path, capsys, blocked):
         """The output directory exists, but one report file's name is taken
-        by a directory: the run computes its verdict, then cannot write."""
+        by a directory: the run computes its verdict, then writes nothing."""
         out = tmp_path / "o"
         (out / blocked).mkdir(parents=True)
         argv = ["rate-riesz", "--n-modes", "16", "--mode", "3", "--n-samples", "5", "--out", str(out)]
@@ -156,6 +156,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert (out / blocked).is_dir()
+        assert list(out.iterdir()) == [out / blocked]
+        assert list((out / blocked).iterdir()) == []
 
     def test_config_file_for_another_experiment_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "combo.json"

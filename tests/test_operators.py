@@ -375,6 +375,7 @@ class TestChunkedMultiplier:
             lambda f: oscillating_op(f, SymbolParams(0.5, 0.75), PROFILE, 0.01), 1.5
         ),
         "riesz": (lambda f: riesz_mean_op(f, 0.5, 0.5, 0.1), 1.25),
+        "riesz-contour": (lambda f: riesz_mean_op(f, 1.0, 0.5, 1.0), 1.5),
     }
 
     @pytest.mark.parametrize("name", WORKING_SET_OPS)
@@ -382,10 +383,10 @@ class TestChunkedMultiplier:
         """On a 512^2 lattice one call holds at most 1.5 MiB beyond its 4 MiB
         result; evaluated on the whole lattice at once the same calls held
         4.4, 7.6 and 18.3 MiB.  The Riesz mean is taken where every z sums
-        the series, which updates one array in place: 1.16 MiB (with the
-        contour branch too, at k = 1 and t = 1, it holds 1.64 MiB).  The
-        cached |xi| array is built first, since it is not a temporary of
-        the call."""
+        the series, which updates one array in place: 1.16 MiB; with the
+        contour branch too, at k = 1 and t = 1, whose 48-node sum also
+        accumulates in place, it holds 1.40 MiB.  The cached |xi| array
+        is built first, since it is not a temporary of the call."""
         op, bound_mib = self.WORKING_SET_OPS[name]
         grid = LatticeGrid(2, 512)
         f = random_spectral_field(grid, np.random.default_rng(0))

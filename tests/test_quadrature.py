@@ -144,15 +144,13 @@ def split_band_transform(params, k, tau, L):
 
         return integrand
 
-    pieces = [
-        (
-            weight,
-            make_integrand(sign),
-            reference_breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4)),
-        )
-        for sign, weight in ((+1.0, rot), (-1.0, np.conj(rot)))
-    ]
-    return quadrature._refine(pieces, "split band did not converge")
+    pieces, panels = [], []
+    for sign, weight in ((+1.0, rot), (-1.0, np.conj(rot))):
+        integrand = make_integrand(sign)
+        edges = reference_breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4))
+        pieces.append((weight, lambda x, which, f=integrand: f(x)))
+        panels.append((edges[:-1], edges[1:], np.array([edges.size - 1])))
+    return quadrature._refine(pieces, panels, lambda i: "split band did not converge")[0]
 
 
 def low_band_correction(params, tau):
@@ -165,15 +163,14 @@ def low_band_correction(params, tau):
         2 * integral (1 - psi0(lam) - cutoff(lam)) e^{i lam^alpha} lam^-beta
                      cos(tau lam) dlam.
     """
-    piece = quadrature._band_piece(
+    band = quadrature._Band(  # scale 1: the band [1/2, 2]
         params,
-        tau,
         0,
-        0.5,
-        2.0,
+        np.array([tau]),
+        np.array([1.0]),
         lambda lam: 1.0 - psi0(PROFILE, lam) - phi_cutoff(PROFILE, lam),
     )
-    return quadrature._refine([piece], f"low-band panel budget exceeded at tau={tau}")
+    return quadrature._sweep([band], lambda i: f"low-band panel budget exceeded at tau={tau}")[0]
 
 
 def fine_first_round(alpha, beta, tau):
@@ -217,22 +214,22 @@ def panel_rounds(monkeypatch):
 
 @pytest.fixture
 def layouts(monkeypatch):
-    """Every `_breakpoints` call, in call order: its interval, its density,
-    the number of points the density was evaluated on, and the edges (None
-    when the call raised)."""
+    """Every `_breakpoints` call, in call order: its intervals, its density,
+    the number of points the density was evaluated on, and what it returned
+    (the panels each interval needs, the panel ends and counts)."""
     calls = []
     lay_out = quadrature._breakpoints
 
     def recorded(a, b, density):
-        call = {"a": a, "b": b, "density": density, "nodes": 0, "edges": None}
+        call = {"a": a, "b": b, "density": density, "nodes": 0}
         calls.append(call)
 
         def counted(x):
             call["nodes"] += x.size
             return density(x)
 
-        call["edges"] = lay_out(a, b, counted)
-        return call["edges"]
+        call["needed"], call["lo"], call["hi"], call["counts"] = lay_out(a, b, counted)
+        return call["needed"], call["lo"], call["hi"], call["counts"]
 
     monkeypatch.setattr(quadrature, "_breakpoints", recorded)
     return calls
@@ -384,6 +381,12 @@ class TestMinusPhaseContour:
 
 
 class TestRefinement:
+    @pytest.fixture(autouse=True)
+    def one_call_per_piece(self, monkeypatch):
+        """A node block no round reaches, so that each piece's round is one
+        `_panel_values` call and the first four calls are the first round."""
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 2**30)
+
     def test_only_failing_panels_are_evaluated_again(self, panel_rounds):
         """At alpha = 1/4 one panel of about 120 carries the excess; the
         later rounds evaluate its halves only."""
@@ -422,33 +425,178 @@ class TestRefinement:
         assert panel_rounds == []
 
 
+class TestSweep:
+    """A sweep is one quadrature over many integrals; each integral's value,
+    error and cost are those it has alone."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("L", range(5))
+    def test_sweep_equals_sweeps_of_one(self, alpha, L):
+        """The taus straddle tau = alpha, where lam* = 1: below it the minus
+        segment ends at 2 lam*, above it at 2."""
+        params = SymbolParams(alpha, 0.5)
+        taus = alpha * np.array([0.1, 0.5, 1.0, 2.0, 10.0])
+        ends = quadrature._half_line_kinds(params, PROFILE, L, taus)[2].lam_end
+        assert np.any(ends == 2.0) and np.any(ends > 2.0)
+        sweep = quadrature._transforms(params, PROFILE, taus, L)
+        for tau, value in zip(taus, sweep):
+            alone = fourier_cosine_mu_derivative(params, PROFILE, tau, L)
+            assert abs(value - alone) <= 1e-14 * abs(alone), tau
+
+    @pytest.mark.parametrize("L", [0, 2])
+    def test_dyadic_sweep_equals_sweeps_of_one(self, L):
+        params = SymbolParams(0.5, 1.0)
+        taus = np.geomspace(0.01, 10.0, 6)
+        pairs = [(6, tau) for tau in taus] + [(k, 0.5) for k in range(0, 9, 2)]
+        sweep = quadrature._dyadic_transforms(params, PROFILE, *zip(*pairs), L)
+        for (k, tau), value in zip(pairs, sweep):
+            alone = fourier_cosine_mu_dyadic(params, PROFILE, k, tau, L)
+            assert abs(value - alone) <= 1e-14 * abs(alone), (k, tau)
+
+    @staticmethod
+    def raised(taus):
+        with pytest.raises(ConvergenceError) as info:
+            quadrature._transforms(SymbolParams(0.5, 0.5), PROFILE, taus, 0)
+        return info.value
+
+    def test_first_failure_in_sweep_order_is_raised(self, monkeypatch):
+        """With a 122-panel budget, tau = 1 converges in its first round of 92
+        panels, tau = 0.11 and 0.105 lay out 122 panels and fail to refine,
+        and tau = 0.1 needs 123 panels in its first round.  A sweep raises
+        what its first failing tau raises alone: the message, partial value
+        and estimate."""
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 122)
+        alone = {tau: self.raised([tau]) for tau in (0.11, 0.105, 0.1)}
+        assert all("err~" in str(alone[tau]) for tau in (0.11, 0.105))
+        assert "max_panels" in str(alone[0.1])
+        for taus in ([1.0, 0.11, 0.105, 0.1], [1.0, 0.105, 0.11], [1.0, 0.1, 0.11]):
+            error, first = self.raised(taus), alone[taus[1]]
+            assert str(error) == str(first)
+            assert error.error_estimate == first.error_estimate
+            assert str(error.partial_value) == str(first.partial_value)
+
+    def test_layout_over_budget_raises_before_its_panels_are_evaluated(self, monkeypatch):
+        """At alpha = 3/4 the tau = 1e-3 segment needs about 8e7 panels: the
+        sweep raises its scalar error, after evaluating only tau = 0.05."""
+        evaluated = set()
+        evaluate = quadrature._evaluate
+
+        def recorded(pieces, *args):
+            def note(integrand):
+                def noted(x, which):
+                    evaluated.update(which.tolist())
+                    return integrand(x, which)
+
+                return noted
+
+            return evaluate([(w, note(fn)) for w, fn in pieces], *args)
+
+        monkeypatch.setattr(quadrature, "_evaluate", recorded)
+        params = SymbolParams(0.75, 0.5)
+        with pytest.raises(ConvergenceError) as alone:
+            fourier_cosine_mu(params, PROFILE, 1e-3)
+        assert evaluated == set()
+        with pytest.raises(ConvergenceError) as swept:
+            quadrature._transforms(params, PROFILE, [0.05, 1e-3, 1e-4], 0)
+        assert str(swept.value) == str(alone.value)
+        assert "panels needed" in str(swept.value)
+        assert evaluated == {0}
+
+    def test_one_integrand_call_per_kind_per_round(self, monkeypatch):
+        """A sweep that fits in one node block makes at most one call per
+        kind per round, and takes as many rounds as its slowest integral."""
+        rounds = []
+        evaluate = quadrature._evaluate
+
+        def marked(pieces, *args):
+            rounds.append([])
+
+            def note(p, integrand):
+                def noted(x, which):
+                    rounds[-1].append(p)
+                    return integrand(x, which)
+
+                return noted
+
+            return evaluate([(w, note(p, fn)) for p, (w, fn) in enumerate(pieces)], *args)
+
+        monkeypatch.setattr(quadrature, "_evaluate", marked)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 2**30)
+        params, taus = SymbolParams(0.5, 0.5), np.geomspace(1e-3, 3.0, 9)
+        quadrature._transforms(params, PROFILE, taus, 0)
+        sweep = list(rounds)
+        assert sweep[0] == [0, 1, 2, 3]
+        assert all(len(calls) == len(set(calls)) for calls in sweep)
+        alone = []
+        for tau in taus:
+            rounds.clear()
+            quadrature._transforms(params, PROFILE, [tau], 0)
+            alone.append(list(rounds))
+        assert len(sweep) == max(map(len, alone)) == 2
+        assert sum(map(len, sweep)) < sum(len(c) for r in alone for c in r) / 5
+
+    def test_calls_hold_at_most_one_node_block(self, monkeypatch):
+        """With a 40-panel block, every integrand call, the rays' decay
+        probes included, holds at most 960 nodes, also where one integral's
+        round is larger (the tau = 1e-3 minus segment has 255 panels) or
+        blocks mix integrals; the values are those of the unblocked sweep,
+        bit for bit."""
+        params, taus = SymbolParams(0.5, 0.5), np.geomspace(1e-3, 3.0, 7)
+        whole = quadrature._transforms(params, PROFILE, taus, 1)
+        calls = []
+        for kind in (quadrature._Segment, quadrature._Ray):
+            def counted(self, x, which, integrand=kind.integrand):
+                calls.append((x.size, which.tolist()))
+                return integrand(self, x, which)
+
+            monkeypatch.setattr(kind, "integrand", counted)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 24 * 40)
+        blocked = quadrature._transforms(params, PROFILE, taus, 1)
+        assert blocked == whole
+        assert all(size <= 24 * 40 for size, _ in calls)
+        assert sum(len(set(which)) > 1 for _, which in calls) >= 4
+        assert sum(set(which) == {0} for _, which in calls) >= 4
+
+
 class TestLayout:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
     def test_log_sized_grid_keeps_the_panel_count(self, layouts, alpha, tau):
-        """Segments, rays and bands evaluate their density on at most
-        8 ln(b/a) + 17 points, and lay down within 5% of the panels of the
-        4,000-node layout; a segment too long for the panel budget is refused
-        by both."""
+        """Segments, rays and bands, laid out for a sweep of two taus at once,
+        evaluate their density on at most 8 ln(b/a) + 17 points per interval
+        (each padded to the longest), and every interval gets within 5% of
+        the panels of the 4,000-node layout, with edges that run from a to b;
+        an interval too long for the panel budget is refused by both."""
         params = SymbolParams(alpha, 0.5)
-        for sign in (1.0, -1.0):
-            try:
-                quadrature._half_line_piece(params, PROFILE, 0, tau, sign)
-            except ConvergenceError:
-                pass
+        taus = np.array([tau, 2.0 * tau])
+        quadrature._first_round(quadrature._half_line_kinds(params, PROFILE, 0, taus), str)
         # the k = 0 and k = 6 dyadic bands; their window plays no part in the layout
-        for lo in (0.5, 32.0):
-            quadrature._band_piece(params, tau, 0, lo, 4.0 * lo, window=None)
-        assert len(layouts) >= 4  # a segment and a ray of the plus phase, two bands
+        band = quadrature._Band(params, 0, taus, np.array([1.0, 64.0]), window=None)
+        quadrature._first_round([band], str)
+        assert len(layouts) >= 3  # a segment and a ray of the plus phase, the bands
         for call in layouts:
-            a, b = call["a"], call["b"]
-            assert call["nodes"] <= 8.0 * np.log(b / a) + 17.0
-            if call["edges"] is None:
-                with pytest.raises(ConvergenceError):
-                    reference_breakpoints(a, b, call["density"])
-                continue
-            fine = reference_breakpoints(a, b, call["density"]).size - 1
-            assert abs(call["edges"].size - 1 - fine) <= 0.05 * fine, (a, b)
+            a, b, counts = call["a"], call["b"], call["counts"]
+            assert call["nodes"] <= a.size * np.max(8.0 * np.log(b / a) + 17.0)
+            ends = np.cumsum(counts)
+            first = call["lo"][ends - counts]  # a ray starts at s = 0, not at a
+            assert np.all((first == a[: counts.size]) | (first == 0.0))
+            assert np.all(call["hi"][ends - 1] == b[: counts.size])
+            assert np.all(call["lo"] < call["hi"])
+            assert np.all(np.delete(call["lo"], ends - counts) == np.delete(call["hi"], ends - 1))
+            for r in range(a.size):
+                # the density of interval r, on any grid
+                def density(x, r=r):
+                    return call["density"](np.broadcast_to(x, (a.size, x.size)))[r]
+
+                if call["needed"][r] > quadrature._MAX_PANELS:
+                    with pytest.raises(ConvergenceError):
+                        reference_breakpoints(a[r], b[r], density)
+                    assert counts.size <= r
+                    break
+                fine = reference_breakpoints(a[r], b[r], density).size - 1
+                panels = max(1, np.ceil(call["needed"][r]))
+                assert abs(panels - fine) <= 0.05 * fine, (a[r], b[r])
+                assert counts[r] == panels
 
 
 class TestPanelValues:
@@ -457,9 +605,12 @@ class TestPanelValues:
         """Both node sets go through one call of the integrand; the 16-node
         values and the 16/8 differences are those of separate evaluations."""
         params = SymbolParams(0.5, 0.5)
-        fn, edges = quadrature._half_line_piece(params, PROFILE, 1, 1e-2, -1.0)[piece]
-        lo, hi = edges[:-1], edges[1:]
+        kind = quadrature._half_line_kinds(params, PROFILE, 1, np.array([1e-2]))[2 + piece]
+        [(lo, hi, _)], _ = quadrature._first_round([kind], str)
         shapes = []
+
+        def fn(x):
+            return kind.integrand(x, np.zeros(x.shape[0], dtype=int))
 
         def counted(x):
             shapes.append(x.shape)
@@ -510,8 +661,8 @@ class TestDyadicPieces:
         [8, 32]; this case needs no second round."""
         fourier_cosine_mu_dyadic(SymbolParams(0.5, 1.0), PROFILE, 4, 0.5)
         density = _phase_density(0.5, 0.5, +1.0, 3.0)
-        edges = _breakpoints(8.0, 32.0, density)
-        assert panel_rounds == [edges.size - 1]
+        _, _, _, counts = _breakpoints(np.array([8.0]), np.array([32.0]), density)
+        assert panel_rounds == [counts[0]]
 
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 10.0])
     def test_low_band_correction_against_quad(self, tau):
