@@ -9,7 +9,7 @@ For the full transform, whose range is unbounded, splitting the cosine into
 exponentials gives two half-line integrals with total phase
 g(lam) = lam^alpha +- tau*lam.  Each is computed as
 
-  * a real-axis segment [1, Lambda] with composite Gauss-Legendre panels
+  * a real-axis segment [1, Lambda] with composite Gauss-Kronrod panels
     whose lengths resolve the local phase derivative (and the Fresnel scale
     near the stationary point of the minus phase), followed by
   * a complex-ray tail from Lambda: upward (lam = Lambda + i s) from
@@ -36,10 +36,14 @@ trapezoid rule on a geometric grid of 8 nodes per e-fold of b/a (at least
 of powers lam^p with -1 <= p <= 0, for which the sum's relative error is
 about h^2 (p+1)^2 / 12 <= 1.3e-3 at spacing h <= 1/8 in ln(lam), so the
 layout costs a few hundred density values where the panels cost thousands
-of integrand values.  Panel error is estimated by comparing 16- and 8-node
-Gauss values panel by panel, both from one call of the integrand; the
-panels that carry the excess are bisected, and the rest kept, until the
-summed estimate meets the tolerance or the panel budget is hit.
+of integrand values.  A panel's value is its 15-point Kronrod sum, and its
+error estimate the difference from the 7-point Gauss sum on the Gauss nodes
+embedded among the Kronrod ones (QUADPACK's G7-K15 pair), both from one call
+of the integrand on 15 nodes; the panels that carry the excess are bisected,
+and the rest kept, until the summed estimate meets the tolerance or the
+panel budget is hit.  Along a ray the integrand is computed in real
+arithmetic, from the modulus and argument of lam, rather than by complex
+powers.
 
 A sweep (the taus of a decay verdict, the scales of the dyadic checks) is
 one quadrature.  Each piece kind (the plus and minus segments and rays, or
@@ -59,10 +63,41 @@ import numpy as np
 
 from .symbols import CutoffProfile, SymbolParams, dyadic_bump, phi_cutoff
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL8 = np.polynomial.legendre.leggauss(8)
-# both node sets, so that one integrand call serves the 16/8-node pair
-_GL_NODES = np.concatenate([_GL16[0], _GL8[0]])
+# The 7-point Gauss / 15-point Kronrod pair, QUADPACK's qk15 constants
+# (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, 1983): the
+# Kronrod nodes x_1 > ... > x_7 > x_8 = 0 of [-1, 1] and their weights, and
+# the weights of the Gauss nodes x_2, x_4, x_6, x_8 embedded among them.
+_XK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
+# the 15 nodes in increasing order, with the 7 Gauss nodes at the odd
+# positions, and the weights of each rule in that order
+_K15_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
+_K15_WEIGHTS = np.concatenate([_WK[:-1], _WK[::-1]])
+_G7_WEIGHTS = np.concatenate([_WG[:-1], _WG[::-1]])
 
 MAX_DERIVATIVE_ORDER = 4
 
@@ -141,10 +176,11 @@ def slope_or_bounded(fit: DecayFit, predicted: float, tol: float, spread: float)
 
 # phase advance (radians) per panel of the first round.  On a panel of
 # length h whose phase advances by 1.6 rad, the 2n-th derivative of the
-# integrand is about (1.6/h)^(2n) times its size, so the n = 8 Gauss-Legendre
-# remainder (n!)^4 / ((2n+1) ((2n)!)^3) h^(2n+1) f^(2n) is about 3e-20 * h
-# times that size: the 8-node value is already exact to roundoff where the
-# phase model holds, and |v16 - v8| measures the error wherever it does not.
+# integrand is about (1.6/h)^(2n) times its size, so the n = 7 Gauss-Legendre
+# remainder (n!)^4 / ((2n+1) ((2n)!)^3) h^(2n+1) f^(2n) is about
+# 6.5e-20 * 1.6^14 * h = 4.7e-17 * h times that size: the embedded 7-node
+# Gauss value is already exact to roundoff where the phase model holds, and
+# |K15 - G7| measures its error wherever the model does not.
 _BUDGET = 1.6
 
 # roundoff of the accumulated panel magnitudes makes a tighter target meaningless
@@ -161,7 +197,7 @@ _TAIL_NOISE_FLOOR = 1e-13
 
 
 # integrand nodes per call.  A round evaluates the new panels of one piece
-# kind for the whole sweep in blocks of at most this many nodes (24 per
+# kind for the whole sweep in blocks of at most this many nodes (15 per
 # panel), splitting an integral's panels across blocks where they do not fit:
 # a panel's value depends on its own nodes only.  A block is about a
 # millisecond of elementwise work, so the call overhead stays small, and the
@@ -230,16 +266,19 @@ def _breakpoints(a, b, density):
 
 
 def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
-    """16-node Gauss value of each panel [lo, hi] and its 16/8-node difference,
-    from one call of `fn` on both node sets.  The weighted sums run node by
-    node within each panel (a BLAS mat-vec may round a row differently by its
-    position), so a panel's value does not depend on the other panels."""
+    """15-node Kronrod value of each panel [lo, hi] and its difference from
+    the 7-node Gauss value, from one call of `fn` on the 15 nodes, among which
+    the Gauss nodes are embedded.  The difference is the error of the Gauss
+    value, an upper estimate for the Kronrod value's.  The weighted sums run
+    node by node within each panel (a BLAS mat-vec may round a row
+    differently by its position), so a panel's value does not depend on the
+    other panels."""
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    f = fn(mid[:, None] + half[:, None] * _GL_NODES[None, :])
-    v16 = np.einsum("ij,j->i", f[:, :16], _GL16[1]) * half
-    v8 = np.einsum("ij,j->i", f[:, 16:], _GL8[1]) * half
-    return v16, np.abs(v16 - v8)
+    f = fn(mid[:, None] + half[:, None] * _K15_NODES[None, :])
+    k15 = np.einsum("ij,j->i", f, _K15_WEIGHTS) * half
+    g7 = np.einsum("ij,j->i", f[:, 1::2], _G7_WEIGHTS) * half
+    return k15, np.abs(k15 - g7)
 
 
 def _phase_density(alpha: float, tau, sign: float, grading: float):
@@ -307,16 +346,34 @@ class _Ray:
         self.tau, self.start, self.direction = tau, start, direction
 
     def integrand(self, s, which):
-        # lam^amp e^{i(lam^alpha + sign tau lam)} i direction, in place
-        lam = np.empty(s.shape, dtype=complex)
-        lam.real = self.start[which][:, None]
-        np.multiply(self.direction[which][:, None], s, out=lam.imag)
-        out = lam**self.alpha
-        out += self.sign * self.tau[which][:, None] * lam
-        np.multiply(1j, out, out=out)
-        np.exp(out, out=out)
-        np.multiply(lam**self.amp, out, out=out)
-        out *= 1j * self.direction[which][:, None]
+        # lam^amp e^{i(lam^alpha + sign tau lam)} i direction = e^E i direction
+        # in real arithmetic: with lam = a + i x, x = direction s, r = |lam|
+        # and theta = arg lam,
+        #   Re E = amp ln r - r^alpha sin(alpha theta) - sign tau x,
+        #   Im E = amp theta + r^alpha cos(alpha theta) + sign tau a,
+        # and the integrand is direction e^{Re E} (-sin Im E + i cos Im E)
+        a, direction = self.start[which][:, None], self.direction[which][:, None]
+        x = direction * s
+        tau = self.sign * self.tau[which][:, None]
+        log_r = np.log(np.hypot(a, x))
+        theta = np.arctan2(x, a)
+        rho = np.exp(self.alpha * log_r)
+        turn = self.alpha * theta
+        re = self.amp * log_r
+        re -= rho * np.sin(turn)
+        x *= tau
+        re -= x
+        im = self.amp * theta
+        rho *= np.cos(turn)
+        im += rho
+        im += tau * a
+        del x, log_r, theta, rho, turn
+        np.exp(re, out=re)
+        re *= direction
+        out = np.empty(s.shape, dtype=complex)
+        np.multiply(re, np.cos(im), out=out.imag)
+        np.multiply(re, np.sin(im), out=out.real)
+        np.negative(out.real, out=out.real)
         return out
 
     def density(self, s, which):
@@ -326,14 +383,27 @@ class _Ray:
 
     def interval(self, which):
         """[1e-10 s_max, s_max], where s_max is the point beyond which the
-        decaying envelope is negligible, located on a probe grid."""
+        decaying envelope is negligible, located on a probe grid; [0, inf],
+        unprobed, where the start or the probe's reach overflows."""
         alpha, start, tau = self.alpha, self.start[which], self.tau[which]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             s_huge = np.where(
                 self.direction[which] > 0,
                 (300.0 / np.sin(alpha * np.pi / 2.0)) ** (1.0 / alpha),
                 400.0 / (tau * (1.0 - 2.0 ** (alpha - 1.0))),
             ) + 10.0 * start
+        lo, s_max = np.zeros(which.size), np.full(which.size, np.inf)
+        bounded = np.flatnonzero(np.isfinite(s_huge))
+        if bounded.size:
+            s_max[bounded] = self._decay_end(which[bounded], start[bounded], s_huge[bounded])
+            lo[bounded] = 1e-10 * s_max[bounded]
+        return lo, s_max
+
+    def _decay_end(self, which, start, s_huge):
+        """Per ray, where the envelope first falls to 1e-18 (1 + s) times its
+        largest probed value (at least 1) on a probe grid up to s_huge,
+        interpolated between the nodes that bracket it; s_huge if it never
+        does."""
         probe, _, _ = _log_grid(1e-8 * np.maximum(1.0, start), s_huge)
         per_call = max(1, _NODE_BLOCK // probe.shape[1])
         env = np.concatenate([
@@ -351,8 +421,7 @@ class _Ray:
             below = np.log(env[r, i] / (floor * (1.0 + probe[r, i])))
             lo, hi = np.log(probe[r, i - 1]), np.log(probe[r, i])
             cross = np.exp(lo + (hi - lo) * above / (above - below))
-        s_max = np.where(beyond.any(axis=1), np.where(first == 0, probe[:, 0], cross), s_huge)
-        return 1e-10 * s_max, s_max
+        return np.where(beyond.any(axis=1), np.where(first == 0, probe[:, 0], cross), s_huge)
 
 
 class _Band:
@@ -406,7 +475,7 @@ def _half_line_kinds(params: SymbolParams, profile: CutoffProfile, L: int, tau):
     alpha = params.alpha
     rot = complex(np.exp(1j * L * np.pi / 2.0))
     down = tau > 0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         lam_end = np.where(down, np.maximum(2.0, 2.0 * (alpha / tau) ** (1.0 / (1.0 - alpha))), 2.0)
     two, up = np.full(tau.shape, 2.0), np.ones(tau.shape)
     return [
@@ -418,14 +487,14 @@ def _half_line_kinds(params: SymbolParams, profile: CutoffProfile, L: int, tau):
 
 
 def _evaluate(pieces, lo, hi, seg, fresh, v, e) -> None:
-    """Fill v and e, the 16-node values and 16/8-node estimates, of the
-    `fresh` panels: per piece, one integrand call per _NODE_BLOCK nodes of
-    its fresh panels, whichever integrals they belong to.  Panel j belongs
-    to piece seg[j] % P of integral seg[j] // P."""
+    """Fill v and e, the 15-node Kronrod values and Kronrod-Gauss estimates,
+    of the `fresh` panels: per piece, one integrand call per _NODE_BLOCK
+    nodes of its fresh panels, whichever integrals they belong to.  Panel j
+    belongs to piece seg[j] % P of integral seg[j] // P."""
     P = len(pieces)
     new = np.flatnonzero(fresh)
     kind = seg[new] % P
-    per_call = _NODE_BLOCK // _GL_NODES.size
+    per_call = _NODE_BLOCK // _K15_NODES.size
     for p, (_, integrand) in enumerate(pieces):
         sel = new[kind == p]
         for start in range(0, sel.size, per_call):
@@ -458,7 +527,7 @@ def _refine(pieces, panels, message) -> list:
     nodes x, one row per panel, of panels of the integrals `which`; `panels`
     gives per piece the flat first-round panel ends lo and hi and the panel
     count of each integral, and is emptied once they are merged.  Integral i
-    is converged when its summed 16/8-node estimate is at most
+    is converged when its summed Kronrod-Gauss estimate is at most
     max(_ABS_TOLERANCE, _RELATIVE_FLOOR * sum |panel value|).  Otherwise its
     panels with the largest estimates are bisected, as many as it takes for
     the rest to sum to at most half the tolerance; every other panel is kept
@@ -537,11 +606,18 @@ def _first_round(kinds, message):
     rows, error, panels = kinds[0].tau.size, None, []
     for kind in kinds:
         which = np.arange(rows)
+        lo, hi, counts = np.empty(0), np.empty(0), np.empty(0, dtype=int)
         if rows:
             a, b = kind.interval(which)
-            needed, lo, hi, counts = _breakpoints(a, b, partial(kind.density, which=which))
-        else:
-            lo, hi, counts = np.empty(0), np.empty(0), np.empty(0, dtype=int)
+            # no budget holds an unbounded interval (an end that overflowed):
+            # neither it nor a later one is laid out
+            unbounded = np.flatnonzero(~np.isfinite(b))
+            laid = unbounded[0] if unbounded.size else rows
+            needed = np.full(rows, np.inf)
+            if laid:
+                needed[:laid], lo, hi, counts = _breakpoints(
+                    a[:laid], b[:laid], partial(kind.density, which=which[:laid])
+                )
         if counts.size < rows:
             rows = counts.size
             error = ConvergenceError(

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric non-convergence: panel budget exceeded")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags,interval",
+        [
+            # the minus phase's stationary point lam* overflows: its segment
+            (["--tau-lo", "1e-300"], "[1, inf]"),
+            # the plus ray's decay scale (300 / sin(alpha pi/2))^(1/alpha) does
+            (["--alpha", "1e-9"], "[0, inf]"),
+        ],
+    )
+    def test_unbounded_interval_is_over_budget(self, tmp_path, capsys, flags, interval):
+        """An interval whose end overflows is refused as over the panel
+        budget, named in the message, without a RuntimeWarning."""
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["symbol-decay", *flags, "--out", str(out)]) == EXIT_NON_CONVERGENCE
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == (
+            "numeric non-convergence: panel budget exceeded: inf panels needed on "
+            f"{interval} (max_panels 2000000)\n"
+        )
+        assert not out.exists()
 
 
 # Configs whose verdict must fail, one per experiment whose verdict can fail

@@ -1,5 +1,8 @@
 """Tests for the oscillatory cosine-transform quadrature and decay fits."""
 
+from functools import partial
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -55,9 +58,30 @@ def phase_density(alpha, tau, sign, budget):
 
 
 def _panel_integrate(fn, edges):
-    """Composite Gauss on the given edges; returns (value, err_est, |contrib|)."""
-    v16, err = _panel_values(fn, edges[:-1], edges[1:])
-    return complex(np.sum(v16)), float(np.sum(err)), float(np.sum(np.abs(v16)))
+    """Composite Kronrod on the given edges; returns (value, err_est, |contrib|)."""
+    values, err = _panel_values(fn, edges[:-1], edges[1:])
+    return complex(np.sum(values)), float(np.sum(err)), float(np.sum(np.abs(values)))
+
+
+def gauss_16_8_panel_values(fn, lo, hi):
+    """The library's panel rule before the Gauss-Kronrod pair: the 16-node
+    Gauss-Legendre value of each panel and its difference from the 8-node
+    value, from one call of `fn` on both node sets."""
+    (x16, w16), (x8, w8) = (np.polynomial.legendre.leggauss(n) for n in (16, 8))
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    f = fn(mid[:, None] + half[:, None] * np.concatenate([x16, x8])[None, :])
+    v16 = np.einsum("ij,j->i", f[:, :16], w16) * half
+    v8 = np.einsum("ij,j->i", f[:, 16:], w8) * half
+    return v16, np.abs(v16 - v8)
+
+
+def complex_power_ray(ray, s, which):
+    """The ray integrand lam^(L-beta) e^{i(lam^alpha + sign tau lam)} i direction
+    at lam = start + i direction s, by complex powers and a complex exp, as
+    the library computed it before it went to real arithmetic."""
+    lam = ray.start[which][:, None] + 1j * ray.direction[which][:, None] * s
+    phase = lam**ray.alpha + ray.sign * ray.tau[which][:, None] * lam
+    return lam**ray.amp * np.exp(1j * phase) * (1j * ray.direction[which][:, None])
 
 
 def geometric_ray(amp, alpha, tau, sign, start, direction, budget):
@@ -502,6 +526,23 @@ class TestSweep:
         assert "panels needed" in str(swept.value)
         assert evaluated == {0}
 
+    def test_unbounded_ray_is_neither_probed_nor_laid_out(self, layouts, monkeypatch):
+        """At alpha = 1e-9 the plus ray's probe would reach s = inf: the ray
+        is refused before its probe or its layout runs, and the plus
+        segment, laid out first, is the only piece the sweep lays out."""
+        probed = []
+        integrand = quadrature._Ray.integrand
+
+        def recorded(self, s, which):
+            probed.append(s)
+            return integrand(self, s, which)
+
+        monkeypatch.setattr(quadrature._Ray, "integrand", recorded)
+        with pytest.raises(ConvergenceError, match=r"inf panels needed on \[0, inf\]"):
+            quadrature._transforms(SymbolParams(1e-9, 0.5), PROFILE, [1e-3, 1e-2], 0)
+        assert probed == []
+        assert [call["b"].tolist() for call in layouts] == [[2.0, 2.0]]
+
     def test_one_integrand_call_per_kind_per_round(self, monkeypatch):
         """A sweep that fits in one node block makes at most one call per
         kind per round, and takes as many rounds as its slowest integral."""
@@ -537,7 +578,7 @@ class TestSweep:
 
     def test_calls_hold_at_most_one_node_block(self, monkeypatch):
         """With a 40-panel block, every integrand call, the rays' decay
-        probes included, holds at most 960 nodes, also where one integral's
+        probes included, holds at most 600 nodes, also where one integral's
         round is larger (the tau = 1e-3 minus segment has 255 panels) or
         blocks mix integrals; the values are those of the unblocked sweep,
         bit for bit."""
@@ -550,10 +591,10 @@ class TestSweep:
                 return integrand(self, x, which)
 
             monkeypatch.setattr(kind, "integrand", counted)
-        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 24 * 40)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 15 * 40)
         blocked = quadrature._transforms(params, PROFILE, taus, 1)
         assert blocked == whole
-        assert all(size <= 24 * 40 for size, _ in calls)
+        assert all(size <= 15 * 40 for size, _ in calls)
         assert sum(len(set(which)) > 1 for _, which in calls) >= 4
         assert sum(set(which) == {0} for _, which in calls) >= 4
 
@@ -602,8 +643,10 @@ class TestLayout:
 class TestPanelValues:
     @pytest.mark.parametrize("piece", [0, 1])  # the minus phase's segment and its ray
     def test_one_integrand_call_per_round(self, piece):
-        """Both node sets go through one call of the integrand; the 16-node
-        values and the 16/8 differences are those of separate evaluations."""
+        """The 15 Kronrod nodes, the 7 Gauss nodes among them, go through one
+        call of the integrand; the values are the separate 15-node Kronrod
+        sums and the estimates their differences from separate 7-node Gauss
+        sums on numpy's Gauss-Legendre nodes."""
         params = SymbolParams(0.5, 0.5)
         kind = quadrature._half_line_kinds(params, PROFILE, 1, np.array([1e-2]))[2 + piece]
         [(lo, hi, _)], _ = quadrature._first_round([kind], str)
@@ -616,14 +659,103 @@ class TestPanelValues:
             shapes.append(x.shape)
             return fn(x)
 
-        v16, err = _panel_values(counted, lo, hi)
-        assert shapes == [(lo.size, 24)]
+        values, err = _panel_values(counted, lo, hi)
+        assert shapes == [(lo.size, 15)]
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        (x16, w16), (x8, w8) = (np.polynomial.legendre.leggauss(n) for n in (16, 8))
-        s16 = fn(mid[:, None] + half[:, None] * x16) @ w16 * half
-        s8 = fn(mid[:, None] + half[:, None] * x8) @ w8 * half
-        assert np.all(np.abs(v16 - s16) <= 1e-15 * np.abs(s16))
-        assert np.all(np.abs(err - np.abs(s16 - s8)) <= 1e-15 * np.abs(s16))
+        xk, wk = quadrature._K15_NODES, quadrature._K15_WEIGHTS
+        x7, w7 = np.polynomial.legendre.leggauss(7)
+        k15 = fn(mid[:, None] + half[:, None] * xk) @ wk * half
+        g7 = fn(mid[:, None] + half[:, None] * x7) @ w7 * half
+        assert np.all(np.abs(values - k15) <= 1e-15 * np.abs(k15))
+        assert np.all(np.abs(err - np.abs(k15 - g7)) <= 1e-15 * np.abs(k15))
+
+    def test_kronrod_rule_is_exact_to_degree_22(self):
+        """In 40-digit arithmetic on the stored doubles, the 15-node rule
+        integrates x^k over [-1, 1] to 1e-15 for every k <= 22, its degree
+        3n + 1 at n = 7, and misses x^24 by far more."""
+        nodes = [mpmath.mpf(float(x)) for x in quadrature._K15_NODES]
+        weights = [mpmath.mpf(float(w)) for w in quadrature._K15_WEIGHTS]
+
+        def error(k):
+            with mpmath.workdps(40):
+                exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else mpmath.mpf(0)
+                return abs(mpmath.fsum(w * x**k for x, w in zip(nodes, weights)) - exact)
+
+        assert all(error(k) <= 1e-15 for k in range(23))
+        assert error(24) > 1e-9
+
+    def test_embedded_gauss_rule_is_leggauss_7(self):
+        """The odd-position nodes and the Gauss weights are numpy's 7-point
+        Gauss-Legendre rule, and the Kronrod nodes are symmetric about 0."""
+        x7, w7 = np.polynomial.legendre.leggauss(7)
+        xk = quadrature._K15_NODES
+        assert np.max(np.abs(xk[1::2] - x7)) <= 1e-15
+        assert np.max(np.abs(quadrature._G7_WEIGHTS - w7)) <= 1e-15
+        assert np.all(np.diff(xk) > 0) and np.all(xk == -xk[::-1])
+
+    def test_agrees_with_the_gauss_16_8_pair(self, monkeypatch):
+        """The five decay-quadrature benchmark ops' transforms, from the
+        symbol-decay sweeps and the dyadic tail and band ratio, agree with
+        the 16/8-node Gauss pair's within each integral's tolerance (measured
+        worst: 3.4e-14 relative on the symbol-decay sweeps, 6.6e-16 absolute
+        on the dyadic tail, 1.4e-13 absolute on the band-ratio pieces)."""
+        sweeps = [
+            (0.5, 0.5, 0, np.geomspace(1e-3, 1e-1, 9)),
+            (0.5, 0.5, 1, np.geomspace(1e-3, 1e-1, 9)),
+            (0.5, 0.5, 0, np.geomspace(3e-4, 1e-1, 9)),
+            (0.25, 0.25, 0, np.geomspace(1e-3, 1e-1, 25)),
+        ]
+        tail_taus = np.geomspace(2.0, 10.0, 15)
+        band_ks = list(range(4, 9))
+        dyadic = (
+            [6] * tail_taus.size + band_ks,
+            [*tail_taus, *(2.0 ** (-0.5 * k) for k in band_ks)],
+        )
+
+        def transforms():
+            values = [
+                quadrature._transforms(SymbolParams(alpha, beta), PROFILE, taus, L)
+                for alpha, beta, L, taus in sweeps
+            ]
+            return values + [quadrature._dyadic_transforms(SymbolParams(0.5, 1.0), PROFILE, *dyadic)]
+
+        ours = transforms()
+        monkeypatch.setattr(quadrature, "_panel_values", gauss_16_8_panel_values)
+        for new, old in zip(ours, transforms()):
+            new, old = np.array(new), np.array(old)
+            tol = np.maximum(quadrature._ABS_TOLERANCE, quadrature._RELATIVE_FLOOR * np.abs(old))
+            assert np.all(np.abs(new - old) <= tol)
+
+
+class TestRayIntegrand:
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_matches_complex_powers(self, alpha):
+        """On the first-round nodes of every ray with start Lambda, for both
+        phases, beta in {1/4, 1/2, 2}, L = 0..4 and tau in [1e-5, 10] where
+        Lambda^alpha < 1e12, the real-arithmetic integrand is within
+        64 eps (1 + Lambda^alpha + tau Lambda) max|old| of the complex-power
+        one: its error is that of the phase, whose size this is (measured
+        worst: 16.0 of the 64)."""
+        taus = np.geomspace(1e-5, 10.0, 13)
+        for beta in (0.25, 0.5, 2.0):
+            for L in range(5):
+                kinds = quadrature._half_line_kinds(SymbolParams(alpha, beta), PROFILE, L, taus)
+                for ray in (kinds[1], kinds[3]):
+                    which = np.flatnonzero(ray.start**alpha < 1e12)
+                    a, b = ray.interval(which)
+                    _, lo, hi, counts = _breakpoints(a, b, partial(ray.density, which=which))
+                    assert counts.size == which.size
+                    lo[np.cumsum(counts) - counts] = 0.0
+                    rows = np.repeat(which, counts)
+                    s = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._K15_NODES
+                    new, old = ray.integrand(s, rows), complex_power_ray(ray, s, rows)
+                    assert np.all(np.isfinite(old))
+                    for i in which:
+                        own = rows == i
+                        start, tau = ray.start[i], taus[i]
+                        scale = 64.0 * np.finfo(float).eps * (1.0 + start**alpha + tau * start)
+                        err = np.max(np.abs(new[own] - old[own]))
+                        assert err <= scale * np.max(np.abs(old[own])), (beta, L, ray.sign, tau)
 
 
 class TestDyadicPieces:
