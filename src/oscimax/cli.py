@@ -133,12 +133,14 @@ def _number(text: str):
 
 def _check_value(key: str, value, default) -> None:
     """A value must have the type of the experiment's own default for its key;
-    where that default is a float, an int is accepted too."""
+    where that default is a float, an int is accepted too.  A number must fit
+    a float: nan, +-inf and larger integers are refused."""
     if key == "cutoff_kind":
         valid = value in CUTOFF_KINDS
     else:
         accepted = (int, float) if isinstance(default, float) else int
         valid = isinstance(value, accepted) and not isinstance(value, bool)
+        valid = valid and abs(value) <= sys.float_info.max
     if not valid:
         raise ValueError(f"config key {key!r} has invalid value {value!r}")
 
@@ -275,13 +277,20 @@ def _run_kernel_decay(config):
     }, {"kernel-decay.csv": _csv(["x_over_t", "re", "im", "modulus"], rows)}
 
 
+def _times(config):
+    """The geometric times from t_lo to t_hi, refused unless both are positive."""
+    if not min(config["t_lo"], config["t_hi"]) > 0.0:
+        raise ValueError(f"t must be positive, got {min(config['t_lo'], config['t_hi'])}")
+    return np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
+
+
 def _run_rate_combo(config):
     """convergence rate of the Vandermonde time-combination of fractional
     propagators toward the identity"""
     grid = LatticeGrid(1, config["n_modes"])
     rng = np.random.default_rng(config["seed"])
     f = random_spectral_field(grid, rng, band_limit=config["band_limit"])
-    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
+    times = _times(config)
     report = combination_rate_experiment(
         f,
         config["alpha"],
@@ -303,7 +312,7 @@ def _run_rate_riesz(config):
     propagator"""
     grid = LatticeGrid(1, config["n_modes"])
     f = pure_mode(grid, (config["mode"],))
-    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
+    times = _times(config)
     rows = []
     for t in times:
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients

@@ -58,15 +58,6 @@ class TimeGrid:
 # result plus one chunk.
 _SYMBOL_CHUNK = 2**14
 
-# numpy multiplies a fresh operand of at least this many bytes in place
-# (temporary elision), which swapped the operands of `c * m(lam)` when m was
-# evaluated on the whole lattice, and complex products round differently in
-# the two orders.  Products written with `out=` are never elided; the rule is
-# kept so that the products stay byte-identical to the whole-lattice ones:
-# the multiplier is the left operand when the whole-lattice multiplier would
-# be a complex array of at least this size, the right one below it.
-_ELIDED_BYTES = 256 * 1024
-
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
     """Multiply the coefficient at each lattice point by m(|xi|), into a
@@ -76,7 +67,8 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
     the flattened |xi| array, each of at most _SYMBOL_CHUNK points, so the
     temporaries of one call do not grow with the lattice.  For a stack, each
     chunk's multiplier is broadcast over the members, so each member's
-    product equals its own bit for bit.
+    product equals its own bit for bit.  Every product is coefficient times
+    multiplier, in that order, on every lattice.
     """
     lam = f.grid.eigenvalue_array().ravel()
     shape = f.coefficients.shape
@@ -84,12 +76,8 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
     out = np.empty(c.shape, dtype=complex)
     for lo in range(0, lam.size, _SYMBOL_CHUNK):
         chunk = slice(lo, lo + _SYMBOL_CHUNK)
-        mult = np.asarray(m(lam[chunk]))
-        if mult.dtype == complex and mult.itemsize * lam.size >= _ELIDED_BYTES:
-            np.multiply(mult, c[..., chunk], out=out[..., chunk])
-        else:
-            np.multiply(c[..., chunk], mult, out=out[..., chunk])
-        del mult  # no chunk's multiplier outlives its step into the next one
+        # no chunk's multiplier outlives its step into the next one
+        np.multiply(c[..., chunk], m(lam[chunk]), out=out[..., chunk])
     return SpectralField(f.grid, out.reshape(shape), f.stacked)
 
 
@@ -254,6 +242,8 @@ def verify_kernel_decay(
     inside or below the cutoff band for most of it and the fitted slope is
     near -1 (pre-asymptotic), not the predicted law.
     """
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t}")
     radii = np.asarray(radii, dtype=float)
     if np.any(radii / t > 1.0 + 1e-12):
         raise ValueError("all radii must satisfy x/t <= 1")

@@ -51,7 +51,11 @@ the band) lays out the first round of all its integrals in one pass; each
 round evaluates a kind's new panels in one integrand call per block of
 _NODE_BLOCK nodes; and one loop refines every integral against its own
 tolerance, agreement exit and panel budget.  A value does not depend on the
-sweep it is computed in: the scalar transforms are sweeps of one.
+sweep it is computed in: the scalar transforms are sweeps of one.  A sweep
+raises exactly when one of its integrals would raise alone, at the first
+failure it meets: a layout failure before any panel is evaluated, for the
+first failing integral of the first failing kind; a refinement failure in
+its round, for the first such integral in sweep order.
 """
 
 from __future__ import annotations
@@ -233,10 +237,10 @@ def _breakpoints(a, b, density):
     of a 4,000-node layout's on the tests' segments, rays and bands.  Each
     row's edges are those np.interp gives on that row alone.
 
-    Returns the panels each row needs and, for the rows before the first one
-    that needs more than _MAX_PANELS, the lower and upper panel ends, row
-    after row, and each of those rows' panel count: no edge of a row over
-    the budget, or after it, is built.
+    Returns the panels each row needs and, if no row needs more than
+    _MAX_PANELS, the lower and upper panel ends, row after row, and each
+    row's panel count; if one does, no edge is built and those three are
+    None.
     """
     grid, h, n = _log_grid(a, b)
     q = density(grid) * grid
@@ -244,24 +248,23 @@ def _breakpoints(a, b, density):
     steps[np.arange(1, grid.shape[1]) >= n[:, None]] = 0.0  # past each row's last node
     w = np.concatenate([np.zeros((n.size, 1)), np.cumsum(steps, axis=1)], axis=1)
     needed = w[:, -1]
-    over = np.flatnonzero(~(needed <= _MAX_PANELS))
-    rows = over[0] if over.size else n.size
-    n, total = n[:rows], needed[:rows]
-    counts = np.maximum(1, np.ceil(total)).astype(int)
+    if not np.all(needed <= _MAX_PANELS):
+        return needed, None, None, None
+    counts = np.maximum(1, np.ceil(needed)).astype(int)
     valid = np.arange(grid.shape[1]) < n[:, None]
-    wv, gv = w[:rows][valid], grid[:rows][valid]
+    wv, gv = w[valid], grid[valid]
     first = np.cumsum(n) - n
-    # the targets np.linspace(0, total, counts + 1) of every row
-    row = np.repeat(np.arange(rows), counts + 1)
+    # the targets np.linspace(0, needed, counts + 1) of every row
+    row = np.repeat(np.arange(n.size), counts + 1)
     last = np.cumsum(counts + 1) - 1
-    t = (np.arange(row.size) - (last - counts)[row]) * (total / counts)[row]
-    t[last] = total
+    t = (np.arange(row.size) - (last - counts)[row]) * (needed / counts)[row]
+    t[last] = needed
     # np.interp: the node below each target, by one search on (row, w) keys,
     # which complex numbers order lexicographically
-    i = np.searchsorted(np.repeat(np.arange(rows), n) + 1j * wv, row + 1j * t, side="right") - 1
+    i = np.searchsorted(np.repeat(np.arange(n.size), n) + 1j * wv, row + 1j * t, side="right") - 1
     i = np.clip(i, first[row], first[row] + n[row] - 2)
     edges = (gv[i + 1] - gv[i]) / (wv[i + 1] - wv[i]) * (t - wv[i]) + gv[i]
-    edges[last - counts], edges[last] = a[:rows], b[:rows]
+    edges[last - counts], edges[last] = a, b
     return needed, np.delete(edges, last), np.delete(edges, last - counts), counts
 
 
@@ -442,7 +445,8 @@ class _Band:
 
     def interval(self, which):
         scale = self.scale[which]
-        return scale / 2.0, scale * 2.0
+        with np.errstate(over="ignore"):  # an end past the float range is unbounded
+            return scale / 2.0, scale * 2.0
 
     def density(self, lam, which):
         return _phase_density(self.alpha, self.tau[which][:, None], +1.0, 3.0)(lam)
@@ -532,9 +536,9 @@ def _refine(pieces, panels, message) -> list:
     panels with the largest estimates are bisected, as many as it takes for
     the rest to sum to at most half the tolerance; every other panel is kept
     and only the new halves are evaluated, with those of every other
-    integral still refining.  Raises the ConvergenceError, with text
-    message(i), of the first integral in sweep order whose next round would
-    exceed _MAX_PANELS.
+    integral still refining.  Raises ConvergenceError, with text message(i),
+    in the first round where an integral's next round would exceed
+    _MAX_PANELS, for the first such integral in sweep order.
     """
     P = len(pieces)
     weights = [complex(w) for w, _ in pieces]
@@ -550,7 +554,7 @@ def _refine(pieces, panels, message) -> list:
     panels.clear()  # its arrays are merged: not held twice while refining
     v, e = np.empty(seg.size, dtype=complex), np.empty(seg.size)
     fresh = np.ones(seg.size, dtype=bool)
-    values, previous, error = [None] * m, [None] * m, None
+    values, previous = [None] * m, [None] * m
     while seg.size:
         _evaluate(pieces, lo, hi, seg, fresh, v, e)
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
@@ -575,20 +579,16 @@ def _refine(pieces, panels, message) -> list:
             order = np.argsort(own, kind="stable")
             kept = np.searchsorted(np.cumsum(own[order]), 0.5 * tol, side="right")
             if own.size + (own.size - kept) > _MAX_PANELS:
-                # the integrals after this one no longer matter
-                error = ConvergenceError(
+                raise ConvergenceError(
                     f"{message(i)} (err~{err:.2e} > tol {tol:.2e})",
                     partial_value=value,
                     error_estimate=err,
                 )
-                break
             split[bounds[j] + order[kept:]] = True
             going[j] = True
             previous[i] = value
         keep = np.repeat(going, np.diff(bounds)) & ~split
         lo, hi, seg, v, e, fresh = _bisect(lo, hi, seg, v, e, keep, split)
-    if error is not None:
-        raise error
     return values
 
 
@@ -597,63 +597,51 @@ def _first_round(kinds, message):
     for every integral in one pass.
 
     Returns, per kind, the flat panel ends lo and hi and each integral's
-    panel count, for the integrals before the first whose layout fails, and
-    that failure (None if there is none): a piece over the panel budget, or
-    a first round over it in total (with text message(i)), the failure the
-    integral would raise alone.  No piece of that integral or of a later one
-    is laid out after it, and no panel of them is built.
+    panel count.  Raises ConvergenceError, before any panel is evaluated,
+    for the first integral of the first kind with a piece the budget cannot
+    hold (an unbounded interval, or more than _MAX_PANELS panels), or else
+    for the first integral whose pieces sum to more than _MAX_PANELS (with
+    text message(i)): the failure each integral would raise alone.
     """
-    rows, error, panels = kinds[0].tau.size, None, []
+    which, panels = np.arange(kinds[0].tau.size), []
     for kind in kinds:
-        which = np.arange(rows)
-        lo, hi, counts = np.empty(0), np.empty(0), np.empty(0, dtype=int)
-        if rows:
-            a, b = kind.interval(which)
-            # no budget holds an unbounded interval (an end that overflowed):
-            # neither it nor a later one is laid out
-            unbounded = np.flatnonzero(~np.isfinite(b))
-            laid = unbounded[0] if unbounded.size else rows
-            needed = np.full(rows, np.inf)
-            if laid:
-                needed[:laid], lo, hi, counts = _breakpoints(
-                    a[:laid], b[:laid], partial(kind.density, which=which[:laid])
-                )
-        if counts.size < rows:
-            rows = counts.size
-            error = ConvergenceError(
-                f"panel budget exceeded: {needed[rows]:.3g} panels needed on "
-                f"[{a[rows]:.6g}, {b[rows]:.6g}] (max_panels {_MAX_PANELS})",
+        a, b = kind.interval(which)
+        # no budget holds an unbounded interval (an end that overflowed)
+        needed, bounded = np.full(which.size, np.inf), np.isfinite(b)
+        lo, hi, counts = np.empty(0), np.empty(0), np.empty(0, dtype=int)  # an empty sweep's
+        if bounded.any():
+            needed[bounded], lo, hi, counts = _breakpoints(
+                a[bounded], b[bounded], partial(kind.density, which=which[bounded])
+            )
+        over = np.flatnonzero(~(needed <= _MAX_PANELS))
+        if over.size:
+            r = over[0]
+            raise ConvergenceError(
+                f"panel budget exceeded: {needed[r]:.3g} panels needed on "
+                f"[{a[r]:.6g}, {b[r]:.6g}] (max_panels {_MAX_PANELS})",
                 partial_value=complex("nan"),
                 error_estimate=float("inf"),
             )
         if kind.zero_start:
             lo[np.cumsum(counts) - counts] = 0.0
         panels.append((lo, hi, counts))
-    over = np.flatnonzero(sum(counts[:rows] for _, _, counts in panels) > _MAX_PANELS)
+    over = np.flatnonzero(sum(counts for _, _, counts in panels) > _MAX_PANELS)
     if over.size:
-        rows = over[0]
-        error = ConvergenceError(
-            f"{message(rows)} (first round exceeds max_panels {_MAX_PANELS})",
+        raise ConvergenceError(
+            f"{message(over[0])} (first round exceeds max_panels {_MAX_PANELS})",
             partial_value=complex("nan"),
             error_estimate=float("inf"),
         )
-    return [(lo[: c[:rows].sum()], hi[: c[:rows].sum()], c[:rows]) for lo, hi, c in panels], error
+    return panels
 
 
 def _sweep(kinds, message) -> list:
     """Values of the integrals sum_p kinds[p].weight * (piece p), one per
     integral of the kinds, as one quadrature: _first_round lays out the
     panels and _refine evaluates and refines them all.
-
-    The error raised is the one the integrals, computed one after another in
-    sweep order, would raise first: a layout failure stands unless an
-    integral before it fails to converge.
     """
-    panels, error = _first_round(kinds, message)
-    values = _refine([(kind.weight, kind.integrand) for kind in kinds], panels, message)
-    if error is not None:
-        raise error
-    return values
+    pieces = [(kind.weight, kind.integrand) for kind in kinds]
+    return _refine(pieces, _first_round(kinds, message), message)
 
 
 def _check_order(L: int) -> None:
@@ -701,16 +689,12 @@ def fourier_cosine_mu(params: SymbolParams, profile: CutoffProfile, tau: float) 
 
 def _dyadic_transforms(params: SymbolParams, profile: CutoffProfile, ks, taus, L: int = 0) -> list:
     """fourier_cosine_mu_dyadic at every pair (ks[i], taus[i]), as one sweep."""
-    if any(k < 0 for k in ks):
-        raise ValueError("k must be nonnegative")
+    if not all(k >= 0 and k % 1 == 0 for k in ks):
+        raise ValueError("k must be a nonnegative integer")
     _check_order(L)
-    band = _Band(
-        params,
-        L,
-        np.asarray(taus, dtype=float),
-        np.array([2.0**k for k in ks]),
-        lambda u: dyadic_bump(profile, u),
-    )
+    with np.errstate(over="ignore"):  # a scale past the float range is inf
+        scale = np.ldexp(1.0, np.asarray(ks, dtype=int))
+    band = _Band(params, L, np.asarray(taus, dtype=float), scale, lambda u: dyadic_bump(profile, u))
     return _sweep([band], lambda i: f"dyadic panel budget exceeded at k={ks[i]}, tau={taus[i]}")
 
 

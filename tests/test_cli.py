@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import operator
 import os
 import subprocess
@@ -127,6 +128,46 @@ class TestExitCodes:
         code = main([experiment, "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [(name, key) for name, defaults in DEFAULTS.items()
+         for key, value in defaults.items() if isinstance(value, float)],
+    )
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, experiment, key):
+        """nan, inf, -inf and an integer past the float range are refused for
+        every float key, from a flag and from a JSON file (NaN, Infinity)
+        alike, before the run: no report, no warning and no traceback."""
+        out = tmp_path / "o"
+        cfg = tmp_path / "c.json"
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            cfg.write_text(json.dumps({key: value}))
+            for source in ([f"--{key.replace('_', '-')}={value}"], ["--config", str(cfg)]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert main([experiment, *source, "--out", str(out)]) == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert f"config key {key!r} has invalid value {value!r}" in err, source
+                assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel-decay", "--t", "0"],
+            ["rate-combo", "--t-lo=-1"],
+            ["rate-riesz", "--t-hi", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_nonpositive_time_is_refused_without_a_warning(self, tmp_path, capsys, argv):
+        """The times are checked before anything divides by them or takes
+        their logarithm."""
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "t must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_runtime_error_is_non_convergence(self, tmp_path, monkeypatch):
@@ -338,18 +379,23 @@ class TestExitCodes:
         "flags,interval",
         [
             # the minus phase's stationary point lam* overflows: its segment
-            (["--tau-lo", "1e-300"], "[1, inf]"),
+            (["symbol-decay", "--tau-lo", "1e-300"], "[1, inf]"),
             # the plus ray's decay scale (300 / sin(alpha pi/2))^(1/alpha) does
-            (["--alpha", "1e-9"], "[0, inf]"),
+            (["symbol-decay", "--alpha", "1e-9"], "[0, inf]"),
+            # 2^1024 overflows: the dyadic band's upper end
+            (["dyadic-decay", "--k", "1023"], "[4.49423e+307, inf]"),
+            # and from k = 1024 its scale itself
+            (["dyadic-decay", "--k", "1100"], "[inf, inf]"),
         ],
     )
     def test_unbounded_interval_is_over_budget(self, tmp_path, capsys, flags, interval):
         """An interval whose end overflows is refused as over the panel
-        budget, named in the message, without a RuntimeWarning."""
+        budget, named in the message, without a traceback or a
+        RuntimeWarning."""
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["symbol-decay", *flags, "--out", str(out)]) == EXIT_NON_CONVERGENCE
+            assert main([*flags, "--out", str(out)]) == EXIT_NON_CONVERGENCE
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().err == (
             "numeric non-convergence: panel budget exceeded: inf panels needed on "
