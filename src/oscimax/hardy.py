@@ -43,7 +43,10 @@ class AtomSpec:
         object.__setattr__(self, "center", tuple(float(v) for v in c))
 
     def cancellation_degree(self, dimension: int) -> int:
-        return math.floor(dimension * (1.0 / self.p - 1.0))
+        degree = dimension * (1.0 / self.p - 1.0)
+        if not math.isfinite(degree):  # 1/p overflows for subnormal p
+            raise ResolutionError(f"p = {self.p:.4g} asks to cancel moments of every degree")
+        return math.floor(degree)
 
 
 @dataclass(frozen=True)
@@ -113,20 +116,23 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
     disp = _displacements(grid, spec.center)
     rho2 = sum(d**2 for d in disp)
     inside = rho2 < spec.radius**2
+    idx = np.flatnonzero(inside.ravel())
+    # no seed helps when the monomials span every function on the ball;
+    # counted before any is built, since small p asks for astronomically
+    # many (in floats, exact up to 2^53 and inf past the float range)
+    count = degree + 1.0 if n == 1 else (degree + 1.0) * (degree + 2.0) / 2.0
+    if idx.size <= count:
+        raise ResolutionError(
+            f"ball of radius {spec.radius:.4g} holds {idx.size} grid points, too few "
+            f"to cancel the {count:.4g} monomials of degree <= {degree:.4g}"
+        )
 
     # smooth compactly supported envelope
     s = np.zeros(grid.spatial_shape)
     np.divide(rho2, spec.radius**2, out=s, where=inside)
     envelope = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
 
-    idx = np.flatnonzero(inside.ravel())
     basis = np.stack([mono.ravel()[idx] for mono in _monomials(grid, disp, degree)], axis=1)
-    # no seed helps when the monomials span every function on the ball
-    if idx.size <= basis.shape[1]:
-        raise ResolutionError(
-            f"ball of radius {spec.radius:.4g} holds {idx.size} grid points, too few "
-            f"to cancel the {basis.shape[1]} monomials of degree <= {degree}"
-        )
 
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng(spec.seed + 7919 * attempt)

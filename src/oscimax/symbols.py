@@ -14,6 +14,7 @@ holds by exact telescoping.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,16 @@ class CutoffProfile:
     def __post_init__(self):
         if self.kind not in CUTOFF_KINDS:
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
-        if self.kind == "smoothstep_poly" and self.order < 3:
-            raise ValueError(f"order must be >= 3, got {self.order}")
+        if self.kind == "smoothstep_poly":
+            n = self.order
+            if n < 3:
+                raise ValueError(f"order must be >= 3, got {n}")
+            # the ramp's largest coefficient C(2n, n) must fit a float, which
+            # fails from n = 515; C(2n, n) >= 4^n / (2n + 1) refuses a huge n
+            # without forming its coefficient
+            top = math.log(sys.float_info.max)
+            if n > (top + math.log(2 * n + 1)) / math.log(4.0) or math.comb(2 * n, n) > sys.float_info.max:
+                raise ValueError(f"order {n} makes the ramp's coefficient C(2n, n) overflow a float")
 
     def ramp(self, s):
         """Monotone 0 -> 1 transition on [0, 1], evaluated elementwise.
@@ -123,7 +132,8 @@ def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
         raise ValueError(f"t must be positive, got {t}")
     z = np.asarray(t * np.abs(np.asarray(lam, dtype=float)))
     above = z > 1.0  # NaN counts as below
-    za = z[above]
+    whole = above.all()  # then no gather and no scatter
+    za = z.reshape(-1) if whole else z[above]
     del z
     vals = 1j * za**params.alpha
     np.exp(vals, out=vals)
@@ -131,8 +141,11 @@ def mu_symbol(params: SymbolParams, profile: CutoffProfile, t: float, lam):
     band = za < 2.0
     vals[band] *= phi_cutoff(profile, za[band])
     del za, band  # release the temporaries before the full-size output
-    out = np.zeros(above.shape, dtype=complex)
-    out[above] = vals
+    if whole:
+        out = vals.reshape(above.shape)
+    else:
+        out = np.zeros(above.shape, dtype=complex)
+        out[above] = vals
     return out if out.ndim else complex(out)
 
 

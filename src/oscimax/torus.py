@@ -14,6 +14,7 @@ whole stack.  Norms are per field, so they reject stacks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -174,11 +175,38 @@ def forward_transform(f: GridField) -> SpectralField:
 
 def inverse_transform(F: SpectralField) -> GridField:
     """Lattice coefficients -> grid samples (inverse FFT), per member of a
-    stack."""
+    stack.
+
+    The per-axis passes are numpy's `ifftn`, last axis first, but the first
+    pass runs only on the rows (lines along the last axis, stack members
+    included) that hold a nonzero coefficient; the other rows get +0, the
+    FFT of a zero row up to the signs of its zeros.  So the samples equal
+    `ifftn`'s bit for bit, save that an exactly zero sample may be +0 where
+    `ifftn` gives -0.  A field without a nonzero coefficient is not
+    transformed at all.  The row test runs in the output's own bytes, so it
+    adds no lattice-sized temporary.
+    """
     grid = F.grid
+    m = grid.modes_per_axis
     out = np.empty(F.coefficients.shape, dtype=complex)
-    np.fft.ifftn(F.coefficients, axes=_grid_axes(grid), out=out)
-    out *= grid.modes_per_axis**grid.dimension
+    rows = np.ascontiguousarray(F.coefficients).reshape(-1, m)  # a copy only if strided
+    out_rows = out.reshape(-1, m)
+    parts = rows.view(float)  # real and imaginary parts: a NaN counts as live
+    nonzero = out.view(np.bool_).reshape(-1)[: parts.size].reshape(parts.shape)
+    live = np.not_equal(parts, 0.0, out=nonzero).any(axis=1).tolist()
+    lo = 0
+    for alive, run in itertools.groupby(live):
+        hi = lo + sum(1 for _ in run)
+        if alive:
+            np.fft.ifft(rows[lo:hi], axis=-1, out=out_rows[lo:hi])
+        else:
+            out_rows[lo:hi] = 0
+        lo = hi
+    if not any(live):
+        return GridField(grid, out, F.stacked)
+    if grid.dimension == 2:
+        np.fft.ifft(out, axis=-2, out=out)
+    out *= m**grid.dimension
     return GridField(grid, out, F.stacked)
 
 

@@ -269,6 +269,33 @@ class TestExitCodes:
         assert "too few to cancel the 10 monomials" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ("1e-3", "too few to cancel the 1000 monomials of degree <= 999"),
+            ("1e-300", "too few to cancel the 1e+300 monomials"),
+            ("5e-324", "p = 4.941e-324 asks to cancel moments of every degree"),
+        ],
+    )
+    def test_tiny_p_is_usage_error_without_a_warning(self, tmp_path, capsys, p, message):
+        """The monomials are counted before any is built, and a degree that
+        overflows is refused: no endless run, traceback or RuntimeWarning."""
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["atom-uniformity", "--p", p, "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["symbol-decay", "kernel-decay", "dyadic-decay"])
+    def test_cutoff_order_past_the_float_range_is_usage_error(self, tmp_path, capsys, experiment):
+        """The ramp's coefficient C(2n, n) overflows a float from n = 515."""
+        out = tmp_path / "o"
+        for order in ("515", "100000"):
+            assert main([experiment, "--cutoff-order", order, "--out", str(out)]) == EXIT_USAGE
+            assert "overflow a float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_atoms_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["atom-uniformity", "--atom-count", "0", "--out", str(out)]) == EXIT_USAGE

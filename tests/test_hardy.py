@@ -1,5 +1,7 @@
 """Tests for atoms, heat quasinorms, and weak-L^p."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from oscimax import (
     random_spectral_field,
     weak_lp_quasinorm,
 )
+from oscimax import hardy
 from oscimax.hardy import ResolutionError, ball_measure
 from oscimax.torus import GridField
 
@@ -89,6 +92,29 @@ class TestRegularAtoms:
         spec = AtomSpec(p=0.1, center=(1.0,), radius=4.0 * grid.spacing, seed=0)
         with pytest.raises(ResolutionError, match="holds 8 grid points.*10 monomials"):
             make_regular_atom(spec, grid)
+
+    @pytest.mark.parametrize(
+        "dimension, p, count",
+        [(1, 1e-3, "1000"), (2, 1e-3, "1.999e+06"), (1, 1e-300, "1e+300"), (2, 1e-300, "inf")],
+    )
+    def test_monomials_are_counted_before_any_is_built(self, monkeypatch, dimension, p, count):
+        """(d + 1) monomials in 1-D, (d + 1)(d + 2)/2 in 2-D: a count beyond
+        the ball's points is refused without building one (at p = 1e-300
+        there are about 1e300 of them in 1-D, 2e600 in 2-D)."""
+        monkeypatch.setattr(hardy, "_monomials", None)
+        grid = LatticeGrid(dimension, 256)
+        spec = AtomSpec(p=p, center=(1.0,) * dimension, radius=np.pi / 10, seed=0)
+        with pytest.raises(ResolutionError, match=f"too few to cancel the {re.escape(count)} monomials"):
+            make_regular_atom(spec, grid)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_non_finite_degree_is_refused(self, dimension):
+        """1/p overflows for the smallest subnormal p."""
+        spec = AtomSpec(p=5e-324, center=(1.0,) * dimension, radius=0.1, seed=0)
+        with pytest.raises(ResolutionError, match="moments of every degree"):
+            spec.cancellation_degree(dimension)
+        with pytest.raises(ResolutionError, match="moments of every degree"):
+            make_regular_atom(spec, LatticeGrid(dimension, 256))
 
 
 class TestHeatQuasinorm:

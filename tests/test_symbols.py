@@ -173,6 +173,21 @@ class TestCutoffs:
         with pytest.raises(ValueError):
             CutoffProfile("smoothstep_poly", 2)
 
+    @pytest.mark.parametrize("order", [515, 516, 100_000, 10**18, 10**400])
+    def test_order_whose_coefficient_overflows_a_float_is_refused(self, order):
+        """C(2n, n) passes the float range from n = 515; a huge order is
+        refused without forming its coefficient."""
+        with pytest.raises(ValueError, match="overflow a float"):
+            CutoffProfile("smoothstep_poly", order)
+
+    def test_largest_order_that_fits_a_float(self):
+        profile = CutoffProfile("smoothstep_poly", 514)
+        assert float(math.comb(1028, 514)) < math.inf
+        value = profile.ramp(np.array([0.25, 0.5, 0.75]))
+        assert np.all(np.isfinite(value))
+        assert value[1] == pytest.approx(0.5)
+        assert CutoffProfile("smooth_exp", 10**400).order == 10**400  # ignored there
+
 
 CLOSED_FORM_ORDERS = [3, 4, 7, 12]
 
@@ -308,6 +323,43 @@ class TestMuSymbol:
                 assert type(scalar) is complex
                 assert np.array_equal(scalar, where_mu_symbol(params, profile, 0.5, v), equal_nan=True)
         assert got[0] == got[2] == got[5] == 0.0  # t|lam| <= 1, and NaN
+
+    @pytest.mark.parametrize("dimension, modes", [(1, 2**16), (2, 256)])
+    @pytest.mark.parametrize("t", [0.05, 0.5])
+    def test_all_above_path_equals_gather_path_bit_for_bit(self, dimension, modes, t):
+        """A chunk with every t|xi| > 1 is evaluated in place; the same chunk
+        after one point below the cutoff goes through the gather and the
+        scatter.  At either t some lattice chunks hold points below the
+        cutoff and some do not; the shifted square puts points of an
+        all-above array on the cutoff's band at t = 0.05."""
+        params = SymbolParams(0.5, 0.75)
+        profile = CutoffProfile()
+        lam = LatticeGrid(dimension, modes).eigenvalue_array().ravel()
+        chunks = [lam[lo : lo + 2**14] for lo in range(0, lam.size, 2**14)]
+        kinds = set()
+        for chunk in chunks:
+            above = bool(np.all(t * chunk > 1.0))
+            kinds.add(above)
+            got = mu_symbol(params, profile, t, chunk)
+            gathered = mu_symbol(params, profile, t, np.append(0.0, chunk))[1:]
+            assert np.array_equal(got.view(np.uint64), gathered.view(np.uint64))
+            want = where_mu_symbol(params, profile, t, chunk)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert kinds == {True, False}
+        square = lam[: 2**12].reshape(64, 64) + 30.0  # all above, not flat
+        got = mu_symbol(params, profile, t, square)
+        assert got.shape == (64, 64)
+        gathered = mu_symbol(params, profile, t, np.append(0.0, square))[1:]
+        assert np.array_equal(got.ravel().view(np.uint64), gathered.view(np.uint64))
+        assert np.any(t * square < 2.0) == (t == 0.05)
+
+    def test_scalar_returns_complex_on_either_path(self):
+        params = SymbolParams(0.5, 0.75)
+        profile = CutoffProfile()
+        for lam in (0.0, 1.0, 3.0, 8.0, np.float64(8.0), np.array(8.0)):
+            value = mu_symbol(params, profile, 0.5, lam)
+            assert type(value) is complex
+            assert value == where_mu_symbol(params, profile, 0.5, lam)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscimax import (
+    CutoffProfile,
     GridField,
     LatticeGrid,
     SpectralField,
+    SymbolParams,
     eigenvalue,
     forward_transform,
     grid_norm,
     inverse_transform,
+    oscillating_op,
     pure_mode,
     random_spectral_field,
 )
@@ -216,6 +219,132 @@ class TestStackedFields:
         samples = inverse_transform(f).samples
         again = inverse_transform(forward_transform(GridField(grid, samples, stacked=True))).samples
         np.testing.assert_allclose(again, samples, rtol=0, atol=1e-13 * np.max(np.abs(samples)))
+
+
+def ifftn_oracle(F: SpectralField) -> np.ndarray:
+    """numpy's unpruned inverse FFT over the grid axes, times M^n: the
+    transform before it skipped the rows without a mode."""
+    grid = F.grid
+    out = np.fft.ifftn(F.coefficients, axes=tuple(range(-grid.dimension, 0)))
+    out *= grid.modes_per_axis**grid.dimension
+    return out
+
+
+def assert_matches_oracle(F: SpectralField) -> None:
+    got = inverse_transform(F).samples
+    want = np.ascontiguousarray(ifftn_oracle(F))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture
+def ifft_calls(monkeypatch):
+    """The input shape and axis of every np.fft.ifft call the library makes
+    (numpy's own ifftn does not go through np.fft.ifft)."""
+    calls = []
+    ifft = np.fft.ifft
+
+    def counting(a, *args, axis=-1, **kwargs):
+        calls.append((np.shape(a), axis))
+        return ifft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    return calls
+
+
+class TestPrunedInverseTransform:
+    """The first pass skips the rows that hold no mode; the samples equal
+    ifftn's bit for bit (uint64 views, so NaNs and zero signs count)."""
+
+    @pytest.mark.parametrize("dimension, modes, band", [(1, 512, 100), (1, 64, 40), (2, 64, 13), (2, 128, 32)])
+    def test_band_limited_fields(self, dimension, modes, band):
+        grid = LatticeGrid(dimension, modes)
+        for seed in range(3):
+            assert_matches_oracle(random_spectral_field(grid, np.random.default_rng(seed), band_limit=band))
+
+    @pytest.mark.parametrize("dimension, modes, band", [(1, 1024, 256), (2, 128, 32)])
+    def test_operator_products_with_negative_zeros(self, dimension, modes, band):
+        """Coefficient times a zero symbol is a zero whose sign follows the
+        coefficient's; slices whose symbol vanishes on the band hold nothing
+        else."""
+        grid = LatticeGrid(dimension, modes)
+        f = random_spectral_field(grid, np.random.default_rng(5), band_limit=band)
+        params = SymbolParams(0.5, 0.75)
+        dead = live = 0
+        for t in np.geomspace(0.5 * 2.0**-12, 0.5, 12):
+            g = oscillating_op(f, params, CutoffProfile(), t)
+            parts = g.coefficients.view(float)
+            assert np.any(np.signbit(parts[parts == 0.0]))
+            if np.any(g.coefficients):
+                live += 1
+            else:
+                dead += 1
+            assert_matches_oracle(g)
+        assert dead and live
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_all_zero_field_is_not_transformed(self, dimension, ifft_calls):
+        grid = LatticeGrid(dimension, 32)
+        F = SpectralField(grid, np.zeros(grid.spectral_shape))
+        assert_matches_oracle(F)
+        assert ifft_calls == []
+        stack = SpectralField(grid, np.zeros((3,) + grid.spectral_shape), stacked=True)
+        assert_matches_oracle(stack)
+        assert ifft_calls == []
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_stack_with_a_zero_member(self, dimension):
+        grid = LatticeGrid(dimension, 32)
+        rng = np.random.default_rng(1)
+        members = [random_spectral_field(grid, rng, band_limit=6).coefficients for _ in range(3)]
+        members[1] = np.zeros(grid.spectral_shape, dtype=complex)
+        assert_matches_oracle(SpectralField(grid, np.stack(members), stacked=True))
+
+    def test_single_live_row(self, ifft_calls):
+        grid = LatticeGrid(2, 32)
+        for xi in [(0, 0), (5, -3), (-16, 15)]:
+            assert_matches_oracle(pure_mode(grid, xi))
+        assert [shape for shape, axis in ifft_calls if axis == -1] == [(1, 32)] * 3
+
+    def test_strided_and_fortran_ordered_coefficients(self):
+        grid = LatticeGrid(2, 16)
+        wide = random_spectral_field(LatticeGrid(2, 32), np.random.default_rng(4), band_limit=5).coefficients
+        for c in (wide[:16, ::2], np.asfortranarray(wide[:16, :16])):
+            assert_matches_oracle(SpectralField(grid, c))
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_nan_coefficient_counts_as_live(self, dimension):
+        grid = LatticeGrid(dimension, 16)
+        c = np.zeros(grid.spectral_shape, dtype=complex)
+        c[(3,) * dimension] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert_matches_oracle(SpectralField(grid, c))
+            assert np.all(np.isnan(inverse_transform(SpectralField(grid, c)).samples))
+
+    def test_first_pass_covers_only_live_rows(self, ifft_calls):
+        """Band 10 on a 64-point axis: rows -10..10 hold modes, in two runs
+        (0..10 and -10..-1 in FFT order); the second pass covers the whole
+        lattice once."""
+        grid = LatticeGrid(2, 64)
+        f = random_spectral_field(grid, np.random.default_rng(2), band_limit=10)
+        live_rows = int(np.count_nonzero(np.any(f.coefficients != 0, axis=1)))
+        assert live_rows == 21
+        assert_matches_oracle(f)
+        first = [shape for shape, axis in ifft_calls if axis == -1]
+        assert first == [(11, 64), (10, 64)]
+        assert [shape for shape, axis in ifft_calls if axis == -2] == [(64, 64)]
+
+    def test_zero_rows_may_differ_only_in_the_sign_of_zero(self):
+        """A row of zeros gives zeros, whatever their signs: the FFT of
+        signed zeros can put a -0 where the pruned pass writes +0, which no
+        magnitude shows."""
+        grid = LatticeGrid(1, 512)
+        rng = np.random.default_rng(8)  # a draw whose unpruned FFT holds a -0
+        c = (rng.standard_normal(512) + 1j * rng.standard_normal(512)) * (0.0 + 0.0j)
+        got = inverse_transform(SpectralField(grid, c)).samples
+        want = ifftn_oracle(SpectralField(grid, c))
+        assert np.array_equal(got, want) and not np.any(want)
+        assert not np.any(np.signbit(got.view(float)))
+        assert np.count_nonzero(np.signbit(want.view(float))) == 1
 
 
 def mirrored(c: np.ndarray, dimension: int) -> np.ndarray:
