@@ -371,22 +371,22 @@ def _run_maximal_sweep(config):
     fine = maximal_over_times(f, family, time_grid.refined().times).samples
     delta = float(np.max(fine - maxima))
     monotone = check("monotone", np.min(fine - maxima), ">=", -1e-15)
-    coords = grid.coords_1d.tolist()
 
-    def lines_2d():
-        """The same bytes as _csv, one x-row per line chunk: each coordinate
-        is formatted once and no list of all rows is held."""
-        cells = [repr(c) + "," for c in coords]
-        yield "x,y,maximal\r\n"
-        for x, row in zip(cells, maxima):
-            yield "".join([x + y + repr(v) + "\r\n" for y, v in zip(cells, row.tolist())])
+    def lines():
+        """_csv's bytes in chunks of at most 4096 rows, each coordinate formatted once."""
+        cells = [repr(c) + "," for c in grid.coords_1d.tolist()]
+        yield ",".join("xyz"[: grid.dimension]) + ",maximal\r\n"
+        for index in np.ndindex(maxima.shape[:-1]):
+            lead = "".join([cells[i] for i in index])
+            for lo in range(0, len(cells), 4096):
+                ys, vs = cells[lo : lo + 4096], maxima[index][lo : lo + 4096].tolist()
+                yield "".join([lead + y + repr(v) + "\r\n" for y, v in zip(ys, vs)])
 
-    lines = lines_2d() if grid.dimension > 1 else _csv(["x", "maximal"], zip(coords, maxima.tolist()))
     return {
         "sup_maximal": float(np.max(maxima)),
         "refinement_delta": delta,
         "checks": [monotone],
-    }, {"maximal-sweep.csv": lines}
+    }, {"maximal-sweep.csv": lines()}
 
 
 RUNNERS = {

@@ -9,6 +9,8 @@ construction and is re-verifiable with `moment_integrals`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,15 +70,12 @@ def _displacements(grid: LatticeGrid, center: tuple):
 
 
 def _multi_indices(dimension: int, degree: int):
-    """All multi-indices of total degree <= degree, graded lexicographic."""
-    out = []
-    for total in range(degree + 1):
-        if dimension == 1:
-            out.append((total,))
-        else:
-            for i in range(total, -1, -1):
-                out.append((i, total - i))
-    return out
+    """All multi-indices of total degree <= degree, graded, descending lexicographic in a degree."""
+    return [
+        tuple(map(axes.count, range(dimension)))
+        for total in range(degree + 1)
+        for axes in itertools.combinations_with_replacement(range(dimension), total)
+    ]
 
 
 def _monomials(grid: LatticeGrid, disp, degree: int):
@@ -90,7 +89,11 @@ def _monomials(grid: LatticeGrid, disp, degree: int):
 
 
 def ball_measure(dimension: int, radius: float) -> float:
-    return 2.0 * radius if dimension == 1 else np.pi * radius**2
+    """Volume of the n-ball, V_n = 2 pi r^2 / n * V_{n-2}, from V_0 = 1 and V_1 = 2r."""
+    volume = (1.0, 2.0 * radius)[dimension % 2]
+    for n in range(2 + dimension % 2, dimension + 1, 2):
+        volume = 2.0 * np.pi * radius**2 / n * volume
+    return volume
 
 
 def moment_integrals(f: GridField, center, degree: int) -> np.ndarray:
@@ -120,7 +123,7 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
     # no seed helps when the monomials span every function on the ball;
     # counted before any is built, since small p asks for astronomically
     # many (in floats, exact up to 2^53 and inf past the float range)
-    count = degree + 1.0 if n == 1 else (degree + 1.0) * (degree + 2.0) / 2.0
+    count = functools.reduce(lambda c, i: c * (degree + i) / i, range(1, n + 1), 1.0)
     if idx.size <= count:
         raise ResolutionError(
             f"ball of radius {spec.radius:.4g} holds {idx.size} grid points, too few "

@@ -14,9 +14,9 @@ whole stack.  Norms are per field, so they reject stacks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import numpy.fft
@@ -39,8 +39,8 @@ class LatticeGrid:
     spatial_points_per_axis: int = field(init=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+        if self.dimension not in (1, 2, 3):
+            raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.modes_per_axis < 8 or self.modes_per_axis % 2 != 0:
             raise ValueError(
                 f"modes_per_axis must be an even integer >= 8, got {self.modes_per_axis}"
@@ -85,14 +85,10 @@ class LatticeGrid:
         """
         return self._eigenvalues
 
-    @cached_property
+    @functools.cached_property
     def _eigenvalues(self) -> np.ndarray:
         k = self.freqs_1d.astype(float)
-        if self.dimension == 1:
-            lam = np.abs(k)
-        else:
-            kx, ky = np.meshgrid(k, k, indexing="ij")
-            lam = np.hypot(kx, ky)
+        lam = np.abs(functools.reduce(np.hypot, np.ix_(*[k] * self.dimension)))
         lam.flags.writeable = False
         return lam
 
@@ -202,11 +198,10 @@ def inverse_transform(F: SpectralField) -> GridField:
         else:
             out_rows[lo:hi] = 0
         lo = hi
-    if not any(live):
-        return GridField(grid, out, F.stacked)
-    if grid.dimension == 2:
-        np.fft.ifft(out, axis=-2, out=out)
-    out *= m**grid.dimension
+    if any(live):
+        for axis in range(-2, -grid.dimension - 1, -1):
+            np.fft.ifft(out, axis=axis, out=out)
+        out *= m**grid.dimension
     return GridField(grid, out, F.stacked)
 
 

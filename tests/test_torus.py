@@ -62,7 +62,7 @@ class TestLatticeGrid:
             LatticeGrid(1, 16, spatial_points_per_axis=64)
 
     @pytest.mark.parametrize(
-        "dim,modes", [(3, 16), (1, 7), (1, 15), (0, 16)]
+        "dim,modes", [(4, 16), (1, 7), (1, 15), (0, 16)]
     )
     def test_invalid_construction(self, dim, modes):
         with pytest.raises(ValueError):
