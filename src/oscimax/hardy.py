@@ -29,7 +29,8 @@ _MAX_RETRIES = 8
 @dataclass(frozen=True)
 class AtomSpec:
     """Parameters of a regular atom: integrability exponent p in (0, 1),
-    ball center (scalar or pair of torus coordinates), radius <= pi/10."""
+    ball center (one torus coordinate per axis of the grid, or a scalar in
+    dimension 1), radius <= pi/10."""
 
     p: float
     center: tuple
@@ -65,6 +66,8 @@ class ResolutionError(ValueError):
 
 def _displacements(grid: LatticeGrid, center: tuple):
     """Periodic displacement coordinates x - center wrapped to (-pi, pi]."""
+    if len(center) != grid.dimension:
+        raise ValueError(f"center {center} needs one coordinate per grid axis ({grid.dimension})")
     coords = grid.coords()
     return [((c - z + np.pi) % PERIOD) - np.pi for c, z in zip(coords, center)]
 

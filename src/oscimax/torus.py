@@ -1,4 +1,4 @@
-"""Discrete spectral model of the flat torus [0, 2pi)^n for n in {1, 2}.
+"""Discrete spectral model of the flat torus [0, 2pi)^n for n in {1, 2, 3}.
 
 Frequencies live on the integer lattice with each coordinate in
 [-M/2, M/2 - 1]; the spatial grid is uniform with M points per axis.
@@ -23,13 +23,17 @@ import numpy.fft
 
 PERIOD = 2.0 * np.pi
 
+# Lattice points at most: 2^24, 256 MB per complex array.
+_MAX_POINTS = 2**24
+
 
 @dataclass(frozen=True)
 class LatticeGrid:
     """Truncated frequency lattice plus matching uniform spatial grid.
 
-    dimension: 1 or 2.
-    modes_per_axis: even M >= 8; frequencies per axis in [-M/2, M/2 - 1].
+    dimension: n in {1, 2, 3}.
+    modes_per_axis: even M >= 8; frequencies per axis in [-M/2, M/2 - 1],
+        and at most 2^24 lattice points M^n.
     spatial_points_per_axis: always M, so frequency index and FFT index
         coincide and the transforms are exact roundtrips.
     """
@@ -44,6 +48,11 @@ class LatticeGrid:
         if self.modes_per_axis < 8 or self.modes_per_axis % 2 != 0:
             raise ValueError(
                 f"modes_per_axis must be an even integer >= 8, got {self.modes_per_axis}"
+            )
+        # refused before any lattice-sized array is allocated
+        if self.modes_per_axis**self.dimension > _MAX_POINTS:
+            raise ValueError(
+                f"{self.modes_per_axis}^{self.dimension} lattice points exceed {_MAX_POINTS}"
             )
         object.__setattr__(self, "spatial_points_per_axis", self.modes_per_axis)
 
@@ -96,7 +105,7 @@ class LatticeGrid:
 def eigenvalue(grid: LatticeGrid, xi) -> float:
     """Euclidean norm |xi| of a lattice point (sqrt of the Laplacian eigenvalue).
 
-    xi is an integer for dimension 1, a pair of integers for dimension 2.
+    xi holds one integer per axis; in dimension 1 it may be a bare integer.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=np.int64))
     if xi_arr.shape != (grid.dimension,):

@@ -102,6 +102,22 @@ class TestExitCodes:
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--dimension", "4"], "dimension must be 1, 2 or 3, got 4"),
+            (["--dimension", "2", "--n-modes", "10000000"], "10000000^2 lattice points exceed 16777216"),
+            (["--dimension", "3", "--n-modes", "2048"], "2048^3 lattice points exceed 16777216"),
+        ],
+        ids=["dimension-4", "2d-1e7-modes", "3d-2048-modes"],
+    )
+    def test_lattice_out_of_range_is_usage_error(self, tmp_path, capsys, argv, message):
+        """Refused before any array is allocated: no MemoryError traceback."""
+        out = tmp_path / "o"
+        assert main(["maximal-sweep", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"invalid parameters: {message}\n"
+        assert not out.exists()
+
     def test_retired_verdict_bound_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "tol.json"
         cfg.write_text(json.dumps({"slope_tol": 0.2}))
@@ -535,8 +551,14 @@ class TestReports:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--dimension", "2", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"], []],
-        ids=["2d", "1d-default"],
+        [
+            ["--dimension", "2", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
+            [],
+            ["--dimension", "3", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
+            # two chunks of 4096 rows and one of 1808
+            ["--n-modes", "10000", "--band-limit", "64", "--time-count", "4"],
+        ],
+        ids=["2d", "1d-default", "3d", "1d-chunks"],
     )
     def test_maximal_sweep_csv_golden(self, tmp_path, argv):
         """The CSV equals csv.writer rows of repr(float(v)) cells, byte for byte."""
@@ -557,15 +579,9 @@ class TestReports:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         coords = grid.coords_1d
-        if grid.dimension == 1:
-            writer.writerow(["x", "maximal"])
-            for x, v in zip(coords, maxima):
-                writer.writerow([repr(float(x)), repr(float(v))])
-        else:
-            writer.writerow(["x", "y", "maximal"])
-            for i, x in enumerate(coords):
-                for j, y in enumerate(coords):
-                    writer.writerow([repr(float(x)), repr(float(y)), repr(float(maxima[i, j]))])
+        writer.writerow([*"xyz"[: grid.dimension], "maximal"])
+        for index in np.ndindex(maxima.shape):
+            writer.writerow([*(repr(float(coords[i])) for i in index), repr(float(maxima[index]))])
         written = (out / "maximal-sweep.csv").read_bytes()
         assert written == expected.getvalue().encode()
         assert written.count(b"\r\n") == 1 + maxima.size
@@ -588,6 +604,18 @@ class TestDeterminism:
         body_a = (out_a / "summary.txt").read_text().splitlines()[1:]
         body_b = (out_b / "summary.txt").read_text().splitlines()[1:]
         assert body_a == body_b
+
+    def test_three_dimensional_sweep(self, tmp_path):
+        """A 16^3 sweep repeats byte for byte and has a row per lattice point."""
+        args = ["maximal-sweep", "--dimension", "3", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([*args, "--out", str(out_a)]) == EXIT_PASS
+        assert main([*args, "--out", str(out_b)]) == EXIT_PASS
+        for name in ("summary.json", "maximal-sweep.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        lines = (out_a / "maximal-sweep.csv").read_text().splitlines()
+        assert lines[0] == "x,y,z,maximal"
+        assert len(lines) == 1 + 16**3
 
     def test_kernel_decay_repeats_from_a_warm_slot(self, tmp_path):
         """The second run reuses the lattice weights the first one left."""

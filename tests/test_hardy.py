@@ -1,5 +1,7 @@
 """Tests for atoms, heat quasinorms, and weak-L^p."""
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -21,7 +23,7 @@ from oscimax import (
     weak_lp_quasinorm,
 )
 from oscimax import hardy
-from oscimax.hardy import ResolutionError, ball_measure
+from oscimax.hardy import ResolutionError, _displacements, _multi_indices, ball_measure
 from oscimax.torus import GridField
 
 
@@ -95,19 +97,26 @@ class TestRegularAtoms:
 
     @pytest.mark.parametrize(
         "dimension, p, count",
-        [(1, 1e-3, "1000"), (2, 1e-3, "1.999e+06"), (1, 1e-300, "1e+300"), (2, 1e-300, "inf")],
+        [
+            (1, 1e-3, "1000"),
+            (2, 1e-3, "1.999e+06"),
+            (1, 1e-300, "1e+300"),
+            (2, 1e-300, "inf"),
+            (3, 1e-3, "4.496e+09"),
+            (3, 1e-300, "inf"),
+        ],
     )
     def test_monomials_are_counted_before_any_is_built(self, monkeypatch, dimension, p, count):
-        """(d + 1) monomials in 1-D, (d + 1)(d + 2)/2 in 2-D: a count beyond
-        the ball's points is refused without building one (at p = 1e-300
-        there are about 1e300 of them in 1-D, 2e600 in 2-D)."""
+        """C(d + n, n) monomials: (d + 1) in 1-D, (d + 1)(d + 2)/2 in 2-D; a
+        count beyond the ball's points is refused without building one (at
+        p = 1e-300 there are about 1e300 of them in 1-D, 2e600 in 2-D)."""
         monkeypatch.setattr(hardy, "_monomials", None)
-        grid = LatticeGrid(dimension, 256)
+        grid = LatticeGrid(dimension, 256 if dimension < 3 else 80)
         spec = AtomSpec(p=p, center=(1.0,) * dimension, radius=np.pi / 10, seed=0)
         with pytest.raises(ResolutionError, match=f"too few to cancel the {re.escape(count)} monomials"):
             make_regular_atom(spec, grid)
 
-    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_non_finite_degree_is_refused(self, dimension):
         """1/p overflows for the smallest subnormal p."""
         spec = AtomSpec(p=5e-324, center=(1.0,) * dimension, radius=0.1, seed=0)
@@ -115,6 +124,96 @@ class TestRegularAtoms:
             spec.cancellation_degree(dimension)
         with pytest.raises(ResolutionError, match="moments of every degree"):
             make_regular_atom(spec, LatticeGrid(dimension, 256))
+
+
+    def test_certificates_3d(self):
+        """p = 1/2 cancels the 20 moments of degree <= 3.  A radius of pi/10
+        needs 4 grid cells, so M >= 80; the ball then holds about 268 points."""
+        grid = LatticeGrid(3, 80)
+        spec = AtomSpec(p=0.5, center=(1.0, 2.0, 3.0), radius=np.pi / 10, seed=0)
+        atom = make_regular_atom(spec, grid)
+        target = ball_measure(3, np.pi / 10) ** (0.5 - 2.0)
+        assert atom.certified_l2 == pytest.approx(target, rel=1e-13)
+        moments = moment_integrals(atom.field, spec.center, 3)
+        assert moments.shape == (20,)
+        assert np.max(np.abs(moments)) == atom.certified_moment_bound <= 1e-10 * atom.certified_l2
+        rho2 = sum(d**2 for d in _displacements(grid, spec.center))
+        assert np.all(atom.field.samples[rho2 >= spec.radius**2] == 0.0)
+
+    @pytest.mark.parametrize(
+        "center, grid",
+        [((1.0, 2.0, 3.0), LatticeGrid(1, 256)), ((1.0,), LatticeGrid(2, 128))],
+        ids=["three-on-1d", "one-on-2d"],
+    )
+    def test_center_needs_one_coordinate_per_axis(self, center, grid):
+        """Extra coordinates were dropped, and a missing one left the
+        projection degenerate, reported as non-convergence."""
+        spec = AtomSpec(p=0.5, center=center, radius=0.3, seed=0)
+        with pytest.raises(ValueError, match="one coordinate per grid axis"):
+            make_regular_atom(spec, grid)
+        with pytest.raises(ValueError, match="one coordinate per grid axis"):
+            moment_integrals(GridField(grid, np.zeros(grid.spatial_shape)), center, 1)
+
+
+def graded_indices_oracle(dimension, degree):
+    """The per-dimension multi-indices that the general form replaced."""
+    out = []
+    for total in range(degree + 1):
+        if dimension == 1:
+            out.append((total,))
+        else:
+            for i in range(total, -1, -1):
+                out.append((i, total - i))
+    return out
+
+
+class TestGeneralForms:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_multi_indices_equal_the_per_dimension_lists(self, dimension):
+        for degree in range(8):
+            assert _multi_indices(dimension, degree) == graded_indices_oracle(dimension, degree)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_multi_indices_are_graded_and_complete(self, dimension):
+        """C(d + n, n) indices: every one of total degree <= d, once, by
+        ascending degree and descending lexicographic within one."""
+        for degree in range(6):
+            got = _multi_indices(dimension, degree)
+            assert len(got) == math.comb(degree + dimension, dimension)
+            every = [g for g in itertools.product(range(degree + 1), repeat=dimension) if sum(g) <= degree]
+            assert got == sorted(every, key=lambda g: (sum(g), [-v for v in g]))
+
+    def test_ball_volume_equals_the_per_dimension_formulas(self):
+        radii = np.random.default_rng(0).uniform(0.0, 10.0, 3000)
+        for r in radii.tolist():
+            assert ball_measure(1, r) == 2.0 * r
+            assert ball_measure(2, r) == np.pi * r**2
+
+    def test_ball_volume_in_three_dimensions(self):
+        assert ball_measure(0, 0.3) == 1.0
+        for r in (0.1, 0.3, np.pi / 10, 2.0):
+            assert ball_measure(3, r) == pytest.approx(4.0 / 3.0 * np.pi * r**3, rel=1e-15)
+            assert ball_measure(4, r) == pytest.approx(np.pi**2 / 2.0 * r**4, rel=1e-15)
+
+    def test_ball_point_counts_in_three_dimensions(self):
+        """On LatticeGrid(3, 64), a ball of radius r holds between
+        V(r - h sqrt(3)/2) / h^3 and V(r + h sqrt(3)/2) / h^3 grid points (the
+        cubes of side h around them lie in the larger ball and cover the
+        smaller one); over 50 random centers, a radius-pi/10 ball averages
+        V(r) / h^3 = 137.3 points to within 2%."""
+        grid = LatticeGrid(3, 64)
+        h, x = grid.spacing, grid.coords_1d
+        radii = np.array([0.2, 0.25, np.pi / 10])
+        counts = []
+        for center in np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, (50, 3)):
+            disp = [((x - z + np.pi) % (2.0 * np.pi)) - np.pi for z in center]
+            rho2 = np.add.outer(np.add.outer(disp[0] ** 2, disp[1] ** 2), disp[2] ** 2)
+            counts.append([np.count_nonzero(rho2 < r**2) for r in radii])
+        counts = np.array(counts)
+        slack = h * np.sqrt(3.0) / 2.0
+        assert np.all(ball_measure(3, radii - slack) / h**3 <= counts.min(axis=0))
+        assert np.all(counts.max(axis=0) <= ball_measure(3, radii + slack) / h**3)
+        assert np.mean(counts[:, 2]) == pytest.approx(ball_measure(3, np.pi / 10) / h**3, rel=0.02)
 
 
 class TestHeatQuasinorm:

@@ -1,5 +1,7 @@
 """Tests for the torus spectral model: grids, transforms, norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,12 +70,36 @@ class TestLatticeGrid:
         with pytest.raises(ValueError):
             LatticeGrid(dim, modes)
 
+    @pytest.mark.parametrize("dim, modes", [(2, 10_000_000), (3, 2048), (1, 2**24 + 2), (2, 4098)])
+    def test_more_than_2_24_points_refused_before_any_allocation(self, dim, modes):
+        """2^24 points make 256 MB per complex array."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{modes}\\^{dim} lattice points exceed 16777216"):
+                LatticeGrid(dim, modes)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("dim, modes", [(1, 2**24), (2, 4096), (3, 256)])
+    def test_2_24_points_are_accepted(self, dim, modes):
+        assert LatticeGrid(dim, modes).spectral_shape == (modes,) * dim
+
 
 class TestEigenvalue:
     def test_values(self):
         grid = LatticeGrid(2, 16)
         assert eigenvalue(grid, (3, 4)) == pytest.approx(5.0)
         assert eigenvalue(LatticeGrid(1, 16), (-8,)) == pytest.approx(8.0)
+
+    def test_three_dimensions(self):
+        grid = LatticeGrid(3, 16)
+        assert eigenvalue(grid, (2, -3, 6)) == pytest.approx(7.0)
+        lam = grid.eigenvalue_array()
+        assert lam.shape == (16, 16, 16)
+        assert lam[2, -3, 6] == pytest.approx(7.0, rel=1e-15)
+        with pytest.raises(ValueError):
+            eigenvalue(grid, (3, 4))
 
     def test_out_of_range(self):
         grid = LatticeGrid(1, 16)
@@ -255,7 +281,10 @@ class TestPrunedInverseTransform:
     """The first pass skips the rows that hold no mode; the samples equal
     ifftn's bit for bit (uint64 views, so NaNs and zero signs count)."""
 
-    @pytest.mark.parametrize("dimension, modes, band", [(1, 512, 100), (1, 64, 40), (2, 64, 13), (2, 128, 32)])
+    @pytest.mark.parametrize(
+        "dimension, modes, band",
+        [(1, 512, 100), (1, 64, 40), (2, 64, 13), (2, 128, 32), (3, 16, 5), (3, 32, 8)],
+    )
     def test_band_limited_fields(self, dimension, modes, band):
         grid = LatticeGrid(dimension, modes)
         for seed in range(3):
@@ -281,7 +310,26 @@ class TestPrunedInverseTransform:
             assert_matches_oracle(g)
         assert dead and live
 
-    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_operator_products_in_three_dimensions(self):
+        """As above on a 32-point cube.  Where the symbol vanishes on the
+        band, the field is not transformed: its samples are +0, and ifftn of
+        its signed zeros may put a -0 among them."""
+        grid = LatticeGrid(3, 32)
+        f = random_spectral_field(grid, np.random.default_rng(5), band_limit=8)
+        params = SymbolParams(0.5, 0.75)
+        live = 0
+        for t in np.geomspace(0.5 * 2.0**-12, 0.5, 12):
+            g = oscillating_op(f, params, CutoffProfile(), t)
+            if np.any(g.coefficients):
+                live += 1
+                assert_matches_oracle(g)
+                continue
+            got = inverse_transform(g).samples
+            assert not np.any(ifftn_oracle(g)) and not np.any(got)
+            assert not np.any(np.signbit(got.view(float)))
+        assert 0 < live < 12
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_all_zero_field_is_not_transformed(self, dimension, ifft_calls):
         grid = LatticeGrid(dimension, 32)
         F = SpectralField(grid, np.zeros(grid.spectral_shape))
@@ -291,7 +339,7 @@ class TestPrunedInverseTransform:
         assert_matches_oracle(stack)
         assert ifft_calls == []
 
-    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_stack_with_a_zero_member(self, dimension):
         grid = LatticeGrid(dimension, 32)
         rng = np.random.default_rng(1)
@@ -311,7 +359,7 @@ class TestPrunedInverseTransform:
         for c in (wide[:16, ::2], np.asfortranarray(wide[:16, :16])):
             assert_matches_oracle(SpectralField(grid, c))
 
-    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_nan_coefficient_counts_as_live(self, dimension):
         grid = LatticeGrid(dimension, 16)
         c = np.zeros(grid.spectral_shape, dtype=complex)
@@ -332,6 +380,20 @@ class TestPrunedInverseTransform:
         first = [shape for shape, axis in ifft_calls if axis == -1]
         assert first == [(11, 64), (10, 64)]
         assert [shape for shape, axis in ifft_calls if axis == -2] == [(64, 64)]
+
+    def test_three_dimensions_pass_the_remaining_axes_in_ifftn_order(self, ifft_calls):
+        """Band 4 on a 16-point cube: the first pass covers the live rows
+        only, then axes -2 and -3 each cover the whole lattice, as in ifftn."""
+        grid = LatticeGrid(3, 16)
+        f = random_spectral_field(grid, np.random.default_rng(6), band_limit=4)
+        live_rows = int(np.count_nonzero(np.any(f.coefficients != 0, axis=-1)))
+        assert_matches_oracle(f)
+        first = [shape for shape, axis in ifft_calls if axis == -1]
+        assert sum(shape[0] for shape in first) == live_rows < 16 * 16
+        assert [(shape, axis) for shape, axis in ifft_calls if axis != -1] == [
+            ((16, 16, 16), -2),
+            ((16, 16, 16), -3),
+        ]
 
     def test_zero_rows_may_differ_only_in_the_sign_of_zero(self):
         """A row of zeros gives zeros, whatever their signs: the FFT of
@@ -423,6 +485,27 @@ class TestEigenvalueArray:
         np.testing.assert_array_equal(LatticeGrid(1, 16).eigenvalue_array(), np.abs(k))
         kx, ky = np.meshgrid(k, k, indexing="ij")
         np.testing.assert_array_equal(LatticeGrid(2, 16).eigenvalue_array(), np.hypot(kx, ky))
+
+    @pytest.mark.parametrize("dimension, modes", [(1, 8192), (2, 512), (2, 1024)])
+    def test_general_form_equals_the_per_dimension_formulas(self, dimension, modes):
+        """|xi| as hypot folded over the axes gives the bits of the 1-D abs
+        and the 2-D meshgrid hypot it replaced; the square root of the sum of
+        squares would not."""
+        grid = LatticeGrid(dimension, modes)
+        k = grid.freqs_1d.astype(float)
+        if dimension == 1:
+            oracle = np.abs(k)
+        else:
+            kx, ky = np.meshgrid(k, k, indexing="ij")
+            oracle = np.hypot(kx, ky)
+        assert np.array_equal(grid.eigenvalue_array().view(np.uint64), oracle.view(np.uint64))
+
+    def test_three_dimensions_within_an_ulp_of_the_root_of_the_sum(self):
+        grid = LatticeGrid(3, 32)
+        k = grid.freqs_1d.astype(float)
+        kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
+        root = np.sqrt(kx**2 + ky**2 + kz**2)
+        np.testing.assert_allclose(grid.eigenvalue_array(), root, rtol=2**-51, atol=0)
 
     def test_equality_and_hash_ignore_the_cache(self):
         a, b = LatticeGrid(2, 16), LatticeGrid(2, 16)
