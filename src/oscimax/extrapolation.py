@@ -103,7 +103,9 @@ def combination_rate_experiment(
     if N is None:
         N = math.floor(beta / alpha) + 1
     fields = (apply_multiplier(f, _error_multiplier(alpha, t, N)) for t in times)
-    errors = np.array([np.max(np.abs(inverse_transform(g).samples)) for g in fields])
+    errors = np.array(
+        [np.max(np.abs(inverse_transform(g, out=g.coefficients).samples)) for g in fields]
+    )
     predicted = beta / alpha
     fit = fit_decay_exponent(list(zip(times, errors)), floor=0.0)
     return RateReport(

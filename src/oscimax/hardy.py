@@ -81,11 +81,12 @@ def _multi_indices(dimension: int, degree: int):
     ]
 
 
-def _monomials(grid: LatticeGrid, disp, degree: int):
-    """(x - center)^gamma on the spatial grid for every |gamma| <= degree, in
-    the order of `_multi_indices`; `disp` holds the periodic displacements."""
-    for gamma in _multi_indices(grid.dimension, degree):
-        mono = np.ones(grid.spatial_shape)
+def _monomials(disp, degree: int):
+    """(x - center)^gamma for every |gamma| <= degree, in the order of
+    `_multi_indices`, on the points where `disp` holds the periodic
+    displacements (one array per axis: the whole grid, or a gathered set)."""
+    for gamma in _multi_indices(len(disp), degree):
+        mono = np.ones(disp[0].shape)
         for d, g in zip(disp, gamma):
             mono = mono * d**g
         yield mono
@@ -105,7 +106,7 @@ def moment_integrals(f: GridField, center, degree: int) -> np.ndarray:
     center = center if isinstance(center, tuple) else (center,)
     disp = _displacements(grid, center)
     return np.array(
-        [np.sum(f.samples * mono) * grid.cell_volume for mono in _monomials(grid, disp, degree)]
+        [np.sum(f.samples * mono) * grid.cell_volume for mono in _monomials(disp, degree)]
     )
 
 
@@ -138,7 +139,10 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
     np.divide(rho2, spec.radius**2, out=s, where=inside)
     envelope = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
 
-    basis = np.stack([mono.ravel()[idx] for mono in _monomials(grid, disp, degree)], axis=1)
+    # built on the ball's points only: the same bits as gathering the
+    # whole-grid monomials, which `moment_integrals` builds for the certificate
+    ball = [d.ravel()[idx] for d in disp]
+    basis = np.stack(list(_monomials(ball, degree)), axis=1)
 
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng(spec.seed + 7919 * attempt)

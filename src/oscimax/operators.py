@@ -65,10 +65,15 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
 
     m must be elementwise in lam: it is called on consecutive 1-D chunks of
     the flattened |xi| array, each of at most _SYMBOL_CHUNK points, so the
-    temporaries of one call do not grow with the lattice.  For a stack, each
-    chunk's multiplier is broadcast over the members, so each member's
-    product equals its own bit for bit.  Every product is coefficient times
-    multiplier, in that order, on every lattice.
+    temporaries of one call do not grow with the lattice.  A chunk with no
+    nonzero coefficient in any member (a NaN counts as nonzero) gets +0,
+    and m is not called on it.  Every other product is coefficient times
+    multiplier, in that order, on every lattice, so the result equals the
+    whole-lattice product bit for bit, save that a skipped chunk holds +0
+    where c * m could be -0 (or NaN, where m is not finite), as the pruned
+    transform's zero rows do.  For a stack, each chunk's multiplier is
+    broadcast over the members, so each member's product equals its own up
+    to those signs.
     """
     lam = f.grid.eigenvalue_array().ravel()
     shape = f.coefficients.shape
@@ -76,8 +81,11 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
     out = np.empty(c.shape, dtype=complex)
     for lo in range(0, lam.size, _SYMBOL_CHUNK):
         chunk = slice(lo, lo + _SYMBOL_CHUNK)
-        # no chunk's multiplier outlives its step into the next one
-        np.multiply(c[..., chunk], m(lam[chunk]), out=out[..., chunk])
+        if c[..., chunk].any():
+            # no chunk's multiplier outlives its step into the next one
+            np.multiply(c[..., chunk], m(lam[chunk]), out=out[..., chunk])
+        else:
+            out[..., chunk] = 0
     return SpectralField(f.grid, out.reshape(shape), f.stacked)
 
 
@@ -110,18 +118,27 @@ def maximal_over_times(f: SpectralField, family, times) -> GridField:
     """Pointwise max over `times` of |inverse_transform(family(t, f))|, as
     real samples; for a stack, one maximum per member.
 
-    `family` maps a time t and a field to a field.  `times` is increasing
-    (a TimeGrid's `.times`); they are reduced in that fixed order for
-    bit-stable results.
+    `family` maps a time t and a field to a fresh field: its coefficients
+    must be a C-contiguous array that shares no memory with f's (a family
+    that returns f itself raises ValueError), since the sweep transforms
+    each slice in place and so overwrites it.  One slice holds only its
+    product; the magnitudes of every slice after the first go into one
+    buffer kept for the whole sweep.  `times` is increasing (a TimeGrid's
+    `.times`); they are reduced in that fixed order for bit-stable results.
     """
-    best = None
+    best = mag = None
     for t in times:
-        mag = np.abs(inverse_transform(family(t, f)).samples)
+        g = family(t, f)
+        if np.may_share_memory(g.coefficients, f.coefficients):
+            raise ValueError("family must return a fresh field, not memory shared with f")
+        samples = inverse_transform(g, out=g.coefficients).samples
+        del g
         if best is None:
-            best = mag
+            best = np.abs(samples)
+            mag = np.empty_like(best)
         else:
-            np.maximum(best, mag, out=best)
-        del mag  # no slice outlives its step into the next transform
+            np.maximum(best, np.abs(samples, out=mag), out=best)
+        del samples  # no slice outlives its step into the next product
     return GridField(f.grid, best, f.stacked)
 
 

@@ -178,7 +178,7 @@ def forward_transform(f: GridField) -> SpectralField:
     return SpectralField(grid, out, f.stacked)
 
 
-def inverse_transform(F: SpectralField) -> GridField:
+def inverse_transform(F: SpectralField, out: np.ndarray | None = None) -> GridField:
     """Lattice coefficients -> grid samples (inverse FFT), per member of a
     stack.
 
@@ -188,17 +188,31 @@ def inverse_transform(F: SpectralField) -> GridField:
     FFT of a zero row up to the signs of its zeros.  So the samples equal
     `ifftn`'s bit for bit, save that an exactly zero sample may be +0 where
     `ifftn` gives -0.  A field without a nonzero coefficient is not
-    transformed at all.  The row test runs in the output's own bytes, so it
-    adds no lattice-sized temporary.
+    transformed at all.  The row test, `rows.view(float).any(axis=1)`
+    (a NaN counts as nonzero), adds one flag per row and numpy's cast
+    buffer, about 10 KB, and no lattice-sized temporary.
+
+    The samples are written into `out` when it is given: a writable,
+    C-contiguous complex array of the coefficients' shape, either
+    `F.coefficients` itself, which transforms the field in place and
+    overwrites it, or an array that shares no memory with it.  Either way
+    the samples are the same bits as without `out`.
     """
     grid = F.grid
     m = grid.modes_per_axis
-    out = np.empty(F.coefficients.shape, dtype=complex)
-    rows = np.ascontiguousarray(F.coefficients).reshape(-1, m)  # a copy only if strided
+    c = F.coefficients
+    if out is None:
+        out = np.empty(c.shape, dtype=complex)
+    elif out.shape != c.shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous complex array of shape {c.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    elif out is not c and np.may_share_memory(out, c):
+        raise ValueError("out must be the coefficients themselves or share no memory with them")
+    rows = np.ascontiguousarray(c).reshape(-1, m)  # a copy only if strided
     out_rows = out.reshape(-1, m)
-    parts = rows.view(float)  # real and imaginary parts: a NaN counts as live
-    nonzero = out.view(np.bool_).reshape(-1)[: parts.size].reshape(parts.shape)
-    live = np.not_equal(parts, 0.0, out=nonzero).any(axis=1).tolist()
+    live = rows.view(float).any(axis=1).tolist()
     lo = 0
     for alive, run in itertools.groupby(live):
         hi = lo + sum(1 for _ in run)

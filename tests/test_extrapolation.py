@@ -242,6 +242,22 @@ class TestCombinationRateExperiment:
         assert report.fit.slope >= report.predicted_rate - 0.1
         assert all(c["pass"] for c in report.checks)
 
+    def test_each_product_is_transformed_in_its_own_buffer(self, monkeypatch):
+        grid = LatticeGrid(1, 64)
+        f = random_spectral_field(grid, np.random.default_rng(1), band_limit=16)
+        want = combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2).errors
+        in_place = []
+        transform = extrapolation.inverse_transform
+
+        def spy(F, out=None):
+            in_place.append(out is F.coefficients)
+            return transform(F, out=out)
+
+        monkeypatch.setattr(extrapolation, "inverse_transform", spy)
+        got = combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2).errors
+        assert in_place == [True] * 24
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_degenerate_rejected(self):
         """A constant field leaves no error above the roundoff floor to fit."""
         grid = LatticeGrid(1, 16)

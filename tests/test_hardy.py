@@ -23,7 +23,7 @@ from oscimax import (
     weak_lp_quasinorm,
 )
 from oscimax import hardy
-from oscimax.hardy import ResolutionError, _displacements, _multi_indices, ball_measure
+from oscimax.hardy import ResolutionError, _displacements, _monomials, _multi_indices, ball_measure
 from oscimax.torus import GridField
 
 
@@ -214,6 +214,19 @@ class TestGeneralForms:
         assert np.all(ball_measure(3, radii - slack) / h**3 <= counts.min(axis=0))
         assert np.all(counts.max(axis=0) <= ball_measure(3, radii + slack) / h**3)
         assert np.mean(counts[:, 2]) == pytest.approx(ball_measure(3, np.pi / 10) / h**3, rel=0.02)
+
+
+    @pytest.mark.parametrize("dimension, modes, degree", [(1, 256, 3), (2, 128, 2), (3, 80, 3)])
+    def test_monomials_on_the_ball_equal_the_gathered_grid_ones(self, dimension, modes, degree):
+        """Built on the ball's gathered displacements, each monomial equals
+        the whole-grid monomial at the ball's points bit for bit."""
+        grid = LatticeGrid(dimension, modes)
+        disp = _displacements(grid, (1.0, 2.0, 3.0)[:dimension])
+        idx = np.flatnonzero((sum(d**2 for d in disp) < (np.pi / 10) ** 2).ravel())
+        ball = [d.ravel()[idx] for d in disp]
+        pairs = zip(_monomials(ball, degree), _monomials(disp, degree), strict=True)
+        for on_ball, on_grid in pairs:
+            assert np.array_equal(on_ball.view(np.uint64), on_grid.ravel()[idx].view(np.uint64))
 
 
 class TestHeatQuasinorm:

@@ -239,10 +239,98 @@ class TestMaximalOverTimes:
         assert maximal.dtype == np.float64
         assert np.array_equal(maximal, np.max(slices, axis=0))
 
+    def test_each_slice_is_transformed_in_its_own_buffer(self, monkeypatch):
+        grid = LatticeGrid(2, 32)
+        f = random_spectral_field(grid, np.random.default_rng(3), band_limit=8)
+        times = TimeGrid(count=5, span_octaves=6).times
+
+        def family(t, g):
+            return oscillating_op(g, SymbolParams(0.5, 0.75), PROFILE, t)
+
+        want = maximal_over_times(f, family, times).samples
+        in_place = []
+
+        def spy(F, out=None):
+            in_place.append(out is F.coefficients)
+            return inverse_transform(F, out=out)
+
+        monkeypatch.setattr(operators, "inverse_transform", spy)
+        got = maximal_over_times(f, family, times).samples
+        assert in_place == [True] * len(times)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_family_sharing_memory_with_f_is_refused(self):
+        """The sweep overwrites each slice, so a slice must not be f itself
+        or a view of it."""
+        grid = LatticeGrid(1, 32)
+        f = random_spectral_field(grid, np.random.default_rng(4), band_limit=8)
+        before = f.coefficients.copy()
+        families = [
+            lambda t, g: g,
+            lambda t, g: SpectralField(g.grid, g.coefficients[:]),
+        ]
+        for family in families:
+            assert np.may_share_memory(family(0.5, f).coefficients, f.coefficients)
+            with pytest.raises(ValueError, match="fresh field"):
+                maximal_over_times(f, family, [0.25, 0.5])
+        assert np.array_equal(f.coefficients, before)
+
+    # lattice, band and family of each sweep whose memory is measured
+    SWEEP_MEMORY_CASES = {
+        "heat-256": (256, 64, "heat"),
+        "oscillating-512": (512, 128, "oscillating"),
+    }
+
+    @pytest.mark.parametrize("name", SWEEP_MEMORY_CASES)
+    def test_sweep_holds_one_product_and_two_real_lattices(self, name):
+        """A sweep peaks at its running maximum and its magnitude buffer
+        (two float lattices), one product (a complex lattice), and the
+        working set of building one product, which is O(_SYMBOL_CHUNK) and
+        measured here per time; 64 KiB cover the row test and the fields'
+        bookkeeping.  A transform into a fresh array would hold a second
+        complex lattice, 1 or 4 MiB here, on top."""
+        modes, band, kind = self.SWEEP_MEMORY_CASES[name]
+        grid = LatticeGrid(2, modes)
+        f = random_spectral_field(grid, np.random.default_rng(0), band_limit=band)
+        if kind == "heat":
+            times = np.geomspace(1e-6, 1e-2, 16)
+
+            def family(t, g):
+                return heat_semigroup(g, t)
+        else:
+            times = TimeGrid(count=16, span_octaves=12).times
+
+            def family(t, g):
+                return oscillating_op(g, SymbolParams(0.5, 0.75), PROFILE, t)
+
+        grid.eigenvalue_array()
+        product_set = 0
+        for t in times:
+            tracemalloc.start()
+            try:
+                g = family(t, f)
+                product_set = max(product_set, tracemalloc.get_traced_memory()[1] - g.coefficients.nbytes)
+            finally:
+                tracemalloc.stop()
+            del g
+        tracemalloc.start()
+        try:
+            maximal_over_times(f, family, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lattice = modes**2
+        assert product_set <= 1.5 * 2**20
+        assert peak <= 2 * 8 * lattice + 16 * lattice + product_set + 64 * 2**10, name
+
 
 class TestStackedOperators:
     """A stack goes through the diagonal operators and the maximal function
-    as its members would, one at a time, bit for bit."""
+    as its members would, one at a time, bit for bit.  The members here have
+    no zero chunk; where one member's chunk is zero and another's is not,
+    the stack multiplies it and the single field skips it, so the two may
+    differ in the signs of the chunk's zeros (see TestZeroChunks), as the
+    pruned transform's dead rows may."""
 
     PARAMS = SymbolParams(0.5, 0.75)
 
@@ -376,6 +464,87 @@ class TestChunkedMultiplier:
         finally:
             tracemalloc.stop()
         assert peak - out.coefficients.nbytes <= bound_mib * 2**20, name
+
+
+def chunk_starts(seen, lam):
+    """Offsets into the flattened |xi| array of the chunks a multiplier saw."""
+    base = lam.__array_interface__["data"][0]
+    return [(a.__array_interface__["data"][0] - base) // lam.itemsize for a in seen]
+
+
+def recording(m, seen):
+    def wrapped(lam):
+        seen.append(lam)
+        return m(lam)
+
+    return wrapped
+
+
+class TestZeroChunks:
+    """apply_multiplier writes +0 to a chunk in which no coefficient is
+    nonzero and does not evaluate the multiplier on it."""
+
+    def test_band_limited_field_skips_its_empty_chunks(self, monkeypatch):
+        """Band 32 on 256^2: chunks of 64 rows, of which the middle two (rows
+        64..191, |xi_1| >= 64) hold no mode.  The products equal the
+        whole-lattice ones on the field's nonzero entries and in magnitude
+        everywhere."""
+        grid = LatticeGrid(2, 256)
+        f = random_spectral_field(grid, np.random.default_rng(2), band_limit=32)
+        lam = grid.eigenvalue_array().ravel()
+        nonzero = f.coefficients != 0
+        for name, op in diagonal_ops(grid).items():
+            with monkeypatch.context() as patched:
+                patched.setattr(operators, "apply_multiplier", full_lattice_multiplier)
+                patched.setattr(hardy, "apply_multiplier", full_lattice_multiplier)
+                want = op(f).coefficients
+            seen = []
+            with monkeypatch.context() as patched:
+                chunked = operators.apply_multiplier
+                patched.setattr(operators, "apply_multiplier", lambda g, m: chunked(g, recording(m, seen)))
+                patched.setattr(hardy, "apply_multiplier", lambda g, m: chunked(g, recording(m, seen)))
+                got = op(f).coefficients
+            assert chunk_starts(seen, lam) == [0, 3 * 2**14], name
+            assert not np.any(got[64:192]) and not np.any(np.signbit(got[64:192].view(float)))
+            assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64)), name
+            assert np.array_equal(np.abs(got).view(np.uint64), np.abs(want).view(np.uint64)), name
+
+    def test_a_nan_keeps_its_chunk_live(self):
+        grid = LatticeGrid(2, 256)
+        c = np.zeros(grid.spectral_shape, dtype=complex)
+        c[100, 7] = complex(np.nan, 0.0)  # chunk 1, rows 64..127
+        seen = []
+        with np.errstate(invalid="ignore"):
+            out = apply_multiplier(SpectralField(grid, c), recording(lambda lam: np.exp(-lam), seen))
+        assert chunk_starts(seen, grid.eigenvalue_array().ravel()) == [2**14]
+        assert np.isnan(out.coefficients[100, 7])
+        assert np.count_nonzero(out.coefficients) == 1
+
+    def test_stack_chunk_is_live_if_any_member_is(self):
+        """Member 0 holds only chunk 0, member 1 only chunk 2: both chunks
+        are multiplied for both members, so member 0's chunk 2 holds its
+        zeros times the multiplier, signed as in the whole-lattice product,
+        and chunks 1 and 3 are skipped for both."""
+        grid = LatticeGrid(2, 256)
+        rng = np.random.default_rng(6)
+        c = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+        c[0, :64] = rng.standard_normal((64, 256)) + 1j * rng.standard_normal((64, 256))
+        c[1, 128:192] = rng.standard_normal((64, 256)) + 1j * rng.standard_normal((64, 256))
+        c[0, 128:192] = complex(-0.0, -0.0)  # zeros whose products are signed
+        stack = SpectralField(grid, c, stacked=True)
+        m = lambda lam: np.exp(-1e-3 * lam) * (1.0 - 2.0j)
+        seen = []
+        got = apply_multiplier(stack, recording(m, seen)).coefficients
+        assert chunk_starts(seen, grid.eigenvalue_array().ravel()) == [0, 2 * 2**14]
+        want = full_lattice_multiplier(stack, m).coefficients
+        for rows in (slice(0, 64), slice(128, 192)):
+            assert np.array_equal(got[:, rows].view(np.uint64), want[:, rows].view(np.uint64))
+        assert np.any(np.signbit(got[0, 128:192].view(float)))
+        for rows in (slice(64, 128), slice(192, 256)):
+            assert not np.any(got[:, rows]) and not np.any(np.signbit(got[:, rows].view(float)))
+        single = apply_multiplier(SpectralField(grid, c[0]), m).coefficients
+        assert not np.any(np.signbit(single[128:192].view(float)))
+        assert np.array_equal(np.abs(single), np.abs(got[0]))
 
 
 class TestKernelLatticeSum:

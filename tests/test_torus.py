@@ -409,6 +409,78 @@ class TestPrunedInverseTransform:
         assert np.count_nonzero(np.signbit(want.view(float))) == 1
 
 
+def transform_in_place(F: SpectralField) -> np.ndarray:
+    """The samples of a copy of F transformed in its own buffer."""
+    c = F.coefficients.copy()
+    samples = inverse_transform(SpectralField(F.grid, c, F.stacked), out=c).samples
+    assert samples is c
+    return samples
+
+
+class TestInPlaceInverseTransform:
+    """With out=F.coefficients the transform overwrites the field with its
+    samples, the same bits as the out-of-place transform."""
+
+    @staticmethod
+    def fields(dimension):
+        grid = LatticeGrid(dimension, 16 if dimension == 3 else 32)
+        rng = np.random.default_rng(dimension)
+        band = random_spectral_field(grid, rng, band_limit=5).coefficients
+        stack = np.stack([band, np.zeros_like(band), random_spectral_field(grid, rng).coefficients])
+        nan_row = band.copy()
+        nan_row[(0,) * (dimension - 1) + (slice(None),)] = 0.0
+        nan_row[(0,) * (dimension - 1) + (3,)] = np.nan  # a row whose only entry is NaN
+        return [
+            SpectralField(grid, band),
+            SpectralField(grid, stack, stacked=True),
+            SpectralField(grid, nan_row),
+            SpectralField(grid, np.zeros(grid.spectral_shape)),
+            SpectralField(grid, np.zeros((2,) + grid.spectral_shape), stacked=True),
+        ]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_equals_the_out_of_place_transform(self, dimension):
+        with np.errstate(invalid="ignore"):
+            for F in self.fields(dimension):
+                want = inverse_transform(F).samples
+                got = transform_in_place(F)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_separate_out_buffer(self):
+        F = random_spectral_field(LatticeGrid(2, 32), np.random.default_rng(3), band_limit=6)
+        out = np.empty(F.coefficients.shape, dtype=complex)
+        before = F.coefficients.copy()
+        assert inverse_transform(F, out=out).samples is out
+        assert np.array_equal(out.view(np.uint64), inverse_transform(F).samples.view(np.uint64))
+        assert np.array_equal(F.coefficients, before)
+
+    def test_out_of_the_wrong_layout_is_refused(self):
+        grid = LatticeGrid(2, 16)
+        F = random_spectral_field(grid, np.random.default_rng(0), band_limit=4)
+        bad = [
+            np.empty((16, 8), dtype=complex),
+            np.empty((1, 16, 16), dtype=complex),
+            np.empty((16, 16), dtype=np.complex64),
+            np.empty((16, 16)),
+            np.empty((16, 32), dtype=complex)[:, ::2],
+            np.asfortranarray(np.empty((16, 16), dtype=complex)),
+        ]
+        for out in bad:
+            with pytest.raises(ValueError, match="C-contiguous complex array"):
+                inverse_transform(F, out=out)
+
+    def test_out_overlapping_the_coefficients_is_refused(self):
+        """Only the coefficients array itself may be both input and output."""
+        grid = LatticeGrid(1, 16)
+        c = np.zeros(32, dtype=complex)
+        c[3] = 1.0
+        F = SpectralField(grid, c[:16])
+        for out in (c[8:24], c[:16].view()):
+            with pytest.raises(ValueError, match="share no memory"):
+                inverse_transform(F, out=out)
+        assert c[3] == 1.0
+
+
 def mirrored(c: np.ndarray, dimension: int) -> np.ndarray:
     """c at -xi (mod M) for every xi of the trailing `dimension` axes: flip
     them, then roll by one so that index 0 stays in place."""
