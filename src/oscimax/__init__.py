@@ -16,7 +16,6 @@ from .symbols import (
     SymbolParams,
     CutoffProfile,
     phi_cutoff,
-    psi0,
     dyadic_bump,
     mu_symbol,
     riesz_mean_symbol,
@@ -24,7 +23,6 @@ from .symbols import (
 from .quadrature import (
     DecayFit,
     ConvergenceError,
-    fourier_cosine_mu,
     fourier_cosine_mu_derivative,
     fourier_cosine_mu_dyadic,
     dyadic_tail_order,
@@ -36,7 +34,6 @@ from .quadrature import (
 from .operators import (
     TimeGrid,
     apply_multiplier,
-    schrodinger_propagate,
     oscillating_op,
     riesz_mean_op,
     maximal_over_times,
@@ -54,7 +51,6 @@ from .hardy import (
     moment_integrals,
 )
 from .extrapolation import (
-    RateReport,
     combination_error_symbol,
     combination_apply,
     combination_rate_experiment,

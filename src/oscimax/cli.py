@@ -35,9 +35,9 @@ from .operators import (
 )
 from .quadrature import (
     check,
+    decay_law,
     dyadic_band_ratio,
     dyadic_tail_order,
-    fit_decay_exponent,
     verify_small_tau_decay,
 )
 from .symbols import CUTOFF_KINDS, CutoffProfile, SymbolParams
@@ -216,7 +216,7 @@ def _run_symbol_decay(config):
     )
     rows = [(tau, v.real, v.imag, abs(v)) for tau, v in report["samples"]]
     return {
-        "predicted_exponent": report["predicted_exponent"],
+        "predicted_exponent": report["predicted"],
         "fitted": _fit_dict(report["fitted"]),
         "checks": report["checks"],
     }, {"symbol-decay.csv": _csv(["tau", "re", "im", "modulus"], rows)}
@@ -272,7 +272,7 @@ def _run_kernel_decay(config):
     delta = abs(doubled["fitted"].slope - report["fitted"].slope)
     return {
         "fitted": _fit_dict(report["fitted"]),
-        "predicted_slope": report["predicted_slope"],
+        "predicted_slope": report["predicted"],
         "checks": [*report["checks"], check("m_cap_doubling_delta", delta, "<", 0.05)],
     }, {"kernel-decay.csv": _csv(["x_over_t", "re", "im", "modulus"], rows)}
 
@@ -299,11 +299,11 @@ def _run_rate_combo(config):
         times=times,
         N=config["N"] or None,
     )
-    rows = [(float(t), float(e)) for t, e in zip(times, report.errors)]
+    rows = [(float(t), float(e)) for t, e in report["samples"]]
     return {
-        "fitted": _fit_dict(report.fit),
-        "predicted_rate": report.predicted_rate,
-        "checks": report.checks,
+        "fitted": _fit_dict(report["fitted"]),
+        "predicted_rate": report["predicted"],
+        "checks": report["checks"],
     }, {"rate-combo.csv": _csv(["t", "error"], rows)}
 
 
@@ -317,11 +317,11 @@ def _run_rate_riesz(config):
     for t in times:
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients
         rows.append((float(t), float(np.sqrt(np.sum(np.abs(diff) ** 2)))))
-    fit = fit_decay_exponent(rows)
+    report = decay_law(rows, 1.0, 0.05)
     return {
-        "fitted": _fit_dict(fit),
-        "predicted_slope": 1.0,
-        "checks": [check("slope", abs(fit.slope - 1.0), "<=", 0.05)],
+        "fitted": _fit_dict(report["fitted"]),
+        "predicted_slope": report["predicted"],
+        "checks": report["checks"],
     }, {"rate-riesz.csv": _csv(["t", "error"], rows)}
 
 

@@ -9,14 +9,13 @@ rate check can fail only for an N below floor(beta/alpha) + 1."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.random
 
 from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
 from .operators import TimeGrid, apply_multiplier, maximal_over_times, oscillating_op
-from .quadrature import DecayFit, check, fit_decay_exponent
+from .quadrature import decay_law
 from .symbols import DEFAULT_PROFILE, SymbolParams
 from .torus import GridField, LatticeGrid, SpectralField, forward_transform, inverse_transform
 
@@ -27,17 +26,6 @@ _ATOM_BLOCK_SAMPLES = 2**18
 
 # a rate is fitted on at least five nonzero error samples
 _MIN_RATE_SAMPLES = 5
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """`errors` holds the grid-sup convergence error at every sampled time,
-    `checks` the verdict "rate" (fitted slope >= predicted_rate - 0.1)."""
-
-    fit: DecayFit
-    errors: np.ndarray
-    predicted_rate: float
-    checks: list
 
 
 def combination_error_symbol(N: int, z):
@@ -78,7 +66,7 @@ def combination_rate_experiment(
     p: float,
     times: np.ndarray | None = None,
     N: int | None = None,
-) -> RateReport:
+) -> dict:
     """Convergence-rate check for the order-N combination (default N =
     floor(beta/alpha) + 1) on a band-limited field at `times` (default 24
     points geometric on [1e-4, 1e-2], at least 5).  The error at t is the
@@ -86,7 +74,8 @@ def combination_rate_experiment(
     out of the fit, and fewer than 5 nonzero errors, as for a constant
     field, raise ValueError.  The check "rate" needs a slope of at least
     beta/alpha - 0.1 (a one-sided o(t^{beta/alpha}) bound); the slope is N,
-    so it can fail only for an N below floor(beta/alpha) + 1."""
+    so it can fail only for an N below floor(beta/alpha) + 1.  Returns
+    `decay_law`'s dict, whose "samples" are the (t, error) pairs."""
     if times is None:
         times = np.geomspace(1e-4, 1e-2, 24)
     if len(times) < _MIN_RATE_SAMPLES:
@@ -103,17 +92,8 @@ def combination_rate_experiment(
     if N is None:
         N = math.floor(beta / alpha) + 1
     fields = (apply_multiplier(f, _error_multiplier(alpha, t, N)) for t in times)
-    errors = np.array(
-        [np.max(np.abs(inverse_transform(g, out=g.coefficients).samples)) for g in fields]
-    )
-    predicted = beta / alpha
-    fit = fit_decay_exponent(list(zip(times, errors)), floor=0.0)
-    return RateReport(
-        fit=fit,
-        errors=errors,
-        predicted_rate=predicted,
-        checks=[check("rate", fit.slope, ">=", predicted - 0.1)],
-    )
+    errors = [np.max(np.abs(inverse_transform(g, out=g.coefficients).samples)) for g in fields]
+    return decay_law(list(zip(times, errors)), beta / alpha, 0.1, floor=0.0, one_sided=True)
 
 
 def atom_uniformity_experiment(

@@ -122,8 +122,7 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
     degree = spec.cancellation_degree(n)
     disp = _displacements(grid, spec.center)
     rho2 = sum(d**2 for d in disp)
-    inside = rho2 < spec.radius**2
-    idx = np.flatnonzero(inside.ravel())
+    idx = np.flatnonzero(rho2.ravel() < spec.radius**2)
     # no seed helps when the monomials span every function on the ball;
     # counted before any is built, since small p asks for astronomically
     # many (in floats, exact up to 2^53 and inf past the float range)
@@ -134,26 +133,24 @@ def make_regular_atom(spec: AtomSpec, grid: LatticeGrid) -> Atom:
             f"to cancel the {count:.4g} monomials of degree <= {degree:.4g}"
         )
 
-    # smooth compactly supported envelope
-    s = np.zeros(grid.spatial_shape)
-    np.divide(rho2, spec.radius**2, out=s, where=inside)
-    envelope = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
-
-    # built on the ball's points only: the same bits as gathering the
-    # whole-grid monomials, which `moment_integrals` builds for the certificate
+    # the envelope, the monomials and the modulation are built on the ball's
+    # points only: elementwise, so the same bits as building them on the
+    # whole grid and gathering, as `moment_integrals` does for the certificate
     ball = [d.ravel()[idx] for d in disp]
+    s = rho2.ravel()[idx] / spec.radius**2
+    envelope = np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300))
     basis = np.stack(list(_monomials(ball, degree)), axis=1)
 
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng(spec.seed + 7919 * attempt)
-        modulation = np.ones(grid.spatial_shape)
-        for d in disp:
+        modulation = np.ones(idx.size)
+        for d in ball:
             for h in range(1, 4):
                 a, b = rng.standard_normal(2)
                 modulation = modulation + a * np.cos(
                     h * np.pi * d / spec.radius
                 ) + b * np.sin(h * np.pi * d / spec.radius)
-        raw = (envelope * modulation).ravel()[idx]
+        raw = envelope * modulation
 
         gram = basis.T @ basis
         try:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import check, fit_decay_exponent, slope_or_bounded
+from .quadrature import decay_law
 from .symbols import (
     CutoffProfile,
     SymbolParams,
@@ -87,13 +87,6 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
         else:
             out[..., chunk] = 0
     return SpectralField(f.grid, out.reshape(shape), f.stacked)
-
-
-def schrodinger_propagate(f: SpectralField, alpha: float, s: float) -> SpectralField:
-    """Unimodular diagonal propagator with phase s * |xi|^alpha per mode."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return apply_multiplier(f, lambda lam: np.exp(1j * s * lam**alpha))
 
 
 def oscillating_op(
@@ -238,9 +231,8 @@ def verify_kernel_decay(
     slope -1 + excess/(1 - alpha), and the check "slope" requires the fitted
     slope within 0.3 of it; when the prediction is >= 0 the kernel is
     predicted bounded on the window and the check "bounded" (sup/inf <= 10)
-    replaces it.  Returns the fit under "fitted", the prediction under
-    "predicted_slope", that check under "checks" and its verdict under
-    "pass".
+    replaces it.  Returns `decay_law`'s dict, whose "samples" are the
+    (x/t, |kernel|) pairs.
 
     The predicted slope is the x/t -> 0 law: it comes from the stationary
     point lam* = (alpha * t/x)^{1/(1-alpha)} of the phase, at lattice
@@ -274,15 +266,8 @@ def verify_kernel_decay(
             for x in radii
         ]
     )
-    ratios = radii / t
-    fit = fit_decay_exponent(list(zip(ratios, mods)))
-    verdict = slope_or_bounded(fit, predicted, 0.3, np.max(mods) / np.min(mods))
-    return {
-        "fitted": fit,
-        "predicted_slope": predicted,
-        "checks": [verdict],
-        "pass": verdict["pass"],
-    }
+    spread = np.max(mods) / np.min(mods)
+    return decay_law(list(zip(radii / t, mods)), predicted, 0.3, spread=spread)
 
 
 def riesz_symbol_decay_check(
@@ -313,8 +298,4 @@ def riesz_symbol_decay_check(
     hi = np.maximum(edges[1:], lo + 2.5 * np.pi)
     zs = np.linspace(lo, hi, samples_per_window, axis=1)  # one window per row
     peaks = np.max(np.abs(riesz_mean_symbol(k, alpha, zs)), axis=1)
-    fit = fit_decay_exponent(list(zip(np.sqrt(lo * hi), peaks)))
-    predicted = -min(k, 1.0)
-    verdict = check("slope", abs(fit.slope - predicted), "<=", 0.15)
-    return {"fitted": fit, "predicted_slope": predicted,
-            "checks": [verdict], "pass": verdict["pass"]}
+    return decay_law(list(zip(np.sqrt(lo * hi), peaks)), -min(k, 1.0), 0.15)

@@ -167,12 +167,25 @@ def check(name: str, value, relation: str, bound: float) -> dict:
     return {"name": name, "value": value, "relation": relation, "bound": bound, "pass": holds}
 
 
-def slope_or_bounded(fit: DecayFit, predicted: float, tol: float, spread: float) -> dict:
-    """The decay check: the fitted slope within `tol` of a negative predicted
-    exponent, or, when the prediction is bounded, a modulus spread <= 10."""
-    if predicted < 0.0:
-        return check("slope", abs(fit.slope - predicted), "<=", tol)
-    return check("bounded", spread, "<=", 10.0)
+def decay_law(samples, predicted: float, tol: float, *, spread=None, floor=None,
+              one_sided: bool = False) -> dict:
+    """The decay verdict of a list of (coordinate, value) samples:
+    `fit_decay_exponent` of |value| against the coordinate, leaving out
+    moduli at or below `floor`, judged by one check against the predicted
+    exponent: "bounded" (spread <= 10) when a spread is given and the
+    prediction is >= 0; otherwise "rate" (slope >= predicted - tol) when
+    `one_sided`; otherwise "slope" (|slope - predicted| <= tol).  Returns
+    the fit under "fitted", the samples, the prediction, that check under
+    "checks" and its verdict under "pass"."""
+    fit = fit_decay_exponent([(s, abs(v)) for s, v in samples], floor=floor)
+    if spread is not None and predicted >= 0.0:
+        verdict = check("bounded", spread, "<=", 10.0)
+    elif one_sided:
+        verdict = check("rate", fit.slope, ">=", predicted - tol)
+    else:
+        verdict = check("slope", abs(fit.slope - predicted), "<=", tol)
+    return {"fitted": fit, "samples": samples, "predicted": predicted,
+            "checks": [verdict], "pass": verdict["pass"]}
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +695,6 @@ def fourier_cosine_mu_derivative(
     return _transforms(params, profile, [tau], L)[0]
 
 
-def fourier_cosine_mu(params: SymbolParams, profile: CutoffProfile, tau: float) -> complex:
-    """Cosine transform 2 * integral_0^inf lam^-beta e^{i lam^alpha} cutoff cos(tau lam)."""
-    return fourier_cosine_mu_derivative(params, profile, tau, 0)
-
-
 def _dyadic_transforms(params: SymbolParams, profile: CutoffProfile, ks, taus, L: int = 0) -> list:
     """fourier_cosine_mu_dyadic at every pair (ks[i], taus[i]), as one sweep."""
     if not all(k >= 0 and k % 1 == 0 for k in ks):
@@ -775,8 +783,8 @@ def verify_small_tau_decay(
     If the predicted exponent is negative the check "slope" requires the
     fitted log-log slope within 0.2 of it; otherwise the transform is
     predicted bounded and the check "bounded" requires sup modulus <= 10x
-    the modulus at tau_hi.  Returns that check under "checks", its verdict
-    under "pass", and every evaluated (tau, value) pair under "samples".
+    the modulus at tau_hi.  Returns `decay_law`'s dict, whose "samples" are
+    the evaluated (tau, value) pairs.
     """
     if not 0.0 < tau_lo < tau_hi <= 200.0:
         raise ValueError("need 0 < tau_lo < tau_hi <= 200")
@@ -784,12 +792,4 @@ def verify_small_tau_decay(
     taus = np.geomspace(tau_lo, tau_hi, n_samples)
     samples = [(float(t), v) for t, v in zip(taus, _transforms(params, profile, taus, L))]
     mods = np.array([abs(v) for _, v in samples])
-    fit = fit_decay_exponent([(t, abs(v)) for t, v in samples])
-    verdict = slope_or_bounded(fit, predicted, 0.2, np.max(mods) / mods[-1])
-    return {
-        "fitted": fit,
-        "samples": samples,
-        "predicted_exponent": predicted,
-        "checks": [verdict],
-        "pass": verdict["pass"],
-    }
+    return decay_law(samples, predicted, 0.2, spread=np.max(mods) / mods[-1])

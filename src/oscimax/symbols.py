@@ -106,16 +106,12 @@ def phi_cutoff(profile: CutoffProfile, lam):
     return profile.ramp(np.abs(lam) - 1.0)
 
 
-def psi0(profile: CutoffProfile, lam):
-    """Low bump: 1 for |lam| <= 1/2, 0 for |lam| >= 1."""
-    return 1.0 - phi_cutoff(profile, 2.0 * np.asarray(lam, dtype=float))
-
-
 def dyadic_bump(profile: CutoffProfile, lam):
     """Even bump supported in 1/2 <= |lam| <= 2, equal to 1 at |lam| = 1.
 
     Defined as phi_cutoff(2 lam) - phi_cutoff(lam) so that dilates by powers
-    of 2 telescope against psi0 into an exact partition of unity.
+    of 2 telescope against the low bump 1 - phi_cutoff(2 lam) into an exact
+    partition of unity.
     """
     lam = np.asarray(lam, dtype=float)
     return phi_cutoff(profile, 2.0 * lam) - phi_cutoff(profile, lam)

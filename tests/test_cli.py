@@ -549,6 +549,12 @@ class TestReports:
         body = json.loads((out / "summary.json").read_text())
         assert refit.slope == body["fitted"]["slope"]
 
+    def test_rate_riesz_csv_holds_the_fitted_samples(self):
+        summary, files = cli._run_rate_riesz(dict(DEFAULTS["rate-riesz"]))
+        rows = list(csv.DictReader(io.StringIO("".join(files["rate-riesz.csv"]))))
+        refit = fit_decay_exponent([(float(r["t"]), float(r["error"])) for r in rows])
+        assert cli._fit_dict(refit) == summary["fitted"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -155,6 +155,64 @@ class TestRegularAtoms:
             moment_integrals(GridField(grid, np.zeros(grid.spatial_shape)), center, 1)
 
 
+def whole_grid_atom_samples(spec, grid):
+    """`make_regular_atom`'s samples with the envelope and the modulation
+    built on the whole lattice and the ball's points gathered from them, as
+    the library built them before it gathered the displacements first."""
+    degree = spec.cancellation_degree(grid.dimension)
+    disp = _displacements(grid, spec.center)
+    rho2 = sum(d**2 for d in disp)
+    inside = rho2 < spec.radius**2
+    idx = np.flatnonzero(inside.ravel())
+    s = np.zeros(grid.spatial_shape)
+    np.divide(rho2, spec.radius**2, out=s, where=inside)
+    envelope = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
+    basis = np.stack([mono.ravel()[idx] for mono in _monomials(disp, degree)], axis=1)
+    for attempt in range(hardy._MAX_RETRIES):
+        rng = np.random.default_rng(spec.seed + 7919 * attempt)
+        modulation = np.ones(grid.spatial_shape)
+        for d in disp:
+            for h in range(1, 4):
+                a, b = rng.standard_normal(2)
+                modulation = modulation + a * np.cos(
+                    h * np.pi * d / spec.radius
+                ) + b * np.sin(h * np.pi * d / spec.radius)
+        raw = (envelope * modulation).ravel()[idx]
+        try:
+            coef = np.linalg.solve(basis.T @ basis, basis.T @ raw)
+        except np.linalg.LinAlgError:
+            continue
+        projected = raw - basis @ coef
+        norm2 = np.sqrt(np.sum(projected**2) * grid.cell_volume)
+        if norm2 > 1e-8 * np.sqrt(np.sum(raw**2) * grid.cell_volume + 1e-300):
+            break
+    target = ball_measure(grid.dimension, spec.radius) ** (0.5 - 1.0 / spec.p)
+    samples = np.zeros(grid.spatial_shape)
+    samples.ravel()[idx] = projected * (target / norm2)
+    return samples
+
+
+class TestAtomOnTheBall:
+    @pytest.mark.parametrize(
+        "dimension, modes, p, seeds",
+        [(1, 512, 0.5, (0, 3, 11)), (1, 4096, 0.25, (2,)), (2, 128, 2.0 / 3.0, (5, 8)), (3, 80, 0.5, (0,))],
+    )
+    def test_equals_the_whole_grid_construction(self, dimension, modes, p, seeds):
+        """Built on the ball's points, the atom and its certificates equal
+        the whole-grid construction bit for bit."""
+        grid = LatticeGrid(dimension, modes)
+        rng = np.random.default_rng(modes)
+        for seed in seeds:
+            center = tuple(rng.uniform(0.0, 2.0 * np.pi, dimension))
+            spec = AtomSpec(p=p, center=center, radius=np.pi / 10, seed=seed)
+            atom = make_regular_atom(spec, grid)
+            want = GridField(grid, whole_grid_atom_samples(spec, grid))
+            assert np.array_equal(atom.field.samples.view(np.uint64), want.samples.view(np.uint64))
+            moments = moment_integrals(want, spec.center, spec.cancellation_degree(dimension))
+            assert atom.certified_moment_bound == float(np.max(np.abs(moments)))
+            assert atom.certified_l2 == grid_norm(want, 2.0)
+
+
 def graded_indices_oracle(dimension, degree):
     """The per-dimension multi-indices that the general form replaced."""
     out = []

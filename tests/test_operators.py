@@ -14,7 +14,6 @@ from oscimax import (
     TimeGrid,
     apply_multiplier,
     fit_decay_exponent,
-    fourier_cosine_mu,
     inverse_transform,
     kernel_lattice_sum,
     maximal_over_times,
@@ -23,12 +22,12 @@ from oscimax import (
     random_spectral_field,
     riesz_mean_op,
     riesz_symbol_decay_check,
-    schrodinger_propagate,
     verify_kernel_decay,
 )
 from oscimax import hardy, operators
 from oscimax.hardy import heat_semigroup
 from oscimax.symbols import mu_symbol, riesz_mean_symbol
+from oracles import fourier_cosine_mu, schrodinger_propagate
 
 PROFILE = CutoffProfile()
 
@@ -578,8 +577,6 @@ class TestKernelLatticeSum:
     def test_matches_continuum_transform(self):
         """For small t the lattice sum approximates t^-1 times the cosine
         transform of the symbol at x/t."""
-        from oscimax import fourier_cosine_mu
-
         params = SymbolParams(0.5, 0.5)
         t = 0.5
         for u in (0.1, 0.3, 0.7):
@@ -759,7 +756,7 @@ class TestKernelNearDiagonal:
         )
         lattice = verify_kernel_decay(params, PROFILE, self.T, ratios * self.T)
         assert abs(quad.slope - lattice["fitted"].slope) <= 0.05
-        assert abs(quad.slope - lattice["predicted_slope"]) > 0.3
+        assert abs(quad.slope - lattice["predicted"]) > 0.3
 
     def test_default_eps_over_damps_the_near_window(self):
         """At eps = 1e-7, e^{-eps m*^2} = e^{-40} at x/t = 0.005: the fit on the
@@ -795,7 +792,8 @@ class TestRieszSymbolDecay:
         fit = fit_decay_exponent(list(zip(centers, peaks)))
         predicted = -min(k, 1.0)
         passed = bool(abs(fit.slope - predicted) <= 0.15)
-        expected = {"fitted": fit, "predicted_slope": predicted, "pass": passed,
+        expected = {"fitted": fit, "samples": list(zip(centers, peaks)),
+                    "predicted": predicted, "pass": passed,
                     "checks": [{"name": "slope", "value": abs(fit.slope - predicted),
                                 "relation": "<=", "bound": 0.15, "pass": passed}]}
         calls = []

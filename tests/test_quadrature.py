@@ -11,19 +11,24 @@ from scipy import integrate
 from oscimax import (
     ConvergenceError,
     CutoffProfile,
+    LatticeGrid,
     SymbolParams,
+    combination_rate_experiment,
     dyadic_band_ratio,
     dyadic_tail_order,
     fit_decay_exponent,
-    fourier_cosine_mu,
     fourier_cosine_mu_derivative,
     fourier_cosine_mu_dyadic,
+    pure_mode,
+    riesz_symbol_decay_check,
     small_tau_exponent,
+    verify_kernel_decay,
     verify_small_tau_decay,
 )
 from oscimax import quadrature
-from oscimax.quadrature import _breakpoints, _panel_values, _phase_density
-from oscimax.symbols import dyadic_bump, phi_cutoff, psi0
+from oscimax.quadrature import _breakpoints, _panel_values, _phase_density, decay_law
+from oscimax.symbols import dyadic_bump, phi_cutoff
+from oracles import fourier_cosine_mu, psi0
 
 PROFILE = CutoffProfile()
 
@@ -325,6 +330,113 @@ class TestFitRate:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_decay_exponent([(1e-3, 1e-20), (1e-2, 1e-20)], floor=self.FLOOR)
+
+
+class TestDecayLaw:
+    """`decay_law` builds, on each branch, the check the five sites built
+    before it, and returns the samples it fitted."""
+
+    TAUS = np.geomspace(1e-3, 1e-1, 9)
+
+    def power_law(self, exponent, scale=3.0):
+        return [(float(t), scale * t**exponent) for t in self.TAUS]
+
+    def test_two_sided_slope(self):
+        samples = self.power_law(-0.5)
+        fit = fit_decay_exponent(samples)
+        got = decay_law(samples, -0.4, 0.2)
+        assert got == {
+            "fitted": fit,
+            "samples": samples,
+            "predicted": -0.4,
+            "checks": [{"name": "slope", "value": abs(fit.slope + 0.4), "relation": "<=",
+                        "bound": 0.2, "pass": True}],
+            "pass": True,
+        }
+        assert not decay_law(samples, -0.8, 0.2)["pass"]
+
+    def test_complex_values_fit_their_modulus(self):
+        samples = [(t, v * np.exp(1j * t)) for t, v in self.power_law(-0.5)]
+        assert decay_law(samples, -0.5, 0.2)["fitted"] == fit_decay_exponent(self.power_law(-0.5))
+        assert decay_law(samples, -0.5, 0.2)["samples"] == samples
+
+    def test_a_positive_prediction_without_a_spread_is_a_slope(self):
+        """`rate-riesz`'s check: slope 1 within 0.05."""
+        samples = self.power_law(1.0)
+        fit = fit_decay_exponent(samples)
+        assert decay_law(samples, 1.0, 0.05)["checks"] == [
+            {"name": "slope", "value": abs(fit.slope - 1.0), "relation": "<=", "bound": 0.05,
+             "pass": True}
+        ]
+
+    def test_one_sided_rate(self):
+        samples = self.power_law(2.0)
+        fit = fit_decay_exponent(samples, floor=0.0)
+        got = decay_law(samples, 1.5, 0.1, floor=0.0, one_sided=True)
+        assert got["checks"] == [
+            {"name": "rate", "value": fit.slope, "relation": ">=", "bound": 1.5 - 0.1, "pass": True}
+        ]
+        failed = decay_law(samples, 3.0, 0.1, floor=0.0, one_sided=True)
+        assert failed["checks"][0]["bound"] == 3.0 - 0.1
+        assert not failed["pass"]
+
+    def test_bounded_with_a_spread(self):
+        samples = self.power_law(0.1)
+        got = decay_law(samples, 0.25, 0.2, spread=4.0)
+        assert got["checks"] == [
+            {"name": "bounded", "value": 4.0, "relation": "<=", "bound": 10.0, "pass": True}
+        ]
+        assert not decay_law(samples, 0.0, 0.2, spread=10.5)["pass"]
+        # a negative prediction judges the slope, whatever the spread
+        assert decay_law(samples, -0.1, 0.2, spread=4.0)["checks"][0]["name"] == "slope"
+
+    def test_floor_drops_samples(self):
+        samples = self.power_law(2.0, scale=1.0)
+        samples[:3] = [(t, 0.0) for t, _ in samples[:3]]
+        samples[3] = (samples[3][0], 1e-300)
+        got = decay_law(samples, 2.0, 0.1, floor=1e-200, one_sided=True)
+        assert got["fitted"] == fit_decay_exponent(samples[4:])
+        assert got["fitted"].sample_count == 5
+        assert got["samples"] == samples
+
+    def test_too_few_samples_above_the_floor(self):
+        samples = self.power_law(2.0)
+        samples[:5] = [(t, 0.0) for t, _ in samples[:5]]
+        with pytest.raises(ValueError, match="above the floor"):
+            decay_law(samples, 2.0, 0.1, floor=0.0)
+
+
+class TestDecayLawSamples:
+    """Each caller of `decay_law` returns the pairs it fitted: refitting
+    them gives the same fit."""
+
+    @staticmethod
+    def refit(report, floor=None):
+        return fit_decay_exponent([(s, abs(v)) for s, v in report["samples"]], floor=floor)
+
+    def test_small_tau_decay(self):
+        rep = verify_small_tau_decay(SymbolParams(0.5, 0.5), PROFILE, 0, 0.02, 0.1, n_samples=5)
+        assert all(isinstance(v, complex) for _, v in rep["samples"])
+        assert self.refit(rep) == rep["fitted"]
+
+    def test_kernel_decay(self):
+        t = 0.5
+        radii = np.geomspace(0.05, 1.0, 6) * t
+        rep = verify_kernel_decay(SymbolParams(0.5, 0.5), PROFILE, t, radii, M_cap=2000)
+        assert [s for s, _ in rep["samples"]] == list(radii / t)
+        assert self.refit(rep) == rep["fitted"]
+
+    def test_riesz_symbol_envelope(self):
+        rep = riesz_symbol_decay_check(1.0, 0.5, 100.0, 1000.0, 5, 8)
+        assert len(rep["samples"]) == 5
+        assert self.refit(rep) == rep["fitted"]
+
+    def test_combination_rate(self):
+        f = pure_mode(LatticeGrid(1, 64), (5,))
+        times = np.geomspace(1e-4, 1e-2, 8)
+        rep = combination_rate_experiment(f, 0.5, 0.75, 0.5, times=times, N=2)
+        assert [t for t, _ in rep["samples"]] == list(times)
+        assert self.refit(rep, floor=0.0) == rep["fitted"]
 
 
 class TestFourierCosineMu:

@@ -16,9 +16,9 @@ from oscimax import (
     dyadic_bump,
     mu_symbol,
     phi_cutoff,
-    psi0,
     riesz_mean_symbol,
 )
+from oracles import psi0
 
 PROFILES = [CutoffProfile(), CutoffProfile("smoothstep_poly", 4), CutoffProfile("smooth_exp")]
 KINDS = [CutoffProfile(), CutoffProfile("smooth_exp")]
