@@ -43,6 +43,11 @@ CONFIGS = [
     *(argv for argv, _ in NEGATIVE_CONTROLS),
     *(argv for argv, _ in POSITIVE_CONTROLS),
     ["maximal-sweep", "--dimension", "2", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
+    # a law runner's "bounded" branch, a fractional Riesz order and a T^3 sweep
+    ["symbol-decay", "--beta", "3"],
+    ["kernel-decay", "--beta", "0.9", "--m-cap", "20000", "--n-samples", "6"],
+    ["rate-riesz", "--k", "0.5"],
+    ["maximal-sweep", "--dimension", "3", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
 ]
 
 # A number not inside a word: "4" in "x1" or "0.5" in "v0.5" is not one.
