@@ -200,33 +200,47 @@ def _fit_dict(fit) -> dict:
     return {**dataclasses.asdict(fit), "tau_range": list(fit.tau_range)}
 
 
+def _law_report(experiment, report, predicted_key, header, rows, *checks):
+    """A power-law runner's summary, of `decay_law`'s report and further
+    `checks`, and its CSV of `rows` under `header`."""
+    return {
+        "fitted": _fit_dict(report["fitted"]),
+        predicted_key: report["predicted"],
+        "checks": [*report["checks"], *checks],
+    }, {f"{experiment}.csv": _csv(header, rows)}
+
+
+def _symbol(config):
+    """A config's (SymbolParams, CutoffProfile)."""
+    profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
+    return SymbolParams(config["alpha"], config["beta"]), profile
+
+
+def _complex_row(coordinate, v):
+    """The CSV row (coordinate, re, im, modulus) of a complex sample."""
+    return coordinate, v.real, v.imag, abs(v)
+
+
 def _run_symbol_decay(config):
     """small-tau blow-up exponent of the cosine transform of the oscillating
     symbol (and its tau-derivatives) against the predicted
     -L/(1-alpha) + (alpha-2+2*beta)/(2*(1-alpha))"""
-    params = SymbolParams(config["alpha"], config["beta"])
-    profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
     report = verify_small_tau_decay(
-        params,
-        profile,
+        *_symbol(config),
         config["L"],
         config["tau_lo"],
         config["tau_hi"],
         n_samples=config["n_samples"],
     )
-    rows = [(tau, v.real, v.imag, abs(v)) for tau, v in report["samples"]]
-    return {
-        "predicted_exponent": report["predicted"],
-        "fitted": _fit_dict(report["fitted"]),
-        "checks": report["checks"],
-    }, {"symbol-decay.csv": _csv(["tau", "re", "im", "modulus"], rows)}
+    rows = [_complex_row(*sample) for sample in report["samples"]]
+    header = ["tau", "re", "im", "modulus"]
+    return _law_report("symbol-decay", report, "predicted_exponent", header, rows)
 
 
 def _run_dyadic_decay(config):
     """outer-region decay order and middle-region normalized magnitude of the
     frequency-localized transform pieces"""
-    params = SymbolParams(config["alpha"], config["beta"])
-    profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
+    params, profile = _symbol(config)
     tail = dyadic_tail_order(
         params,
         profile,
@@ -236,7 +250,7 @@ def _run_dyadic_decay(config):
         n_samples=config["n_samples"],
     )
     band = dyadic_band_ratio(params, profile)
-    rows = [(s, v.real, v.imag, abs(v)) for s, v in tail["samples"]]
+    rows = [_complex_row(*sample) for sample in tail["samples"]]
     fit = tail["fitted"]
     order = -fit.slope
     return {
@@ -254,8 +268,7 @@ def _run_dyadic_decay(config):
 def _run_kernel_decay(config):
     """near-diagonal decay of the 1-D kernel lattice sum against the predicted
     x/t power law, with truncation-doubling stability"""
-    params = SymbolParams(config["alpha"], config["beta"])
-    profile = CutoffProfile(config["cutoff_kind"], config["cutoff_order"])
+    params, profile = _symbol(config)
     t = config["t"]
     ratios = np.geomspace(config["ratio_lo"], config["ratio_hi"], config["n_samples"])
     radii = ratios * t
@@ -268,13 +281,11 @@ def _run_kernel_decay(config):
     rows = []
     for x, u in zip(radii, ratios):
         v = kernel_lattice_sum(params, profile, t, float(x), eps=config["eps"], M_cap=config["m_cap"])
-        rows.append((float(u), v.real, v.imag, abs(v)))
+        rows.append(_complex_row(float(u), v))
     delta = abs(doubled["fitted"].slope - report["fitted"].slope)
-    return {
-        "fitted": _fit_dict(report["fitted"]),
-        "predicted_slope": report["predicted"],
-        "checks": [*report["checks"], check("m_cap_doubling_delta", delta, "<", 0.05)],
-    }, {"kernel-decay.csv": _csv(["x_over_t", "re", "im", "modulus"], rows)}
+    header = ["x_over_t", "re", "im", "modulus"]
+    return _law_report("kernel-decay", report, "predicted_slope", header, rows,
+                       check("m_cap_doubling_delta", delta, "<", 0.05))
 
 
 def _times(config):
@@ -299,12 +310,7 @@ def _run_rate_combo(config):
         times=times,
         N=config["N"] or None,
     )
-    rows = [(float(t), float(e)) for t, e in report["samples"]]
-    return {
-        "fitted": _fit_dict(report["fitted"]),
-        "predicted_rate": report["predicted"],
-        "checks": report["checks"],
-    }, {"rate-combo.csv": _csv(["t", "error"], rows)}
+    return _law_report("rate-combo", report, "predicted_rate", ["t", "error"], report["samples"])
 
 
 def _run_rate_riesz(config):
@@ -318,11 +324,7 @@ def _run_rate_riesz(config):
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients
         rows.append((float(t), float(np.sqrt(np.sum(np.abs(diff) ** 2)))))
     report = decay_law(rows, 1.0, 0.05)
-    return {
-        "fitted": _fit_dict(report["fitted"]),
-        "predicted_slope": report["predicted"],
-        "checks": report["checks"],
-    }, {"rate-riesz.csv": _csv(["t", "error"], rows)}
+    return _law_report("rate-riesz", report, "predicted_slope", ["t", "error"], rows)
 
 
 def _run_atom_uniformity(config):
@@ -363,12 +365,8 @@ def _run_maximal_sweep(config):
     reach = config["sigma"] * np.max(grid.eigenvalue_array(), where=f.coefficients != 0, initial=0.0)
     if reach <= 1.0:
         raise ValueError(f"sigma * max |xi| = {reach} <= 1: the symbol vanishes on every mode")
-
-    def family(t, g):
-        return oscillating_op(g, params, profile, t)
-
-    maxima = maximal_over_times(f, family, time_grid.times).samples
-    fine = maximal_over_times(f, family, time_grid.refined().times).samples
+    maxima = maximal_over_times(f, oscillating_op, time_grid.times, params, profile).samples
+    fine = maximal_over_times(f, oscillating_op, time_grid.refined().times, params, profile).samples
     delta = float(np.max(fine - maxima))
     monotone = check("monotone", np.min(fine - maxima), ">=", -1e-15)
 

@@ -16,7 +16,7 @@ import numpy.random
 from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
 from .operators import TimeGrid, apply_multiplier, maximal_over_times, oscillating_op
 from .quadrature import decay_law
-from .symbols import DEFAULT_PROFILE, SymbolParams
+from .symbols import DEFAULT_PROFILE, SymbolParams, check_alpha
 from .torus import GridField, LatticeGrid, SpectralField, forward_transform, inverse_transform
 
 # Grid samples per block of atoms in `atom_uniformity_experiment`, the size
@@ -38,21 +38,16 @@ def combination_error_symbol(N: int, z):
     return -((-2j * np.sin(half) * np.exp(1j * half)) ** N)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def _error_multiplier(alpha: float, t: float, N: int):
     """lam -> E_N(t lam^alpha), the order-N combination minus the identity
     at time t."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     return lambda lam: combination_error_symbol(N, t * lam**alpha)
 
 
-def combination_apply(f: SpectralField, alpha: float, t: float, N: int) -> SpectralField:
+def combination_apply(f: SpectralField, alpha: float, N: int, t: float) -> SpectralField:
     """sum_k c_k * propagate(f, alpha, k*t), as the one multiplier
     1 + E_N(t |xi|^alpha)."""
     error = _error_multiplier(alpha, t, N)
@@ -82,7 +77,7 @@ def combination_rate_experiment(
         raise ValueError(f"need at least {_MIN_RATE_SAMPLES} times to fit a rate, got {len(times)}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     n = f.grid.dimension
     if beta < n * alpha * (1.0 / p - 0.5) - 1e-12:
         raise ValueError(
@@ -127,16 +122,13 @@ def atom_uniformity_experiment(
         for i, r in enumerate(radii)
     ]
 
-    def family(t, g):
-        return oscillating_op(g, params, DEFAULT_PROFILE, t)
-
     def block_quasinorms(block):
         """One maximal function for a block of atoms: each time's symbol and
         FFT serve the whole block."""
         samples = np.stack([make_regular_atom(spec, grid).field.samples for spec in block])
         stack = forward_transform(GridField(grid, samples, stacked=True))
         del samples
-        maximal = maximal_over_times(stack, family, time_grid.times)
+        maximal = maximal_over_times(stack, oscillating_op, time_grid.times, params, DEFAULT_PROFILE)
         return [weak_lp_quasinorm(GridField(grid, row), p) for row in maximal.samples]
 
     per_block = max(1, _ATOM_BLOCK_SAMPLES // math.prod(grid.spatial_shape))

@@ -18,9 +18,7 @@ import numpy as np
 import numpy.random
 
 from .operators import apply_multiplier, maximal_over_times
-from .torus import GridField, LatticeGrid, SpectralField, grid_norm
-
-PERIOD = 2.0 * np.pi
+from .torus import PERIOD, GridField, LatticeGrid, SpectralField, grid_norm
 
 # Seeds tried before a degenerate projection is reported as non-convergence.
 _MAX_RETRIES = 8
@@ -203,7 +201,7 @@ def hp_quasinorm_estimate(f: SpectralField, p: float, heat_times=None) -> float:
             "smallest heat time does not resolve the field's top mode "
             f"(need t_min <= {np.log(2.0) / lam_max**2:.3g})"
         )
-    maximal = maximal_over_times(f, lambda t, g: heat_semigroup(g, t), np.sort(heat_times))
+    maximal = maximal_over_times(f, heat_semigroup, np.sort(heat_times))
     return grid_norm(maximal, p)
 
 

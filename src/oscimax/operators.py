@@ -13,6 +13,7 @@ from .quadrature import decay_law
 from .symbols import (
     CutoffProfile,
     SymbolParams,
+    check_alpha,
     mu_symbol,
     riesz_mean_symbol,
 )
@@ -104,26 +105,28 @@ def riesz_mean_op(f: SpectralField, k: float, alpha: float, t: float) -> Spectra
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    return apply_multiplier(f, lambda lam: riesz_mean_symbol(k, alpha, t * lam**alpha))
+    check_alpha(alpha)
+    return apply_multiplier(f, lambda lam: riesz_mean_symbol(k, t * lam**alpha))
 
 
-def maximal_over_times(f: SpectralField, family, times) -> GridField:
-    """Pointwise max over `times` of |inverse_transform(family(t, f))|, as
-    real samples; for a stack, one maximum per member.
+def maximal_over_times(f: SpectralField, op, times, *args) -> GridField:
+    """Pointwise max over `times` of |inverse_transform(op(f, *args, t))|,
+    as real samples; for a stack, one maximum per member.
 
-    `family` maps a time t and a field to a fresh field: its coefficients
-    must be a C-contiguous array that shares no memory with f's (a family
-    that returns f itself raises ValueError), since the sweep transforms
-    each slice in place and so overwrites it.  One slice holds only its
-    product; the magnitudes of every slice after the first go into one
-    buffer kept for the whole sweep.  `times` is increasing (a TimeGrid's
-    `.times`); they are reduced in that fixed order for bit-stable results.
+    `op` takes its time last, as `oscillating_op` and `heat_semigroup` do,
+    and returns a fresh field: a C-contiguous array sharing no memory with
+    f's (an op that returns f itself raises ValueError), since the sweep
+    transforms each slice in place and so overwrites it.  One slice holds
+    only its product; the magnitudes of every slice after the first go into
+    one buffer kept for the whole sweep.  `times` is increasing (a
+    TimeGrid's `.times`); they are reduced in that fixed order for
+    bit-stable results.
     """
     best = mag = None
     for t in times:
-        g = family(t, f)
+        g = op(f, *args, t)
         if np.may_share_memory(g.coefficients, f.coefficients):
-            raise ValueError("family must return a fresh field, not memory shared with f")
+            raise ValueError("op must return a fresh field, not memory shared with f")
         samples = inverse_transform(g, out=g.coefficients).samples
         del g
         if best is None:
@@ -278,7 +281,8 @@ def riesz_symbol_decay_check(
     n_windows: int = 40,
     samples_per_window: int = 48,
 ) -> dict:
-    """Fit the upper envelope of |riesz_mean_symbol| against z.
+    """Fit the upper envelope of |riesz_mean_symbol| against z, which does
+    not depend on alpha: alpha enters only through z = t |xi|^alpha.
 
     The envelope is taken as the maximum over local windows each covering at
     least one full 2pi oscillation.  The symbol is 1F1(1; k+1; iz), whose
@@ -297,5 +301,5 @@ def riesz_symbol_decay_check(
     lo = edges[:-1]
     hi = np.maximum(edges[1:], lo + 2.5 * np.pi)
     zs = np.linspace(lo, hi, samples_per_window, axis=1)  # one window per row
-    peaks = np.max(np.abs(riesz_mean_symbol(k, alpha, zs)), axis=1)
+    peaks = np.max(np.abs(riesz_mean_symbol(k, zs)), axis=1)
     return decay_law(list(zip(np.sqrt(lo * hi), peaks)), -min(k, 1.0), 0.15)

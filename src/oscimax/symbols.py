@@ -20,6 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse an oscillation exponent outside (0, 1), where every alpha of
+    the library lies."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class SymbolParams:
     """Oscillation exponent alpha in (0,1) and decay exponent beta > 0."""
@@ -28,8 +35,7 @@ class SymbolParams:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.beta <= 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
@@ -161,13 +167,10 @@ _RIESZ_SERIES_TAIL = 2.0**-70
 _GLAG48 = np.polynomial.laguerre.laggauss(48)
 
 
-def riesz_mean_symbol(k: float, alpha: float, z):
-    """Per-frequency Riesz-mean factor k * integral_0^1 (1-r)^{k-1} e^{izr} dr.
-
-    alpha enters only through z = t * lam^alpha and is accepted for interface
-    symmetry with the diagonal operators; the value depends on (k, z) alone.
-    Elementwise in z: a complex for scalar z, else a complex array of z's
-    shape.
+def riesz_mean_symbol(k: float, z):
+    """Per-frequency Riesz-mean factor k * integral_0^1 (1-r)^{k-1} e^{izr} dr
+    at z = t * lam^alpha.  Elementwise in z: a complex for scalar z, else a
+    complex array of z's shape.
 
     For |z| <= 8 the series sum_n (i|z|)^n Gamma(k+1)/Gamma(n+k+1) is summed
     by Horner's rule, from the first n whose term is below 2^-70 at the

@@ -389,6 +389,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == "invalid parameters: alpha must lie in (0, 1), got 0.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["-1", "0", "1.5"])
+    def test_riesz_alpha_outside_unit_interval_is_usage_error(self, tmp_path, capsys, alpha):
+        """rate-riesz takes its alpha from the one check every other alpha
+        meets: refused before lam**alpha divides by zero, with one line, no
+        warning and no report."""
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rate-riesz", "--alpha", alpha, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"invalid parameters: alpha must lie in (0, 1), got {float(alpha)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "m_cap, summed", [("1000000000000", 2 * 10**12), ("8388609", 2**24 + 2), ("0", 0)]
     )
@@ -579,9 +592,7 @@ class TestReports:
         times = TimeGrid(
             sigma=config["sigma"], count=config["time_count"], span_octaves=config["span_octaves"]
         ).times
-        maxima = maximal_over_times(
-            f, lambda t, g: oscillating_op(g, params, CutoffProfile(), t), times
-        ).samples
+        maxima = maximal_over_times(f, oscillating_op, times, params, CutoffProfile()).samples
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         coords = grid.coords_1d

@@ -49,9 +49,7 @@ def per_atom_quasinorms(grid, p, alpha, beta, atom_count, seed, time_grid):
         spec = AtomSpec(p=p, center=center, radius=float(r), seed=seed + i)
         atom = make_regular_atom(spec, grid)
         maximal = maximal_over_times(
-            forward_transform(atom.field),
-            lambda t, g: oscillating_op(g, params, DEFAULT_PROFILE, t),
-            time_grid.times,
+            forward_transform(atom.field), oscillating_op, time_grid.times, params, DEFAULT_PROFILE
         )
         quasinorms.append(weak_lp_quasinorm(maximal, p))
     return np.array(quasinorms)
@@ -179,7 +177,7 @@ class TestCombinationApply:
         m = 9
         f = pure_mode(grid, (m,))
         for t in (1e-3, 1e-2):
-            diff = combination_apply(f, 0.5, t, 3).coefficients - f.coefficients
+            diff = combination_apply(f, 0.5, 3, t).coefficients - f.coefficients
             err = np.max(np.abs(inverse_transform(SpectralField(grid, diff)).samples))
             scalar = abs(taylor_remainder(binomial_candidate(3), t * m**0.5))
             assert err == pytest.approx(scalar, abs=1e-12)
@@ -190,7 +188,7 @@ class TestCombinationApply:
         grid = LatticeGrid(dimension, n_modes)
         f = random_spectral_field(grid, np.random.default_rng(N), band_limit=n_modes // 4)
         for t in (1e-2, 0.3):
-            got = combination_apply(f, 0.5, t, N).coefficients
+            got = combination_apply(f, 0.5, N, t).coefficients
             expected = propagated_sum(f, 0.5, t, N).coefficients
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -198,15 +196,15 @@ class TestCombinationApply:
         grid = LatticeGrid(1, 16)
         f = pure_mode(grid, (1,))
         with pytest.raises(ValueError, match="t must be positive"):
-            combination_apply(f, 0.5, 0.0, 2)
+            combination_apply(f, 0.5, 2, 0.0)
 
     def test_alpha_and_order_validation(self):
         grid = LatticeGrid(1, 16)
         f = pure_mode(grid, (1,))
         with pytest.raises(ValueError, match="alpha must lie in"):
-            combination_apply(f, 1.0, 0.1, 2)
+            combination_apply(f, 1.0, 2, 0.1)
         with pytest.raises(ValueError, match="N must lie in"):
-            combination_apply(f, 0.5, 0.1, 13)
+            combination_apply(f, 0.5, 13, 0.1)
 
 
 class TestTaylorRemainder:

@@ -165,7 +165,7 @@ class TestDiagonalOperators:
         grid = LatticeGrid(1, 32)
         f = pure_mode(grid, (6,))
         out = riesz_mean_op(f, 2.0, 0.5, 0.1)
-        expected = riesz_mean_symbol(2.0, 0.5, 0.1 * 6.0**0.5)
+        expected = riesz_mean_symbol(2.0, 0.1 * 6.0**0.5)
         assert out.coefficients[6] == pytest.approx(expected, abs=1e-12)
 
     def test_riesz_mean_zero_mode_passthrough(self):
@@ -173,6 +173,14 @@ class TestDiagonalOperators:
         f = pure_mode(grid, (0,))
         out = riesz_mean_op(f, 2.0, 0.5, 0.1)
         assert out.coefficients[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 1.5])
+    def test_riesz_mean_alpha_outside_unit_interval_is_refused(self, alpha):
+        """alpha meets the check of SymbolParams: at alpha = 0 the zero mode
+        would get z = t, and below 0 lam**alpha divides by zero."""
+        f = pure_mode(LatticeGrid(1, 32), (0,))
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            riesz_mean_op(f, 2.0, alpha, 0.1)
 
     def test_riesz_mean_2d_matches_symbol(self):
         """In 2-D each coefficient is scaled by the symbol at t |xi|^alpha;
@@ -184,7 +192,7 @@ class TestDiagonalOperators:
         lam = grid.eigenvalue_array()
         z = t * lam**alpha
         assert z.max() > 8.0
-        symbol = np.array([riesz_mean_symbol(k, alpha, float(v)) for v in z.ravel()])
+        symbol = np.array([riesz_mean_symbol(k, float(v)) for v in z.ravel()])
         np.testing.assert_allclose(
             out.coefficients, f.coefficients * symbol.reshape(lam.shape), rtol=0, atol=1e-15
         )
@@ -199,12 +207,8 @@ class TestMaximalOverTimes:
         f = random_spectral_field(grid, np.random.default_rng(5), band_limit=20)
         params = SymbolParams(0.5, 0.75)
         tg = TimeGrid(count=12, span_octaves=8)
-
-        def family(t, g):
-            return oscillating_op(g, params, PROFILE, t)
-
-        coarse = maximal_over_times(f, family, tg.times).samples
-        fine = maximal_over_times(f, family, tg.refined().times).samples
+        coarse = maximal_over_times(f, oscillating_op, tg.times, params, PROFILE).samples
+        fine = maximal_over_times(f, oscillating_op, tg.refined().times, params, PROFILE).samples
         assert np.all(fine >= coarse - 1e-15)
 
     def test_dominates_single_time(self):
@@ -212,12 +216,8 @@ class TestMaximalOverTimes:
         f = random_spectral_field(grid, np.random.default_rng(6), band_limit=10)
         params = SymbolParams(0.5, 0.75)
         tg = TimeGrid(count=8, span_octaves=4)
-
-        def family(t, g):
-            return oscillating_op(g, params, PROFILE, t)
-
-        maximal = maximal_over_times(f, family, tg.times).samples
-        one = np.abs(inverse_transform(family(tg.times[3], f)).samples)
+        maximal = maximal_over_times(f, oscillating_op, tg.times, params, PROFILE).samples
+        one = np.abs(inverse_transform(oscillating_op(f, params, PROFILE, tg.times[3])).samples)
         assert np.all(maximal >= one - 1e-15)
 
 
@@ -229,12 +229,8 @@ class TestMaximalOverTimes:
         f = random_spectral_field(grid, np.random.default_rng(7), band_limit=modes / 4)
         params = SymbolParams(0.5, 0.75)
         times = TimeGrid(count=6, span_octaves=6).times
-
-        def family(t, g):
-            return oscillating_op(g, params, PROFILE, t)
-
-        maximal = maximal_over_times(f, family, times).samples
-        slices = [np.abs(inverse_transform(family(t, f)).samples) for t in times]
+        maximal = maximal_over_times(f, oscillating_op, times, params, PROFILE).samples
+        slices = [np.abs(inverse_transform(oscillating_op(f, params, PROFILE, t)).samples) for t in times]
         assert maximal.dtype == np.float64
         assert np.array_equal(maximal, np.max(slices, axis=0))
 
@@ -242,11 +238,8 @@ class TestMaximalOverTimes:
         grid = LatticeGrid(2, 32)
         f = random_spectral_field(grid, np.random.default_rng(3), band_limit=8)
         times = TimeGrid(count=5, span_octaves=6).times
-
-        def family(t, g):
-            return oscillating_op(g, SymbolParams(0.5, 0.75), PROFILE, t)
-
-        want = maximal_over_times(f, family, times).samples
+        args = (SymbolParams(0.5, 0.75), PROFILE)
+        want = maximal_over_times(f, oscillating_op, times, *args).samples
         in_place = []
 
         def spy(F, out=None):
@@ -254,7 +247,7 @@ class TestMaximalOverTimes:
             return inverse_transform(F, out=out)
 
         monkeypatch.setattr(operators, "inverse_transform", spy)
-        got = maximal_over_times(f, family, times).samples
+        got = maximal_over_times(f, oscillating_op, times, *args).samples
         assert in_place == [True] * len(times)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -264,17 +257,17 @@ class TestMaximalOverTimes:
         grid = LatticeGrid(1, 32)
         f = random_spectral_field(grid, np.random.default_rng(4), band_limit=8)
         before = f.coefficients.copy()
-        families = [
-            lambda t, g: g,
-            lambda t, g: SpectralField(g.grid, g.coefficients[:]),
+        ops = [
+            lambda g, t: g,
+            lambda g, t: SpectralField(g.grid, g.coefficients[:]),
         ]
-        for family in families:
-            assert np.may_share_memory(family(0.5, f).coefficients, f.coefficients)
+        for op in ops:
+            assert np.may_share_memory(op(f, 0.5).coefficients, f.coefficients)
             with pytest.raises(ValueError, match="fresh field"):
-                maximal_over_times(f, family, [0.25, 0.5])
+                maximal_over_times(f, op, [0.25, 0.5])
         assert np.array_equal(f.coefficients, before)
 
-    # lattice, band and family of each sweep whose memory is measured
+    # lattice, band and operator of each sweep whose memory is measured
     SWEEP_MEMORY_CASES = {
         "heat-256": (256, 64, "heat"),
         "oscillating-512": (512, 128, "oscillating"),
@@ -293,28 +286,24 @@ class TestMaximalOverTimes:
         f = random_spectral_field(grid, np.random.default_rng(0), band_limit=band)
         if kind == "heat":
             times = np.geomspace(1e-6, 1e-2, 16)
-
-            def family(t, g):
-                return heat_semigroup(g, t)
+            op, args = heat_semigroup, ()
         else:
             times = TimeGrid(count=16, span_octaves=12).times
-
-            def family(t, g):
-                return oscillating_op(g, SymbolParams(0.5, 0.75), PROFILE, t)
+            op, args = oscillating_op, (SymbolParams(0.5, 0.75), PROFILE)
 
         grid.eigenvalue_array()
         product_set = 0
         for t in times:
             tracemalloc.start()
             try:
-                g = family(t, f)
+                g = op(f, *args, t)
                 product_set = max(product_set, tracemalloc.get_traced_memory()[1] - g.coefficients.nbytes)
             finally:
                 tracemalloc.stop()
             del g
         tracemalloc.start()
         try:
-            maximal_over_times(f, family, times)
+            maximal_over_times(f, op, times, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,14 +356,11 @@ class TestStackedOperators:
         grid = LatticeGrid(dimension, modes)
         c = self.stack(grid, 4, 9)
         times = TimeGrid(count=6, span_octaves=6).times
-
-        def family(t, g):
-            return oscillating_op(g, self.PARAMS, PROFILE, t)
-
-        maximal = maximal_over_times(SpectralField(grid, c, stacked=True), family, times)
+        args = (self.PARAMS, PROFILE)
+        maximal = maximal_over_times(SpectralField(grid, c, stacked=True), oscillating_op, times, *args)
         assert maximal.stacked
         for row, member in zip(maximal.samples, c):
-            single = maximal_over_times(SpectralField(grid, member), family, times).samples
+            single = maximal_over_times(SpectralField(grid, member), oscillating_op, times, *args).samples
             assert np.array_equal(row, single)
 
 
@@ -788,7 +774,7 @@ class TestRieszSymbolDecay:
             hi = max(hi, lo + 2.5 * np.pi)
             centers.append(np.sqrt(lo * hi))
             zs = np.linspace(lo, hi, 48)
-            peaks.append(np.max(np.abs(riesz_mean_symbol(k, 0.5, zs))))
+            peaks.append(np.max(np.abs(riesz_mean_symbol(k, zs))))
         fit = fit_decay_exponent(list(zip(centers, peaks)))
         predicted = -min(k, 1.0)
         passed = bool(abs(fit.slope - predicted) <= 0.15)

@@ -65,7 +65,7 @@ def riesz_every_branch(k: float, z):
     a = np.abs(z)
     small = a <= 8.0
     out = np.empty(z.shape, dtype=complex)
-    out[small] = riesz_mean_symbol(k, 0.5, a[small])
+    out[small] = riesz_mean_symbol(k, a[small])
     big = a[~small]
     integral = np.zeros_like(big, dtype=complex)
     for y, weight in zip(*np.polynomial.laguerre.laggauss(48)):
@@ -373,31 +373,31 @@ class TestMuSymbol:
 class TestRieszSymbol:
     def test_z_zero(self):
         for k in (0.5, 1.0, 2.0, 4.0):
-            assert riesz_mean_symbol(k, 0.5, 0.0) == pytest.approx(1.0)
+            assert riesz_mean_symbol(k, 0.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("z", [0.3, 2.0, 17.5, 240.0])
     def test_against_closed_form_k1(self, z):
-        val = riesz_mean_symbol(1.0, 0.5, z)
+        val = riesz_mean_symbol(1.0, z)
         assert val == pytest.approx(riesz_mean_symbol_closed_form_k1(z), abs=1e-11)
 
     @pytest.mark.parametrize("k", [0.5, 1.3, 2.0])
     def test_against_series_small_z(self, k):
         for z in (0.1, 1.0, 3.0):
-            val = riesz_mean_symbol(k, 0.5, z)
+            val = riesz_mean_symbol(k, z)
             assert val == pytest.approx(riesz_mean_symbol_series(k, z), abs=1e-11)
 
     def test_modulus_at_most_one(self):
         """The symbol is an average of unimodular factors."""
         for k in (0.5, 1.0, 3.0):
             for z in np.linspace(0, 300, 40):
-                assert abs(riesz_mean_symbol(k, 0.5, float(z))) <= 1.0 + 1e-12
+                assert abs(riesz_mean_symbol(k, float(z))) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("z", [100.0, 317.3, 1234.5])
     def test_order_two_closed_form(self, z):
         """k = 2 is exactly 2(1 + iz)/z^2 - 2 e^{iz}/z^2: a non-oscillating
         2/z term plus an oscillating remainder of modulus 2/z^2, so the
         envelope decays like z^-1, not z^-2 (criterion 8)."""
-        val = riesz_mean_symbol(2.0, 0.5, z)
+        val = riesz_mean_symbol(2.0, z)
         exact = complex(2.0 * (1.0 - np.cos(z)) / z**2, 2.0 / z - 2.0 * np.sin(z) / z**2)
         assert val == pytest.approx(exact, abs=1e-12)
         remainder = val - 2.0 * (1.0 + 1j * z) / z**2
@@ -410,7 +410,7 @@ class TestRieszSymbol:
         k = 1.5
         with mpmath.workdps(30):
             oracle = complex(mpmath.hyp1f1(1, k + 1, 1j * z))
-        assert riesz_mean_symbol(k, 0.5, z) == pytest.approx(oracle, abs=1e-12)
+        assert riesz_mean_symbol(k, z) == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("k", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 6.0])
     def test_grid_against_hyp1f1(self, k):
@@ -423,7 +423,7 @@ class TestRieszSymbol:
             oracle = np.array(
                 [complex(mpmath.hyp1f1(1, k + 1, 1j * mpmath.mpf(v))) for v in z]
             )
-        np.testing.assert_allclose(riesz_mean_symbol(k, 0.5, z), oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(riesz_mean_symbol(k, z), oracle, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 6.0])
     def test_short_series_equals_all_64_terms(self, k):
@@ -432,7 +432,7 @@ class TestRieszSymbol:
         rng = np.random.default_rng(11)
         for z_max in np.geomspace(1e-3, 8.0, 12):
             z = np.concatenate([[0.0, z_max, -z_max], z_max * rng.uniform(-1.0, 1.0, 500)])
-            assert np.array_equal(riesz_mean_symbol(k, 0.5, z), riesz_series_64_terms(k, z))
+            assert np.array_equal(riesz_mean_symbol(k, z), riesz_series_64_terms(k, z))
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.5])
     def test_skipped_branches_change_no_bit(self, k):
@@ -447,24 +447,24 @@ class TestRieszSymbol:
             rng.uniform(-50.0, 50.0, (4, 5)),
         ]
         for z in cases:
-            got, want = riesz_mean_symbol(k, 0.5, z), riesz_every_branch(k, z)
+            got, want = riesz_mean_symbol(k, z), riesz_every_branch(k, z)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         for z in (0.0, -0.0, 3.0, -3.0, 30.0, -30.0):
-            got, want = riesz_mean_symbol(k, 0.5, z), riesz_every_branch(k, z)
+            got, want = riesz_mean_symbol(k, z), riesz_every_branch(k, z)
             assert np.array_equal(np.array([got]).view(np.uint64), np.array([want]).view(np.uint64))
 
     def test_scalar_returns_complex(self):
         for z in (0.0, 3.0, -3.0, 30.0, np.float64(30.0)):
-            assert type(riesz_mean_symbol(1.5, 0.5, z)) is complex
+            assert type(riesz_mean_symbol(1.5, z)) is complex
 
     def test_array_shape_and_elementwise(self):
         z = np.array([[0.0, 0.5, -7.9, 8.0], [8.5, -40.0, 317.3, 1e4]])
-        out = riesz_mean_symbol(0.75, 0.5, z)
+        out = riesz_mean_symbol(0.75, z)
         assert out.shape == z.shape
         for idx in np.ndindex(z.shape):
-            assert out[idx] == riesz_mean_symbol(0.75, 0.5, float(z[idx]))
+            assert out[idx] == riesz_mean_symbol(0.75, float(z[idx]))
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            riesz_mean_symbol(0.0, 0.5, 1.0)
+            riesz_mean_symbol(0.0, 1.0)
