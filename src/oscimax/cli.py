@@ -1,11 +1,11 @@
 """Experiment runner: config parsing, dispatch, and machine-readable reports.
 
 Each runner is a pure function of its resolved config: it returns its summary,
-whose verdict is a list of named checks with fixed bounds, and the lines of
-one CSV per sweep; `main` writes them, summary.json and summary.txt only after
-the verdict.  Report bodies are deterministic for a fixed resolved config; the
-only timestamp is the first line of summary.txt, so the rest compares byte
-for byte.
+whose verdict is a list of named checks with fixed bounds, and its sweep:
+CSV lines, or an array that `main` saves as .npy.  `main` writes it and
+summary.json and summary.txt only after the verdict.  Report bodies are
+deterministic for a fixed resolved config; the only timestamp is the first
+line of summary.txt, so the rest compares byte for byte.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 numeric non-convergence.
@@ -316,6 +316,8 @@ def _run_rate_combo(config):
 def _run_rate_riesz(config):
     """single-mode convergence rate of Riesz means of the fractional
     propagator"""
+    if config["mode"] == 0:
+        raise ValueError("mode 0 is the constant mode, which every Riesz mean leaves unchanged")
     grid = LatticeGrid(1, config["n_modes"])
     f = pure_mode(grid, (config["mode"],))
     times = _times(config)
@@ -323,6 +325,8 @@ def _run_rate_riesz(config):
     for t in times:
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients
         rows.append((float(t), float(np.sqrt(np.sum(np.abs(diff) ** 2)))))
+    if not any(error for _, error in rows):
+        raise ValueError(f"every error is 0: the Riesz mean of order k = {config['k']} is the identity to rounding")
     report = decay_law(rows, 1.0, 0.05)
     return _law_report("rate-riesz", report, "predicted_slope", ["t", "error"], rows)
 
@@ -369,22 +373,11 @@ def _run_maximal_sweep(config):
     fine = maximal_over_times(f, oscillating_op, time_grid.refined().times, params, profile).samples
     delta = float(np.max(fine - maxima))
     monotone = check("monotone", np.min(fine - maxima), ">=", -1e-15)
-
-    def lines():
-        """_csv's bytes in chunks of at most 4096 rows, each coordinate formatted once."""
-        cells = [repr(c) + "," for c in grid.coords_1d.tolist()]
-        yield ",".join("xyz"[: grid.dimension]) + ",maximal\r\n"
-        for index in np.ndindex(maxima.shape[:-1]):
-            lead = "".join([cells[i] for i in index])
-            for lo in range(0, len(cells), 4096):
-                ys, vs = cells[lo : lo + 4096], maxima[index][lo : lo + 4096].tolist()
-                yield "".join([lead + y + repr(v) + "\r\n" for y, v in zip(ys, vs)])
-
     return {
         "sup_maximal": float(np.max(maxima)),
         "refinement_delta": delta,
         "checks": [monotone],
-    }, {"maximal-sweep.csv": lines()}
+    }, {"maximal-sweep.npy": maxima}
 
 
 RUNNERS = {
@@ -447,7 +440,7 @@ def main(argv=None) -> int:
         print(f"config error: --out {out_dir}: {existing} is not a directory", file=sys.stderr)
         return EXIT_USAGE
     try:
-        summary, csvs = RUNNERS[args.experiment](config)
+        summary, reports = RUNNERS[args.experiment](config)
     except RuntimeError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
@@ -458,15 +451,19 @@ def main(argv=None) -> int:
     summary["pass"] = all(c["pass"] for c in summary["checks"])
     # e.g. a directory where a report goes: refused before the first write,
     # so that no partial report is left behind
-    for path in (out_dir / name for name in (*csvs, "summary.json", "summary.txt")):
+    for path in (out_dir / name for name in (*reports, "summary.json", "summary.txt")):
         if path.exists() and not path.is_file():
             print(f"cannot write reports: {path} is not a regular file", file=sys.stderr)
             return EXIT_USAGE
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, lines in csvs.items():
-            with open(out_dir / name, "w", newline="") as fh:
-                fh.writelines(lines)
+        for name, report in reports.items():
+            if isinstance(report, np.ndarray):
+                with open(out_dir / name, "wb") as fh:
+                    np.save(fh, report, allow_pickle=False)
+            else:
+                with open(out_dir / name, "w", newline="") as fh:
+                    fh.writelines(report)
         _write_summary(out_dir, args.experiment, config, summary)
     except OSError as exc:
         print(f"cannot write reports: {exc}", file=sys.stderr)

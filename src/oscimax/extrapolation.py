@@ -63,7 +63,8 @@ def combination_rate_experiment(
     N: int | None = None,
 ) -> dict:
     """Convergence-rate check for the order-N combination (default N =
-    floor(beta/alpha) + 1) on a band-limited field at `times` (default 24
+    floor(beta/alpha) + 1, refused for beta/alpha >= 12, where it would
+    pass 12) on a band-limited field at `times` (default 24
     points geometric on [1e-4, 1e-2], at least 5).  The error at t is the
     grid sup of the field under E_N(t|xi|^alpha); only exact zeros are left
     out of the fit, and fewer than 5 nonzero errors, as for a constant
@@ -85,6 +86,8 @@ def combination_rate_experiment(
             f"{n * alpha * (1.0 / p - 0.5)} for p={p}"
         )
     if N is None:
+        if not beta / alpha < 12.0:  # floor(beta/alpha) + 1 > 12, or beta/alpha = inf
+            raise ValueError(f"beta/alpha = {beta / alpha:.6g} is too large for an order in [1, 12]")
         N = math.floor(beta / alpha) + 1
     fields = (apply_multiplier(f, _error_multiplier(alpha, t, N)) for t in times)
     errors = [np.max(np.abs(inverse_transform(g, out=g.coefficients).samples)) for g in fields]

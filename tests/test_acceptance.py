@@ -431,7 +431,8 @@ class TestCriterion12Determinism:
         same_json = (out_a / "summary.json").read_bytes() == (
             out_b / "summary.json"
         ).read_bytes()
-        csv = f"{experiment}.csv"
-        same_csv = (out_a / csv).read_bytes() == (out_b / csv).read_bytes()
-        report(f"criterion 12 determinism ({experiment}): json={same_json} csv={same_csv}")
-        assert same_json and same_csv
+        # maximal-sweep's maxima are one .npy array, every other sweep a CSV
+        name = f"{experiment}.npy" if experiment == "maximal-sweep" else f"{experiment}.csv"
+        same_sweep = (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        report(f"criterion 12 determinism ({experiment}): json={same_json} {name}={same_sweep}")
+        assert same_json and same_sweep

@@ -118,6 +118,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"invalid parameters: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "0"], "mode 0 is the constant mode, which every Riesz mean leaves unchanged"),
+            (["--k", "1e300"], "every error is 0: the Riesz mean of order k = 1e+300 is the identity to rounding"),
+        ],
+        ids=["mode-0", "k-1e300"],
+    )
+    def test_rate_riesz_without_an_error_names_its_cause(self, tmp_path, capsys, argv, message):
+        """A sweep whose every error is exactly 0 is refused by the runner,
+        not by the fit's "all moduli must be positive"."""
+        out = tmp_path / "o"
+        assert main(["rate-riesz", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"invalid parameters: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e-300", "0.0625"])
+    def test_rate_combo_order_past_12_is_one_short_line(self, tmp_path, capsys, alpha):
+        """beta/alpha is checked before floor(beta/alpha) + 1 is formed, so a
+        tiny alpha does not print a 250-digit order."""
+        out = tmp_path / "o"
+        assert main(["rate-combo", "--alpha", alpha, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: beta/alpha = ")
+        assert err.endswith(" is too large for an order in [1, 12]\n")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert not out.exists()
+
     def test_retired_verdict_bound_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "tol.json"
         cfg.write_text(json.dumps({"slope_tol": 0.2}))
@@ -574,13 +602,15 @@ class TestReports:
             ["--dimension", "2", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
             [],
             ["--dimension", "3", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
-            # two chunks of 4096 rows and one of 1808
+            # a 10,000-point circle, not a power of two
             ["--n-modes", "10000", "--band-limit", "64", "--time-count", "4"],
         ],
         ids=["2d", "1d-default", "3d", "1d-chunks"],
     )
     def test_maximal_sweep_csv_golden(self, tmp_path, argv):
-        """The CSV equals csv.writer rows of repr(float(v)) cells, byte for byte."""
+        """The maxima file equals np.save of the recomputed maxima, byte for
+        byte: a C-ordered float64 array of shape (M,)^n whose index i on each
+        axis is the point x_i = 2 pi i / M.  Its max is sup_maximal, bit for bit."""
         out = tmp_path / "rpt"
         assert main(["maximal-sweep", *argv, "--out", str(out)]) == EXIT_PASS
         config = json.loads((out / "summary.json").read_text())["config"]
@@ -593,15 +623,18 @@ class TestReports:
             sigma=config["sigma"], count=config["time_count"], span_octaves=config["span_octaves"]
         ).times
         maxima = maximal_over_times(f, oscillating_op, times, params, CutoffProfile()).samples
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        coords = grid.coords_1d
-        writer.writerow([*"xyz"[: grid.dimension], "maximal"])
-        for index in np.ndindex(maxima.shape):
-            writer.writerow([*(repr(float(coords[i])) for i in index), repr(float(maxima[index]))])
-        written = (out / "maximal-sweep.csv").read_bytes()
-        assert written == expected.getvalue().encode()
-        assert written.count(b"\r\n") == 1 + maxima.size
+        assert maxima.shape == grid.spatial_shape
+        expected = io.BytesIO()
+        np.save(expected, np.ascontiguousarray(maxima, dtype=np.float64), allow_pickle=False)
+        written = (out / "maximal-sweep.npy").read_bytes()
+        assert written == expected.getvalue()
+        loaded = np.load(out / "maximal-sweep.npy", allow_pickle=False)
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        sup = json.loads((out / "summary.json").read_text())["sup_maximal"]
+        assert np.float64(loaded.max()).view(np.uint64) == np.float64(sup).view(np.uint64)
+        assert sorted(path.name for path in out.iterdir()) == [
+            "maximal-sweep.npy", "summary.json", "summary.txt"
+        ]
 
 
 class TestDeterminism:
@@ -623,16 +656,16 @@ class TestDeterminism:
         assert body_a == body_b
 
     def test_three_dimensional_sweep(self, tmp_path):
-        """A 16^3 sweep repeats byte for byte and has a row per lattice point."""
+        """A 16^3 sweep repeats byte for byte and has a maximum per lattice point."""
         args = ["maximal-sweep", "--dimension", "3", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([*args, "--out", str(out_a)]) == EXIT_PASS
         assert main([*args, "--out", str(out_b)]) == EXIT_PASS
-        for name in ("summary.json", "maximal-sweep.csv"):
+        for name in ("summary.json", "maximal-sweep.npy"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        lines = (out_a / "maximal-sweep.csv").read_text().splitlines()
-        assert lines[0] == "x,y,z,maximal"
-        assert len(lines) == 1 + 16**3
+        maxima = np.load(out_a / "maximal-sweep.npy", allow_pickle=False)
+        assert maxima.shape == (16, 16, 16)
+        assert maxima.dtype == np.float64
 
     def test_kernel_decay_repeats_from_a_warm_slot(self, tmp_path):
         """The second run reuses the lattice weights the first one left."""
@@ -683,21 +716,33 @@ class TestVerdictContract:
 class TestRunners:
     @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
     def test_runner_is_pure(self, tmp_path, monkeypatch, argv):
-        """A runner returns its summary and CSV lines and creates no file,
-        not even when its lines are consumed."""
+        """A runner returns its summary and its report, CSV lines or the
+        maximal-sweep's array, and creates no file, not even when its lines
+        are consumed."""
         monkeypatch.chdir(tmp_path)
         args = vars(build_parser().parse_args(argv))
         flags = {k: v for k, v in args.items() if k not in ("experiment", "config", "out")}
-        result = RUNNERS[argv[0]](cli._resolve_config(argv[0], None, flags))
+        config = cli._resolve_config(argv[0], None, flags)
+        result = RUNNERS[argv[0]](config)
         assert isinstance(result, tuple) and len(result) == 2
-        summary, csvs = result
+        summary, reports = result
         assert summary["checks"]
-        assert list(csvs) == [f"{argv[0]}.csv"]
-        for lines in csvs.values():
-            assert "".join(lines).endswith("\r\n")
+        if argv[0] == "maximal-sweep":
+            assert list(reports) == ["maximal-sweep.npy"]
+            (maxima,) = reports.values()
+            assert isinstance(maxima, np.ndarray) and maxima.dtype == np.float64
+            assert maxima.shape == (config["n_modes"],) * config["dimension"]
+            assert float(maxima.max()) == summary["sup_maximal"]
+        else:
+            assert list(reports) == [f"{argv[0]}.csv"]
+            for lines in reports.values():
+                assert "".join(lines).endswith("\r\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+    # maximal-sweep writes its maxima as .npy, which the golden test checks
+    @pytest.mark.parametrize(
+        "argv", [argv for argv in TINY_RUNS if argv[0] != "maximal-sweep"], ids=lambda argv: argv[0]
+    )
     def test_csv_is_what_csv_writer_writes(self, tmp_path, argv):
         """Each CSV equals csv.writer's re-serialization of its own rows."""
         out = tmp_path / "o"

@@ -2,14 +2,16 @@
 "the reports keep their bytes" is a checked claim across commits.
 
 `report_ledger.json` maps each config to its exit code and, per report
-file, the sha256 of its bytes (summary.txt without its timestamp line),
-the sha256 of its text with every number masked, and its numbers.
+file, the sha256 of its bytes (summary.txt without its timestamp line)
+and its numbers; for a text report, the sha256 of its text with every
+number masked, and for a .npy array, its header (dtype descr, order and
+shape) and its values in C order.
 
 Where numpy's version, the platform or numpy's SIMD paths differ from the
 ledger's, the bytes may differ at the last bits, so the test compares the
-masked text exactly and every number to within ULP_BOUND ulps of the
-largest magnitude in its group (its CSV column, or its whole summary file),
-and says so in a warning.
+masked text or the .npy header exactly and every number to within
+ULP_BOUND ulps of the largest magnitude in its group (its CSV column, its
+whole summary file or its whole array), and says so in a warning.
 
 A change that moves report bytes on purpose rewrites the ledger with
 
@@ -79,40 +81,54 @@ def config_id(argv) -> str:
 
 
 def run_reports(argv) -> tuple:
-    """The exit code and the report texts of one in-process run, with
+    """The exit code and the report bytes of one in-process run, with
     summary.txt's timestamp line dropped."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp) / "out"
         code = main([*argv, "--out", str(out)])
-        texts = {path.name: path.read_bytes().decode() for path in sorted(out.iterdir())}
-    texts["summary.txt"] = texts["summary.txt"].split("\n", 1)[1]
-    return code, texts
+        reports = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    reports["summary.txt"] = reports["summary.txt"].split(b"\n", 1)[1]
+    return code, reports
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def digests(text: str) -> dict:
+def npy_header(data: bytes) -> dict:
+    """A .npy file's header: its dtype descr, whether it is Fortran-ordered,
+    and its shape."""
+    fh = io.BytesIO(data)
+    version = np.lib.format.read_magic(fh)
+    read = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+    shape, fortran_order, dtype = read(fh)
+    return {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran_order, "shape": list(shape)}
+
+
+def digests(name: str, data: bytes) -> dict:
+    if name.endswith(".npy"):
+        values = np.load(io.BytesIO(data), allow_pickle=False)
+        return {"sha256": sha256(data), "header": npy_header(data), "numbers": values.ravel().tolist()}
+    text = data.decode()
     return {
-        "sha256": sha256(text),
-        "masked_sha256": sha256(NUMBER.sub("#", text)),
+        "sha256": sha256(data),
+        "masked_sha256": sha256(NUMBER.sub("#", text).encode()),
         "numbers": [float(v) for v in NUMBER.findall(text)],
     }
 
 
-def groups(name: str, text: str, count: int) -> list:
+def groups(name: str, data: bytes, count: int) -> list:
     """Positions of the numbers compared at one scale: each CSV column, or
-    all of a summary file's."""
-    width = text.split("\r\n", 1)[0].count(",") + 1 if name.endswith(".csv") else 1
+    all of a summary file's or an array's."""
+    width = data.split(b"\r\n", 1)[0].count(b",") + 1 if name.endswith(".csv") else 1
     return [range(column, count, width) for column in range(width)]
 
 
 def write_ledger() -> None:
     reports = {}
     for argv in CONFIGS:
-        code, texts = run_reports(argv)
-        files = {name: digests(text) for name, text in texts.items()}
+        code, files = run_reports(argv)
+        files = {name: digests(name, data) for name, data in files.items()}
         reports[config_id(argv)] = {"argv": argv, "exit": code, "files": files}
     ledger = {**environment(), "reports": reports}
     text = json.dumps(ledger, indent=2)
@@ -133,22 +149,23 @@ def test_ledger_covers_every_config(ledger):
 @pytest.mark.parametrize("argv", CONFIGS, ids=config_id)
 def test_reports_match_the_ledger(ledger, argv):
     want = ledger["reports"][config_id(argv)]
-    code, texts = run_reports(argv)
+    code, reports = run_reports(argv)
     assert code == want["exit"]
-    assert list(texts) == list(want["files"])
+    assert list(reports) == list(want["files"])
     if all(ledger[key] == value for key, value in environment().items()):
-        for name, text in texts.items():
-            assert sha256(text) == want["files"][name]["sha256"], name
+        for name, data in reports.items():
+            assert sha256(data) == want["files"][name]["sha256"], name
         return
     bound = NOISY_ULP_BOUND.get(config_id(argv), ULP_BOUND)
     warnings.warn(
         f"{environment()} differs from the ledger's environment: numbers "
         f"compared to {bound} ulps of their group's largest magnitude, not bytes"
     )
-    for name, text in texts.items():
-        got, kept = digests(text), want["files"][name]
-        assert got["masked_sha256"] == kept["masked_sha256"], name
-        for group in groups(name, text, len(kept["numbers"])):
+    for name, data in reports.items():
+        got, kept = digests(name, data), want["files"][name]
+        shape = "header" if name.endswith(".npy") else "masked_sha256"
+        assert got[shape] == kept[shape], name
+        for group in groups(name, data, len(kept["numbers"])):
             scale = math.ulp(max((abs(kept["numbers"][i]) for i in group), default=0.0))
             for i in group:
                 assert abs(got["numbers"][i] - kept["numbers"][i]) <= bound * scale, (name, i)
