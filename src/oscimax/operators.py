@@ -5,6 +5,8 @@ decay checks."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +111,17 @@ def riesz_mean_op(f: SpectralField, k: float, alpha: float, t: float) -> Spectra
     return apply_multiplier(f, lambda lam: riesz_mean_symbol(k, t * lam**alpha))
 
 
+# A sweep of a field of at least this many coefficients (stack included)
+# splits its times between threads; below it, threads cost more than the
+# second core gives back.
+_SPLIT_POINTS = 2**16
+# Threads per sweep at most, each holding one product.
+_SWEEP_WORKERS = 2
+# Samples per step of the fold into the running maximum: each worker's own
+# magnitude buffer holds this many.
+_FOLD_BLOCK = 2**13
+
+
 def maximal_over_times(f: SpectralField, op, times, *args) -> GridField:
     """Pointwise max over `times` of |inverse_transform(op(f, *args, t))|,
     as real samples; for a stack, one maximum per member.
@@ -116,25 +129,71 @@ def maximal_over_times(f: SpectralField, op, times, *args) -> GridField:
     `op` takes its time last, as `oscillating_op` and `heat_semigroup` do,
     and returns a fresh field: a C-contiguous array sharing no memory with
     f's (an op that returns f itself raises ValueError), since the sweep
-    transforms each slice in place and so overwrites it.  One slice holds
-    only its product; the magnitudes of every slice after the first go into
-    one buffer kept for the whole sweep.  `times` is increasing (a
-    TimeGrid's `.times`); they are reduced in that fixed order for
-    bit-stable results.
+    transforms each slice in place and so overwrites it.  `times` holds at
+    least one time.
+
+    A field of at least _SPLIT_POINTS (2^16) coefficients, stack included,
+    splits its times between two threads when the process may run on two
+    CPUs: worker w takes times[w::2], so `op` must be safe to call from two
+    threads at once, as every operator of this library is.  Each worker
+    holds one product, transforms it in place and folds its magnitudes into
+    the shared maximum in blocks of _FOLD_BLOCK (2^13) samples through its
+    own buffer, under a lock; so a sweep holds one real lattice plus, per
+    worker, one complex lattice, one product's temporaries and 64 KiB.  A
+    pointwise maximum is exact and does not depend on order, so the maxima
+    have the same bits for any split.  An error in either worker is raised
+    here once the other has stopped.
     """
-    best = mag = None
-    for t in times:
-        g = op(f, *args, t)
-        if np.may_share_memory(g.coefficients, f.coefficients):
-            raise ValueError("op must return a fresh field, not memory shared with f")
-        samples = inverse_transform(g, out=g.coefficients).samples
-        del g
-        if best is None:
-            best = np.abs(samples)
-            mag = np.empty_like(best)
-        else:
-            np.maximum(best, np.abs(samples, out=mag), out=best)
-        del samples  # no slice outlives its step into the next product
+    times = list(times)
+    if not times:
+        raise ValueError("times must hold at least one time")
+    best = np.zeros(f.coefficients.shape)
+    flat = best.reshape(-1)
+    workers = 1
+    if best.size >= _SPLIT_POINTS:
+        workers = min(_SWEEP_WORKERS, len(os.sched_getaffinity(0)), len(times))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def sweep(share):
+        mag = np.empty(min(_FOLD_BLOCK, flat.size))
+        for t in share:
+            if stop.is_set():
+                return
+            g = op(f, *args, t)
+            if np.may_share_memory(g.coefficients, f.coefficients):
+                raise ValueError("op must return a fresh field, not memory shared with f")
+            samples = inverse_transform(g, out=g.coefficients).samples.reshape(-1)
+            del g
+            for lo in range(0, flat.size, _FOLD_BLOCK):
+                hi = min(lo + _FOLD_BLOCK, flat.size)
+                part = np.abs(samples[lo:hi], out=mag[: hi - lo])
+                with lock:
+                    np.maximum(flat[lo:hi], part, out=flat[lo:hi])
+            del samples  # no slice outlives its step into the next product
+
+    failures = []
+
+    def helper(share):
+        try:
+            sweep(share)
+        except BaseException as error:  # raised in the caller, after the join
+            failures.append(error)
+            stop.set()
+
+    threads = [threading.Thread(target=helper, args=(times[w::workers],)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        sweep(times[::workers])
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return GridField(f.grid, best, f.stacked)
 
 

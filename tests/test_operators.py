@@ -1,6 +1,8 @@
 """Tests for diagonal operators, maximal sweeps, kernel sums, and checks."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,8 @@ from oscimax import (
     verify_kernel_decay,
 )
 from oscimax import hardy, operators
-from oscimax.hardy import heat_semigroup
+from oscimax.hardy import AtomSpec, heat_semigroup, make_regular_atom
+from oscimax.torus import GridField, forward_transform
 from oscimax.symbols import mu_symbol, riesz_mean_symbol
 from oracles import fourier_cosine_mu, schrodinger_propagate
 
@@ -273,14 +276,21 @@ class TestMaximalOverTimes:
         "oscillating-512": (512, 128, "oscillating"),
     }
 
+    def test_empty_times_is_refused(self):
+        f = random_spectral_field(LatticeGrid(1, 32), np.random.default_rng(4), band_limit=8)
+        with pytest.raises(ValueError, match="at least one time"):
+            maximal_over_times(f, oscillating_op, [], SymbolParams(0.5, 0.75), PROFILE)
+
     @pytest.mark.parametrize("name", SWEEP_MEMORY_CASES)
-    def test_sweep_holds_one_product_and_two_real_lattices(self, name):
-        """A sweep peaks at its running maximum and its magnitude buffer
-        (two float lattices), one product (a complex lattice), and the
-        working set of building one product, which is O(_SYMBOL_CHUNK) and
-        measured here per time; 64 KiB cover the row test and the fields'
-        bookkeeping.  A transform into a fresh array would hold a second
-        complex lattice, 1 or 4 MiB here, on top."""
+    def test_sweep_holds_one_product_and_two_real_lattices(self, name, monkeypatch):
+        """A sweep peaks at its running maximum (one float lattice) and, per
+        worker, one product (a complex lattice), the working set of building
+        one product, which is O(_SYMBOL_CHUNK) and measured here per time,
+        and its fold buffer of _FOLD_BLOCK floats; 64 KiB cover the row test,
+        the fields' bookkeeping and the helper thread.  So one worker holds
+        one product and less than two real lattices, and two workers two
+        products.  A transform into a fresh array would hold a second
+        complex lattice, 1 or 4 MiB here, per worker on top."""
         modes, band, kind = self.SWEEP_MEMORY_CASES[name]
         grid = LatticeGrid(2, modes)
         f = random_spectral_field(grid, np.random.default_rng(0), band_limit=band)
@@ -301,15 +311,146 @@ class TestMaximalOverTimes:
             finally:
                 tracemalloc.stop()
             del g
-        tracemalloc.start()
-        try:
-            maximal_over_times(f, op, times, *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        lattice = modes**2
         assert product_set <= 1.5 * 2**20
-        assert peak <= 2 * 8 * lattice + 16 * lattice + product_set + 64 * 2**10, name
+        lattice = modes**2
+        assert lattice >= operators._SPLIT_POINTS
+        monkeypatch.setattr(operators.os, "sched_getaffinity", lambda pid: {0, 1})
+        for workers in (1, 2):
+            monkeypatch.setattr(operators, "_SWEEP_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                maximal_over_times(f, op, times, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_worker = 16 * lattice + product_set + 8 * operators._FOLD_BLOCK
+            assert peak <= 8 * lattice + workers * per_worker + 64 * 2**10, (name, workers)
+
+
+class TestSplitSweep:
+    """A sweep split between threads gives the serial sweep's maxima bit for
+    bit, and an error in either half reaches the caller once every helper
+    thread has stopped.  The split is forced on small lattices by lowering
+    the threshold and reporting two CPUs."""
+
+    PARAMS = SymbolParams(0.5, 0.75)
+
+    @staticmethod
+    def sweep(monkeypatch, workers, f, op, times, *args):
+        monkeypatch.setattr(operators, "_SPLIT_POINTS", 0)
+        monkeypatch.setattr(operators, "_SWEEP_WORKERS", workers)
+        monkeypatch.setattr(operators.os, "sched_getaffinity", lambda pid: set(range(workers)))
+        threads = set()
+
+        def spy(*a):
+            threads.add(threading.get_ident())
+            return op(*a)
+
+        maximal = maximal_over_times(f, spy, times, *args)
+        assert len(threads) == min(workers, len(times))
+        return maximal
+
+    @staticmethod
+    def atom_block(grid, count):
+        specs = [AtomSpec(0.75, (1.0 + 0.3 * i,), 0.2 + 0.02 * i, i) for i in range(count)]
+        samples = np.stack([make_regular_atom(spec, grid).field.samples for spec in specs])
+        return forward_transform(GridField(grid, samples, stacked=True))
+
+    @staticmethod
+    def signed_zeros_and_nan(grid):
+        """A stack whose members hold -0 rows among live ones, a NaN, and
+        nothing but -0."""
+        rng = np.random.default_rng(2)
+        c = rng.standard_normal((3,) + grid.spectral_shape) + 0j
+        c[0, ::3] = -0.0
+        c[1, 5, 7] = np.nan
+        c[2] = complex(-0.0, -0.0)
+        return SpectralField(grid, c, stacked=True)
+
+    def cases(self):
+        tg = TimeGrid(count=16, span_octaves=12)
+        oscillating = (oscillating_op, self.PARAMS, PROFILE)
+        return {
+            "oscillating-512": (
+                lambda: random_spectral_field(LatticeGrid(2, 512), np.random.default_rng(0), band_limit=128),
+                tg.times,
+                oscillating,
+            ),
+            "oscillating-512-64-times": (
+                lambda: random_spectral_field(LatticeGrid(2, 512), np.random.default_rng(1), band_limit=128),
+                TimeGrid(count=64).times,
+                oscillating,
+            ),
+            "oscillating-3d-64": (
+                lambda: random_spectral_field(LatticeGrid(3, 64), np.random.default_rng(0), band_limit=16),
+                tg.times,
+                oscillating,
+            ),
+            "atom-block": (lambda: self.atom_block(LatticeGrid(1, 4096), 5), tg.times, oscillating),
+            "heat": (
+                lambda: random_spectral_field(LatticeGrid(2, 128), np.random.default_rng(3), band_limit=32),
+                np.geomspace(1e-6, 1e-2, 9),
+                (heat_semigroup,),
+            ),
+            "signed-zeros-and-nan": (lambda: self.signed_zeros_and_nan(LatticeGrid(2, 32)), tg.times, oscillating),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["oscillating-512", "oscillating-512-64-times", "oscillating-3d-64", "atom-block", "heat", "signed-zeros-and-nan"],
+    )
+    def test_two_workers_equal_one(self, name, monkeypatch):
+        build, times, (op, *args) = self.cases()[name]
+        f = build()
+        one = self.sweep(monkeypatch, 1, f, op, times, *args).samples
+        two = self.sweep(monkeypatch, 2, f, op, times, *args)
+        assert two.stacked == f.stacked
+        assert np.array_equal(two.samples.view(np.uint64), one.view(np.uint64))
+        if name == "signed-zeros-and-nan":
+            assert np.isnan(one[1]).any() and np.array_equal(one[2].view(np.uint64), np.zeros(one[2].shape, np.uint64))
+
+    def test_more_workers_than_cores_lose_no_update(self, monkeypatch):
+        """Four workers and a short switch interval, folding whole lattices
+        (one block, without the interpreter lock) after an op that costs
+        little more than the transform, overlap their folds as often as they
+        can; a lost update would leave some sample below the serial
+        maximum."""
+        monkeypatch.setattr(operators, "_FOLD_BLOCK", 2**17)
+        f = random_spectral_field(LatticeGrid(1, 2**17), np.random.default_rng(8))
+        scales = np.random.default_rng(9).uniform(0.5, 2.0, 16)
+
+        def op(g, t):
+            return SpectralField(g.grid, g.coefficients * t)
+
+        one = self.sweep(monkeypatch, 1, f, op, scales).samples
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                four = self.sweep(monkeypatch, 4, f, op, scales).samples
+                assert np.array_equal(four.view(np.uint64), one.view(np.uint64))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("half", ["caller", "helper"])
+    def test_error_in_either_half_is_raised_after_the_join(self, half, monkeypatch):
+        """The helper takes times[1::2] and the caller times[0::2]; the op
+        fails at the second time of one of them."""
+        monkeypatch.setattr(operators, "_SPLIT_POINTS", 0)
+        monkeypatch.setattr(operators.os, "sched_getaffinity", lambda pid: {0, 1})
+        f = random_spectral_field(LatticeGrid(2, 32), np.random.default_rng(5), band_limit=8)
+        times = list(TimeGrid(count=8, span_octaves=6).times)
+        bad = times[2] if half == "caller" else times[3]
+
+        def op(g, t):
+            if t == bad:
+                raise RuntimeError(f"op failed at {t}")
+            return oscillating_op(g, self.PARAMS, PROFILE, t)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="op failed"):
+            maximal_over_times(f, op, times)
+        assert threading.active_count() == before
 
 
 class TestStackedOperators:

@@ -50,6 +50,9 @@ CONFIGS = [
     ["kernel-decay", "--beta", "0.9", "--m-cap", "20000", "--n-samples", "6"],
     ["rate-riesz", "--k", "0.5"],
     ["maximal-sweep", "--dimension", "3", "--n-modes", "16", "--band-limit", "4", "--time-count", "4"],
+    # 20 atoms of 4096 modes, 81,920 points: a sweep large enough to split its
+    # times between threads
+    ["atom-uniformity", "--n-modes", "4096", "--atom-count", "20"],
 ]
 
 # A number not inside a word: "4" in "x1" or "0.5" in "v0.5" is not one.
