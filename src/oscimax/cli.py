@@ -371,11 +371,11 @@ def _run_maximal_sweep(config):
         raise ValueError(f"sigma * max |xi| = {reach} <= 1: the symbol vanishes on every mode")
     maxima = maximal_over_times(f, oscillating_op, time_grid.times, params, profile).samples
     fine = maximal_over_times(f, oscillating_op, time_grid.refined().times, params, profile).samples
-    delta = float(np.max(fine - maxima))
-    monotone = check("monotone", np.min(fine - maxima), ">=", -1e-15)
+    rise = fine - maxima
+    monotone = check("monotone", np.min(rise), ">=", -1e-15)
     return {
         "sup_maximal": float(np.max(maxima)),
-        "refinement_delta": delta,
+        "refinement_delta": float(np.max(rise)),
         "checks": [monotone],
     }, {"maximal-sweep.npy": maxima}
 

@@ -117,8 +117,8 @@ def riesz_mean_op(f: SpectralField, k: float, alpha: float, t: float) -> Spectra
 _SPLIT_POINTS = 2**16
 # Threads per sweep at most, each holding one product.
 _SWEEP_WORKERS = 2
-# Samples per step of the fold into the running maximum: each worker's own
-# magnitude buffer holds this many.
+# Samples per step of the fold into the running maximum: each worker's
+# magnitudes of one step are a temporary of at most this many.
 _FOLD_BLOCK = 2**13
 
 
@@ -137,12 +137,13 @@ def maximal_over_times(f: SpectralField, op, times, *args) -> GridField:
     CPUs: worker w takes times[w::2], so `op` must be safe to call from two
     threads at once, as every operator of this library is.  Each worker
     holds one product, transforms it in place and folds its magnitudes into
-    the shared maximum in blocks of _FOLD_BLOCK (2^13) samples through its
-    own buffer, under a lock; so a sweep holds one real lattice plus, per
-    worker, one complex lattice, one product's temporaries and 64 KiB.  A
-    pointwise maximum is exact and does not depend on order, so the maxima
-    have the same bits for any split.  An error in either worker is raised
-    here once the other has stopped.
+    the shared maximum in blocks of _FOLD_BLOCK (2^13) samples, under a
+    lock; so a sweep holds one real lattice plus, per worker, one complex
+    lattice, one product's temporaries and one block's magnitudes, 64 KiB.
+    A pointwise maximum is exact and does not depend on order, so the
+    maxima have the same bits for any split.  The first error in any worker
+    stops every worker before its next time, and is raised here once they
+    have all stopped.
     """
     times = list(times)
     if not times:
@@ -151,47 +152,36 @@ def maximal_over_times(f: SpectralField, op, times, *args) -> GridField:
     flat = best.reshape(-1)
     workers = 1
     if best.size >= _SPLIT_POINTS:
-        workers = min(_SWEEP_WORKERS, len(os.sched_getaffinity(0)), len(times))
+        # macOS and Windows have no sched_getaffinity
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(_SWEEP_WORKERS, cpus, len(times))
     lock = threading.Lock()
-    stop = threading.Event()
-
-    def sweep(share):
-        mag = np.empty(min(_FOLD_BLOCK, flat.size))
-        for t in share:
-            if stop.is_set():
-                return
-            g = op(f, *args, t)
-            if np.may_share_memory(g.coefficients, f.coefficients):
-                raise ValueError("op must return a fresh field, not memory shared with f")
-            samples = inverse_transform(g, out=g.coefficients).samples.reshape(-1)
-            del g
-            for lo in range(0, flat.size, _FOLD_BLOCK):
-                hi = min(lo + _FOLD_BLOCK, flat.size)
-                part = np.abs(samples[lo:hi], out=mag[: hi - lo])
-                with lock:
-                    np.maximum(flat[lo:hi], part, out=flat[lo:hi])
-            del samples  # no slice outlives its step into the next product
-
     failures = []
 
-    def helper(share):
+    def sweep(share):
         try:
-            sweep(share)
+            for t in share:
+                if failures:
+                    return
+                g = op(f, *args, t)
+                if np.may_share_memory(g.coefficients, f.coefficients):
+                    raise ValueError("op must return a fresh field, not memory shared with f")
+                samples = inverse_transform(g, out=g.coefficients).samples.reshape(-1)
+                del g
+                for lo in range(0, flat.size, _FOLD_BLOCK):
+                    part = np.abs(samples[lo : lo + _FOLD_BLOCK])
+                    with lock:
+                        np.maximum(flat[lo : lo + _FOLD_BLOCK], part, out=flat[lo : lo + _FOLD_BLOCK])
+                del samples  # no slice outlives its step into the next product
         except BaseException as error:  # raised in the caller, after the join
             failures.append(error)
-            stop.set()
 
-    threads = [threading.Thread(target=helper, args=(times[w::workers],)) for w in range(1, workers)]
+    threads = [threading.Thread(target=sweep, args=(times[w::workers],)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    try:
-        sweep(times[::workers])
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
+    sweep(times[::workers])
+    for thread in threads:
+        thread.join()
     if failures:
         raise failures[0]
     return GridField(f.grid, best, f.stacked)

@@ -1,8 +1,10 @@
 """Tests for diagonal operators, maximal sweeps, kernel sums, and checks."""
 
 import math
+import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -286,11 +288,11 @@ class TestMaximalOverTimes:
         """A sweep peaks at its running maximum (one float lattice) and, per
         worker, one product (a complex lattice), the working set of building
         one product, which is O(_SYMBOL_CHUNK) and measured here per time,
-        and its fold buffer of _FOLD_BLOCK floats; 64 KiB cover the row test,
-        the fields' bookkeeping and the helper thread.  So one worker holds
-        one product and less than two real lattices, and two workers two
-        products.  A transform into a fresh array would hold a second
-        complex lattice, 1 or 4 MiB here, per worker on top."""
+        and one fold step's magnitudes, _FOLD_BLOCK floats; 64 KiB cover the
+        row test, the fields' bookkeeping and the helper thread.  So one
+        worker holds one product and less than two real lattices, and two
+        workers two products.  A transform into a fresh array would hold a
+        second complex lattice, 1 or 4 MiB here, per worker on top."""
         modes, band, kind = self.SWEEP_MEMORY_CASES[name]
         grid = LatticeGrid(2, modes)
         f = random_spectral_field(grid, np.random.default_rng(0), band_limit=band)
@@ -329,9 +331,10 @@ class TestMaximalOverTimes:
 
 class TestSplitSweep:
     """A sweep split between threads gives the serial sweep's maxima bit for
-    bit, and an error in either half reaches the caller once every helper
-    thread has stopped.  The split is forced on small lattices by lowering
-    the threshold and reporting two CPUs."""
+    bit, and the first error in either half stops the other half before
+    its next time and reaches the caller once every helper thread has
+    stopped.  The split is forced on small lattices by lowering the
+    threshold and reporting two CPUs."""
 
     PARAMS = SymbolParams(0.5, 0.75)
 
@@ -452,6 +455,77 @@ class TestSplitSweep:
         with pytest.raises(RuntimeError, match="op failed"):
             maximal_over_times(f, op, times)
         assert threading.active_count() == before
+
+    def test_first_error_stops_the_other_half(self, monkeypatch):
+        """The caller's op fails at its second time of 64 (times[2]) once
+        the helper has begun, and each helper op sleeps 2 ms, so the
+        helper's 32 times outlast the caller's two.  After the failure the
+        helper starts at most two more ops, not the rest of its share."""
+        monkeypatch.setattr(operators, "_SPLIT_POINTS", 0)
+        monkeypatch.setattr(operators.os, "sched_getaffinity", lambda pid: {0, 1})
+        f = random_spectral_field(LatticeGrid(2, 32), np.random.default_rng(5), band_limit=8)
+        times = list(TimeGrid(count=64).times)
+        caller = threading.get_ident()
+        helper_began = threading.Event()
+        calls = []  # (thread, time) as each op starts
+
+        def op(g, t):
+            calls.append((threading.get_ident(), t))
+            if threading.get_ident() != caller:
+                helper_began.set()
+                time.sleep(2e-3)
+            elif t == times[2]:
+                assert helper_began.wait(10)
+                raise RuntimeError("op failed")
+            return oscillating_op(g, self.PARAMS, PROFILE, t)
+
+        with pytest.raises(RuntimeError, match="op failed"):
+            maximal_over_times(f, op, times)
+        helper = [thread != caller for thread, _ in calls]
+        assert sum(helper[calls.index((caller, times[2])) :]) <= 2
+        assert sum(helper) < 32
+
+    @pytest.mark.parametrize("half", ["caller", "helper"])
+    def test_keyboard_interrupt_in_either_half_reaches_the_caller(self, half, monkeypatch):
+        """A BaseException that is no Exception, raised by the op at the
+        second time of either half, is raised here after the join."""
+        monkeypatch.setattr(operators, "_SPLIT_POINTS", 0)
+        monkeypatch.setattr(operators.os, "sched_getaffinity", lambda pid: {0, 1})
+        f = random_spectral_field(LatticeGrid(2, 32), np.random.default_rng(5), band_limit=8)
+        times = list(TimeGrid(count=8, span_octaves=6).times)
+        bad = times[2] if half == "caller" else times[3]
+
+        def op(g, t):
+            if t == bad:
+                raise KeyboardInterrupt
+            return oscillating_op(g, self.PARAMS, PROFILE, t)
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            maximal_over_times(f, op, times)
+        assert threading.active_count() == before
+
+    def test_no_sched_getaffinity_falls_back_to_cpu_count(self, monkeypatch):
+        """macOS and Windows have no os.sched_getaffinity.  A 256² sweep,
+        which takes the split path, then counts os.cpu_count()'s CPUs and
+        keeps the serial sweep's bits."""
+        f = random_spectral_field(LatticeGrid(2, 256), np.random.default_rng(6), band_limit=64)
+        assert f.coefficients.size >= operators._SPLIT_POINTS
+        times = TimeGrid(count=8, span_octaves=6).times
+        args = (self.PARAMS, PROFILE)
+        with monkeypatch.context() as serial:
+            serial.setattr(operators, "_SWEEP_WORKERS", 1)
+            one = maximal_over_times(f, oscillating_op, times, *args).samples
+        monkeypatch.delattr(operators.os, "sched_getaffinity")
+        threads = set()
+
+        def spy(*a):
+            threads.add(threading.get_ident())
+            return oscillating_op(*a)
+
+        split = maximal_over_times(f, spy, times, *args).samples
+        assert len(threads) == min(operators._SWEEP_WORKERS, os.cpu_count() or 1)
+        assert np.array_equal(split.view(np.uint64), one.view(np.uint64))
 
 
 class TestStackedOperators:
