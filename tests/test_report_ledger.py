@@ -53,6 +53,11 @@ CONFIGS = [
     # 20 atoms of 4096 modes, 81,920 points: a sweep large enough to split its
     # times between threads
     ["atom-uniformity", "--n-modes", "4096", "--atom-count", "20"],
+    # a multiplier chunk whose only nonzero coefficient is the band's edge
+    # row, at xi = (64, 0), among random coefficients
+    ["maximal-sweep", "--dimension", "2", "--n-modes", "256", "--band-limit", "64", "--time-count", "8"],
+    # a pure mode in the middle of its chunk, at a fractional Riesz order
+    ["rate-riesz", "--n-modes", "65536", "--mode", "20001", "--k", "2.5"],
 ]
 
 # A number not inside a word: "4" in "x1" or "0.5" in "v0.5" is not one.
