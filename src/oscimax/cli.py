@@ -34,6 +34,7 @@ from .operators import (
     verify_kernel_decay,
 )
 from .quadrature import (
+    MIN_FIT_SAMPLES,
     check,
     decay_law,
     dyadic_band_ratio,
@@ -134,7 +135,8 @@ def _number(text: str):
 def _check_value(key: str, value, default) -> None:
     """A value must have the type of the experiment's own default for its key;
     where that default is a float, an int is accepted too.  A number must fit
-    a float: nan, +-inf and larger integers are refused."""
+    a float: nan, +-inf and larger integers are refused.  Every n_samples
+    feeds a power-law fit, and the ratios end a geometric sequence."""
     if key == "cutoff_kind":
         valid = value in CUTOFF_KINDS
     else:
@@ -143,6 +145,10 @@ def _check_value(key: str, value, default) -> None:
         valid = valid and abs(value) <= sys.float_info.max
     if not valid:
         raise ValueError(f"config key {key!r} has invalid value {value!r}")
+    if key == "n_samples" and value < MIN_FIT_SAMPLES:
+        raise ValueError(f"config key 'n_samples' must be at least {MIN_FIT_SAMPLES} to fit a power law, got {value}")
+    if key in ("ratio_lo", "ratio_hi") and not value > 0.0:
+        raise ValueError(f"config key {key!r} must be positive, got {value!r}")
 
 
 def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:

@@ -15,7 +15,7 @@ import numpy.random
 
 from .hardy import AtomSpec, make_regular_atom, weak_lp_quasinorm
 from .operators import TimeGrid, apply_multiplier, maximal_over_times, oscillating_op
-from .quadrature import decay_law
+from .quadrature import MIN_FIT_SAMPLES, decay_law
 from .symbols import DEFAULT_PROFILE, SymbolParams, check_alpha
 from .torus import GridField, LatticeGrid, SpectralField, forward_transform, inverse_transform
 
@@ -23,9 +23,6 @@ from .torus import GridField, LatticeGrid, SpectralField, forward_transform, inv
 # of one 512 x 512 field: a block's stacked arrays are no larger than the
 # arrays of one field on the largest lattice the experiments run.
 _ATOM_BLOCK_SAMPLES = 2**18
-
-# a rate is fitted on at least five nonzero error samples
-_MIN_RATE_SAMPLES = 5
 
 
 def combination_error_symbol(N: int, z):
@@ -74,8 +71,8 @@ def combination_rate_experiment(
     `decay_law`'s dict, whose "samples" are the (t, error) pairs."""
     if times is None:
         times = np.geomspace(1e-4, 1e-2, 24)
-    if len(times) < _MIN_RATE_SAMPLES:
-        raise ValueError(f"need at least {_MIN_RATE_SAMPLES} times to fit a rate, got {len(times)}")
+    if len(times) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} times to fit a rate, got {len(times)}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     check_alpha(alpha)

@@ -43,6 +43,11 @@ class TimeGrid:
         # at 0 the geometric times coincide; below 0 they pass sigma
         if not self.span_octaves > 0.0:
             raise ValueError(f"span_octaves must be positive, got {self.span_octaves}")
+        if not self.sigma * 2.0**-self.span_octaves > 0.0:
+            raise ValueError(
+                f"span_octaves = {self.span_octaves} puts the first time, "
+                "sigma * 2^-span_octaves, below the smallest positive float"
+            )
 
     @property
     def times(self) -> np.ndarray:
@@ -66,30 +71,50 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
     """Multiply the coefficient at each lattice point by m(|xi|), into a
     fresh array.
 
-    m must be elementwise in lam: it is called on consecutive 1-D chunks of
-    the flattened |xi| array, each of at most _SYMBOL_CHUNK points, so the
-    temporaries of one call do not grow with the lattice.  A chunk with no
-    nonzero coefficient in any member (a NaN counts as nonzero) gets +0,
-    and m is not called on it.  Every other product is coefficient times
-    multiplier, in that order, on every lattice, so the result equals the
-    whole-lattice product bit for bit, save that a skipped chunk holds +0
-    where c * m could be -0 (or NaN, where m is not finite), as the pruned
-    transform's zero rows do.  For a stack, each chunk's multiplier is
-    broadcast over the members, so each member's product equals its own up
-    to those signs.
+    m must be elementwise in lam: it is called on consecutive 1-D pieces of
+    the flattened |xi| array, so the temporaries of one call do not grow
+    with the lattice.  The array is cut into chunks of _SYMBOL_CHUNK points,
+    and in each chunk m is called once, on the span from its first to its
+    last nonzero coefficient (a NaN counts as nonzero, +-0 does not), and
+    not at all on a chunk with none.  For a stack the span covers every
+    member's nonzeros, and each member is multiplied as a field of its own,
+    by a 1-D product: numpy rounds a (1, 1) complex product, a one-point
+    span of a one-member stack, by another path.  Outside the spans the
+    result holds +0, where c * m could be -0 (or NaN, where m is not
+    finite), as the pruned transform's zero rows do.  Inside them every
+    product is coefficient times multiplier, in that order, so the result
+    equals the whole-lattice product bit for bit save for those signs, while
+    m and the 1-D product give an element the same bits at any offset and
+    span length, which the tests check.
     """
     lam = f.grid.eigenvalue_array().ravel()
-    shape = f.coefficients.shape
-    c = f.coefficients.reshape(shape[: f.stacked] + lam.shape)
+    c = f.coefficients.reshape(-1, lam.size)  # a single field is a stack of one
     out = np.empty(c.shape, dtype=complex)
     for lo in range(0, lam.size, _SYMBOL_CHUNK):
-        chunk = slice(lo, lo + _SYMBOL_CHUNK)
-        if c[..., chunk].any():
-            # no chunk's multiplier outlives its step into the next one
-            np.multiply(c[..., chunk], m(lam[chunk]), out=out[..., chunk])
-        else:
-            out[..., chunk] = 0
-    return SpectralField(f.grid, out.reshape(shape), f.stacked)
+        hi = min(lo + _SYMBOL_CHUNK, lam.size)
+        first, stop = _live_span(c[:, lo:hi])
+        first, stop = lo + first, lo + stop
+        out[:, lo:first] = 0
+        out[:, stop:hi] = 0
+        if first < stop:
+            mult = m(lam[first:stop])
+            for row, product in zip(c, out):  # each member as a field of its own
+                np.multiply(row[first:stop], mult, out=product[first:stop])
+            del mult  # no chunk's multiplier outlives its step into the next one
+    return SpectralField(f.grid, out.reshape(f.coefficients.shape), f.stacked)
+
+
+def _live_span(c) -> tuple:
+    """(first, stop): the columns of the 2-D c from the first to the last
+    that holds a nonzero entry in some row, a NaN included and +-0 not;
+    (0, 0) if none does."""
+    if c[:, 0].any() and c[:, -1].any():  # a dense chunk, without a scan
+        return 0, c.shape[1]
+    live = (c != 0).any(axis=0)
+    first = int(np.argmax(live))
+    if not live[first]:
+        return 0, 0
+    return first, live.size - int(np.argmax(live[::-1]))
 
 
 def oscillating_op(

@@ -126,6 +126,10 @@ class DecayFit:
     sample_count: int
 
 
+# The fewest samples a power-law fit takes.
+MIN_FIT_SAMPLES = 5
+
+
 def fit_decay_exponent(samples, floor: float | None = None) -> DecayFit:
     """Fit log(modulus) = slope*log(tau) + intercept by least squares.
 
@@ -137,9 +141,9 @@ def fit_decay_exponent(samples, floor: float | None = None) -> DecayFit:
     if floor is not None:
         above = mods > floor
         taus, mods = taus[above], mods[above]
-    if taus.size < 5:
+    if taus.size < MIN_FIT_SAMPLES:
         where = "" if floor is None else f" above the floor {floor:.3g}"
-        raise ValueError(f"need at least 5 samples{where}, got {taus.size}")
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples{where}, got {taus.size}")
     ordered = np.sort(taus)
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("tau values must be distinct")

@@ -359,8 +359,30 @@ class TestExitCodes:
         out = tmp_path / "new" / "o"
         assert main(["rate-combo", "--n-samples", "0", "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == "invalid parameters: need at least 5 times to fit a rate, got 0\n"
+        assert err == "config error: config key 'n_samples' must be at least 5 to fit a power law, got 0\n"
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rate-riesz", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
+            (["symbol-decay", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
+            (["kernel-decay", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
+            (["symbol-decay", "--n-samples", "-2"], "config error: config key 'n_samples' must be at least 5"),
+            (["kernel-decay", "--ratio-hi", "0"], "config error: config key 'ratio_hi' must be positive"),
+            (["kernel-decay", "--ratio-lo", "-0.5", "--ratio-hi", "-0.05"], "config error: config key 'ratio_lo' must be positive"),
+            # sigma * 2^-2000 underflows to 0
+            (["maximal-sweep", "--span-octaves", "2000"], "invalid parameters: span_octaves = 2000.0 puts the first time"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, argv, message):
+        """Each is refused with one line that names the key, not with a
+        numpy message or a wrong cause, and before any report."""
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["maximal-sweep", "rate-combo"])
     def test_negative_band_limit_is_usage_error(self, tmp_path, capsys, experiment):

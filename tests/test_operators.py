@@ -17,6 +17,7 @@ from oscimax import (
     SymbolParams,
     TimeGrid,
     apply_multiplier,
+    combination_error_symbol,
     fit_decay_exponent,
     inverse_transform,
     kernel_lattice_sum,
@@ -531,10 +532,10 @@ class TestSplitSweep:
 class TestStackedOperators:
     """A stack goes through the diagonal operators and the maximal function
     as its members would, one at a time, bit for bit.  The members here have
-    no zero chunk; where one member's chunk is zero and another's is not,
-    the stack multiplies it and the single field skips it, so the two may
-    differ in the signs of the chunk's zeros (see TestZeroChunks), as the
-    pruned transform's dead rows may."""
+    no zero chunk; where a member's zeros lie outside its own spans but
+    inside the stack's, the stack multiplies them and the single field
+    writes +0, so the two may differ in the signs of those zeros (see
+    TestZeroChunks), as the pruned transform's dead rows may."""
 
     PARAMS = SymbolParams(0.5, 0.75)
 
@@ -682,14 +683,15 @@ def recording(m, seen):
 
 
 class TestZeroChunks:
-    """apply_multiplier writes +0 to a chunk in which no coefficient is
-    nonzero and does not evaluate the multiplier on it."""
+    """apply_multiplier evaluates the multiplier, in each chunk, only on the
+    span from the first to the last nonzero coefficient, and writes +0
+    outside it."""
 
     def test_band_limited_field_skips_its_empty_chunks(self, monkeypatch):
         """Band 32 on 256^2: chunks of 64 rows, of which the middle two (rows
-        64..191, |xi_1| >= 64) hold no mode.  The products equal the
-        whole-lattice ones on the field's nonzero entries and in magnitude
-        everywhere."""
+        64..191, |xi_1| >= 64) hold no mode, and the last holds modes only
+        from row 224 (xi_1 = -32) on.  The products equal the whole-lattice
+        ones on the field's nonzero entries and in magnitude everywhere."""
         grid = LatticeGrid(2, 256)
         f = random_spectral_field(grid, np.random.default_rng(2), band_limit=32)
         lam = grid.eigenvalue_array().ravel()
@@ -705,8 +707,8 @@ class TestZeroChunks:
                 patched.setattr(operators, "apply_multiplier", lambda g, m: chunked(g, recording(m, seen)))
                 patched.setattr(hardy, "apply_multiplier", lambda g, m: chunked(g, recording(m, seen)))
                 got = op(f).coefficients
-            assert chunk_starts(seen, lam) == [0, 3 * 2**14], name
-            assert not np.any(got[64:192]) and not np.any(np.signbit(got[64:192].view(float)))
+            assert chunk_starts(seen, lam) == [0, 224 * 256], name
+            assert not np.any(got[64:224]) and not np.any(np.signbit(got[64:224].view(float)))
             assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64)), name
             assert np.array_equal(np.abs(got).view(np.uint64), np.abs(want).view(np.uint64)), name
 
@@ -717,7 +719,8 @@ class TestZeroChunks:
         seen = []
         with np.errstate(invalid="ignore"):
             out = apply_multiplier(SpectralField(grid, c), recording(lambda lam: np.exp(-lam), seen))
-        assert chunk_starts(seen, grid.eigenvalue_array().ravel()) == [2**14]
+        assert chunk_starts(seen, grid.eigenvalue_array().ravel()) == [100 * 256 + 7]
+        assert [a.size for a in seen] == [1]
         assert np.isnan(out.coefficients[100, 7])
         assert np.count_nonzero(out.coefficients) == 1
 
@@ -746,6 +749,122 @@ class TestZeroChunks:
         single = apply_multiplier(SpectralField(grid, c[0]), m).coefficients
         assert not np.any(np.signbit(single[128:192].view(float)))
         assert np.array_equal(np.abs(single), np.abs(got[0]))
+
+
+class TestMultiplierSpans:
+    """Within a chunk, the multiplier sees exactly the span from the first to
+    the last nonzero coefficient of any member, at whatever offset."""
+
+    def test_pure_mode_costs_one_point_per_time(self, monkeypatch):
+        """A pure mode among 2^20: each time's Riesz mean evaluates its symbol
+        on one point, not on the mode's whole chunk."""
+        grid = LatticeGrid(1, 2**20)
+        f = pure_mode(grid, (20001,))
+        sizes = []
+
+        def counted(k, z):
+            sizes.append(np.size(z))
+            return riesz_mean_symbol(k, z)
+
+        monkeypatch.setattr(operators, "riesz_mean_symbol", counted)
+        times = np.geomspace(1e-4, 1e-2, 4)
+        for t in times:
+            out = riesz_mean_op(f, 1.0, 0.5, float(t)).coefficients
+            assert out[20001] == riesz_mean_symbol(1.0, t * 20001**0.5)
+            assert np.count_nonzero(out) == 1 and not np.any(np.signbit(out.view(float)))
+        assert sizes == [1] * len(times)
+
+    @pytest.mark.parametrize(
+        "dimension, modes, band, points",
+        # eight whole chunks and, in the chunk that holds the band's edge
+        # row, the one point xi = (band, 0, ...)
+        [(2, 512, 128, 8 * 2**14 + 1), (3, 64, 16, 8 * 2**14 + 1)],
+    )
+    def test_band_limited_sweep_points(self, dimension, modes, band, points):
+        grid = LatticeGrid(dimension, modes)
+        f = random_spectral_field(grid, np.random.default_rng(0), band_limit=band)
+        seen = []
+        apply_multiplier(f, recording(np.ones_like, seen))
+        assert sum(a.size for a in seen) == points
+
+    def test_stack_members_share_the_union_span(self):
+        """Member 0 is nonzero at 10 and 20, member 1 at 500 and 600, all in
+        chunk 0: both get the products on 10..600, and +0 around it."""
+        grid = LatticeGrid(1, 2**15)
+        c = np.zeros((2, 2**15), dtype=complex)
+        c[0, [10, 20]] = [1.5 - 2j, -0.5 + 1j]
+        c[1, [500, 600]] = [-1j, 3.0]
+        c[0, 300] = complex(-0.0, -0.0)  # a zero inside the span, signed in the product
+        stack = SpectralField(grid, c, stacked=True)
+        m = lambda lam: np.exp(-1e-3 * lam) * (-1.0 + 2.0j)
+        seen = []
+        got = apply_multiplier(stack, recording(m, seen)).coefficients
+        assert chunk_starts(seen, grid.eigenvalue_array()) == [10]
+        assert [a.size for a in seen] == [591]
+        want = full_lattice_multiplier(stack, m).coefficients
+        assert np.array_equal(got[:, 10:601].view(np.uint64), want[:, 10:601].view(np.uint64))
+        assert np.any(np.signbit(got[0, 10:601].view(float)))
+        assert not np.any(got[:, :10].view(np.uint64)) and not np.any(got[:, 601:].view(np.uint64))
+
+    def test_nan_at_the_last_index_is_inside_and_signed_zeros_are_outside(self):
+        """Chunk 0 holds -0 before its first nonzero, at 7, and a NaN at its
+        last index; chunk 1 holds only -0."""
+        grid = LatticeGrid(1, 2**15)
+        c = np.full(2**15, complex(-0.0, -0.0))
+        c[7] = 2.0 - 1j
+        c[2**14 - 1] = complex(np.nan, np.nan)
+        seen = []
+        with np.errstate(invalid="ignore"):
+            out = apply_multiplier(SpectralField(grid, c), recording(lambda lam: np.exp(-lam), seen)).coefficients
+        assert chunk_starts(seen, grid.eigenvalue_array()) == [7]
+        assert [a.size for a in seen] == [2**14 - 7]
+        assert np.isnan(out[2**14 - 1])
+        assert not np.any(out[:7].view(np.uint64)) and not np.any(out[2**14 :].view(np.uint64))
+
+    # the multipliers of the four diagonal operators, at times where mu is
+    # zero below |xi| = 500 and the Riesz means' z = t |xi|^(1/2) passes 8,
+    # the series' limit, at |xi| = 1814
+    T_RIESZ = 8.5 / math.sqrt(2048)
+    MULTIPLIERS = {
+        "mu": lambda lam: mu_symbol(SymbolParams(0.5, 0.75), PROFILE, 1 / 500, lam),
+        "riesz-k=0.5": lambda lam: riesz_mean_symbol(0.5, TestMultiplierSpans.T_RIESZ * lam**0.5),
+        "riesz-k=2.5": lambda lam: riesz_mean_symbol(2.5, TestMultiplierSpans.T_RIESZ * lam**0.5),
+        "combination": lambda lam: combination_error_symbol(3, 1e-2 * lam**0.5),
+        "heat": lambda lam: np.exp(-1e-6 * lam**2),
+    }
+
+    @pytest.mark.parametrize("name", MULTIPLIERS)
+    def test_spans_at_odd_offsets_equal_the_full_lattice_oracle(self, monkeypatch, name):
+        """Chunks of 64 points on a 4096-mode lattice, chunk j holding one
+        span of length 1 + j % 33 at an odd offset, with a -0 inside where
+        it is long enough: the products equal the whole-lattice ones bit
+        for bit on every span, for a field and a stack, and are +0 outside."""
+        monkeypatch.setattr(operators, "_SYMBOL_CHUNK", 64)
+        grid = LatticeGrid(1, 4096)
+        rng = np.random.default_rng(33)
+        c = np.zeros((2, 4096), dtype=complex)
+        inside = np.zeros(4096, dtype=bool)
+        lengths = []
+        for lo in range(0, 4096, 64):
+            length = 1 + (lo // 64) % 33
+            first = lo + 1 + 2 * int(rng.integers((64 - length) // 2))
+            span = slice(first, first + length)
+            c[:, span] = rng.standard_normal((2, length)) + 1j * rng.standard_normal((2, length))
+            if length > 2:
+                c[:, first + 1] = complex(-0.0, -0.0)
+            inside[span] = True
+            lengths.append(length)
+        z = self.T_RIESZ * grid.eigenvalue_array()[inside] ** 0.5
+        assert np.any(z <= 8.0) and np.any(z > 8.0)
+        m = self.MULTIPLIERS[name]
+        for f in (SpectralField(grid, c[0]), SpectralField(grid, c, stacked=True)):
+            seen = []
+            got = apply_multiplier(f, recording(m, seen)).coefficients
+            want = full_lattice_multiplier(f, m).coefficients
+            assert [a.size for a in seen] == lengths
+            got, want = (a.view(np.uint64).reshape(*a.shape, 2) for a in (got, want))
+            assert np.array_equal(got[..., inside, :], want[..., inside, :])
+            assert not np.any(got[..., ~inside, :]) and not np.any(want[..., ~inside, :] << 1)
 
 
 class TestKernelLatticeSum:
