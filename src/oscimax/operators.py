@@ -71,29 +71,26 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
     """Multiply the coefficient at each lattice point by m(|xi|), into a
     fresh array.
 
-    m must be elementwise in lam: it is called on consecutive 1-D pieces of
-    the flattened |xi| array, so the temporaries of one call do not grow
-    with the lattice.  The array is cut into chunks of _SYMBOL_CHUNK points,
-    and in each chunk m is called once, on the span from its first to its
-    last nonzero coefficient (a NaN counts as nonzero, +-0 does not), and
-    not at all on a chunk with none.  For a stack the span covers every
-    member's nonzeros, and each member is multiplied as a field of its own,
-    by a 1-D product: numpy rounds a (1, 1) complex product, a one-point
-    span of a one-member stack, by another path.  Outside the spans the
-    result holds +0, where c * m could be -0 (or NaN, where m is not
-    finite), as the pruned transform's zero rows do.  Inside them every
-    product is coefficient times multiplier, in that order, so the result
-    equals the whole-lattice product bit for bit save for those signs, while
-    m and the 1-D product give an element the same bits at any offset and
-    span length, which the tests check.
+    m must be elementwise in lam.  The flattened |xi| array is cut into
+    chunks of _SYMBOL_CHUNK points, and in each chunk m is called once, on
+    the span from the first to the last coefficient that is nonzero in any
+    member of a stack (a NaN counts as nonzero, +-0 does not), and not at
+    all on a chunk with none; so the temporaries of one call do not grow
+    with the lattice.  Outside the spans the result holds +0, where c * m
+    could be -0 (or NaN, where m is not finite), as the pruned transform's
+    zero rows do.  Inside them each member's product is one 1-D
+    np.multiply of coefficient by multiplier, in that order (numpy rounds a
+    (1, 1) complex product by another path), so the result equals the
+    whole-lattice product bit for bit save for those signs, while m and
+    the product give an element the same bits at any offset and span
+    length, which the tests check.
     """
     lam = f.grid.eigenvalue_array().ravel()
     c = f.coefficients.reshape(-1, lam.size)  # a single field is a stack of one
     out = np.empty(c.shape, dtype=complex)
     for lo in range(0, lam.size, _SYMBOL_CHUNK):
         hi = min(lo + _SYMBOL_CHUNK, lam.size)
-        first, stop = _live_span(c[:, lo:hi])
-        first, stop = lo + first, lo + stop
+        first, stop = _live_span(c, lo, hi)
         out[:, lo:first] = 0
         out[:, stop:hi] = 0
         if first < stop:
@@ -104,17 +101,17 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
     return SpectralField(f.grid, out.reshape(f.coefficients.shape), f.stacked)
 
 
-def _live_span(c) -> tuple:
-    """(first, stop): the columns of the 2-D c from the first to the last
-    that holds a nonzero entry in some row, a NaN included and +-0 not;
-    (0, 0) if none does."""
-    if c[:, 0].any() and c[:, -1].any():  # a dense chunk, without a scan
-        return 0, c.shape[1]
-    live = (c != 0).any(axis=0)
+def _live_span(c, lo: int, hi: int) -> tuple:
+    """(first, stop): the columns of the 2-D c in [lo, hi) from the first to
+    the last that holds a nonzero entry in some row, a NaN included and +-0
+    not; (lo, lo) if none does."""
+    if c[:, lo].any() and c[:, hi - 1].any():  # a dense chunk, without a scan
+        return lo, hi
+    live = (c[:, lo:hi] != 0).any(axis=0)
     first = int(np.argmax(live))
     if not live[first]:
-        return 0, 0
-    return first, live.size - int(np.argmax(live[::-1]))
+        return lo, lo
+    return lo + first, hi - int(np.argmax(live[::-1]))
 
 
 def oscillating_op(
