@@ -362,19 +362,18 @@ class TestExitCodes:
         assert err == "config error: config key 'n_samples' must be at least 5 to fit a power law, got 0\n"
         assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["rate-riesz", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
-            (["symbol-decay", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
-            (["kernel-decay", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
-            (["symbol-decay", "--n-samples", "-2"], "config error: config key 'n_samples' must be at least 5"),
-            (["kernel-decay", "--ratio-hi", "0"], "config error: config key 'ratio_hi' must be positive"),
-            (["kernel-decay", "--ratio-lo", "-0.5", "--ratio-hi", "-0.05"], "config error: config key 'ratio_lo' must be positive"),
-            # sigma * 2^-2000 underflows to 0
-            (["maximal-sweep", "--span-octaves", "2000"], "invalid parameters: span_octaves = 2000.0 puts the first time"),
-        ],
-    )
+    OUT_OF_RANGE = [
+        (["rate-riesz", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
+        (["symbol-decay", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
+        (["kernel-decay", "--n-samples", "0"], "config error: config key 'n_samples' must be at least 5"),
+        (["symbol-decay", "--n-samples", "-2"], "config error: config key 'n_samples' must be at least 5"),
+        (["kernel-decay", "--ratio-hi", "0"], "config error: config key 'ratio_hi' must be positive"),
+        (["kernel-decay", "--ratio-lo", "-0.5", "--ratio-hi", "-0.05"], "config error: config key 'ratio_lo' must be positive"),
+        # sigma * 2^-2000 underflows to 0
+        (["maximal-sweep", "--span-octaves", "2000"], "invalid parameters: span_octaves = 2000.0 puts the first time"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", OUT_OF_RANGE, ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, argv, message):
         """Each is refused with one line that names the key, not with a
         numpy message or a wrong cause, and before any report."""
