@@ -136,7 +136,8 @@ def _check_value(key: str, value, default) -> None:
     """A value must have the type of the experiment's own default for its key;
     where that default is a float, an int is accepted too.  A number must fit
     a float: nan, +-inf and larger integers are refused.  Every n_samples
-    feeds a power-law fit, and the ratios end a geometric sequence."""
+    feeds a power-law fit, and every window end (a key ending in _lo or _hi:
+    tau, t and the ratios) ends a geometric sequence, so it must be positive."""
     if key == "cutoff_kind":
         valid = value in CUTOFF_KINDS
     else:
@@ -147,7 +148,7 @@ def _check_value(key: str, value, default) -> None:
         raise ValueError(f"config key {key!r} has invalid value {value!r}")
     if key == "n_samples" and value < MIN_FIT_SAMPLES:
         raise ValueError(f"config key 'n_samples' must be at least {MIN_FIT_SAMPLES} to fit a power law, got {value}")
-    if key in ("ratio_lo", "ratio_hi") and not value > 0.0:
+    if key.endswith(("_lo", "_hi")) and not value > 0.0:
         raise ValueError(f"config key {key!r} must be positive, got {value!r}")
 
 
@@ -294,20 +295,13 @@ def _run_kernel_decay(config):
                        check("m_cap_doubling_delta", delta, "<", 0.05))
 
 
-def _times(config):
-    """The geometric times from t_lo to t_hi, refused unless both are positive."""
-    if not min(config["t_lo"], config["t_hi"]) > 0.0:
-        raise ValueError(f"t must be positive, got {min(config['t_lo'], config['t_hi'])}")
-    return np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
-
-
 def _run_rate_combo(config):
     """convergence rate of the Vandermonde time-combination of fractional
     propagators toward the identity"""
     grid = LatticeGrid(1, config["n_modes"])
     rng = np.random.default_rng(config["seed"])
     f = random_spectral_field(grid, rng, band_limit=config["band_limit"])
-    times = _times(config)
+    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
     report = combination_rate_experiment(
         f,
         config["alpha"],
@@ -326,7 +320,7 @@ def _run_rate_riesz(config):
         raise ValueError("mode 0 is the constant mode, which every Riesz mean leaves unchanged")
     grid = LatticeGrid(1, config["n_modes"])
     f = pure_mode(grid, (config["mode"],))
-    times = _times(config)
+    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
     rows = []
     for t in times:
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients

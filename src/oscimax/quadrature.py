@@ -47,10 +47,12 @@ powers.
 
 A sweep (the taus of a decay verdict, the scales of the dyadic checks) is
 one quadrature.  Each piece kind (the plus and minus segments and rays, or
-the band) lays out the first round of all its integrals in one pass; each
-round evaluates a kind's new panels in one integrand call per block of
-_NODE_BLOCK nodes; and one loop refines every integral against its own
-tolerance, agreement exit and panel budget.  A value does not depend on the
+the band) lays out the first round of all its integrals with one density
+call, and np.interp on each integral's own row gives it one array of panel
+edges; each round evaluates a kind's new panels in one integrand call per
+block of _NODE_BLOCK nodes; and one loop, which takes the panels from the
+edge arrays in (integral, piece) order, refines every integral against its
+own tolerance, agreement exit and panel budget.  A value does not depend on the
 sweep it is computed in: the scalar transforms are sweeps of one.  A sweep
 raises exactly when one of its integrals would raise alone, at the first
 failure it meets: a layout failure before any panel is evaluated, for the
@@ -252,12 +254,12 @@ def _breakpoints(a, b, density):
     cancel, near a stationary point, the error is a larger share of the
     density; the counts stay within 0.3% (or the one panel of rounding up)
     of a 4,000-node layout's on the tests' segments, rays and bands.  Each
-    row's edges are those np.interp gives on that row alone.
+    row's edges are np.interp's on that row's own nodes, so they do not
+    depend on the other rows.
 
     Returns the panels each row needs and, if no row needs more than
-    _MAX_PANELS, the lower and upper panel ends, row after row, and each
-    row's panel count; if one does, no edge is built and those three are
-    None.
+    _MAX_PANELS, a list of each row's panel edges, one array from a to b
+    per row; if one does, no edge is built and the list is None.
     """
     grid, h, n = _log_grid(a, b)
     q = density(grid) * grid
@@ -266,23 +268,14 @@ def _breakpoints(a, b, density):
     w = np.concatenate([np.zeros((n.size, 1)), np.cumsum(steps, axis=1)], axis=1)
     needed = w[:, -1]
     if not np.all(needed <= _MAX_PANELS):
-        return needed, None, None, None
-    counts = np.maximum(1, np.ceil(needed)).astype(int)
-    valid = np.arange(grid.shape[1]) < n[:, None]
-    wv, gv = w[valid], grid[valid]
-    first = np.cumsum(n) - n
-    # the targets np.linspace(0, needed, counts + 1) of every row
-    row = np.repeat(np.arange(n.size), counts + 1)
-    last = np.cumsum(counts + 1) - 1
-    t = (np.arange(row.size) - (last - counts)[row]) * (needed / counts)[row]
-    t[last] = needed
-    # np.interp: the node below each target, by one search on (row, w) keys,
-    # which complex numbers order lexicographically
-    i = np.searchsorted(np.repeat(np.arange(n.size), n) + 1j * wv, row + 1j * t, side="right") - 1
-    i = np.clip(i, first[row], first[row] + n[row] - 2)
-    edges = (gv[i + 1] - gv[i]) / (wv[i + 1] - wv[i]) * (t - wv[i]) + gv[i]
-    edges[last - counts], edges[last] = a, b
-    return needed, np.delete(edges, last), np.delete(edges, last - counts), counts
+        return needed, None
+    edges = []
+    for r, count in enumerate(np.maximum(1, np.ceil(needed)).astype(int).tolist()):
+        # np.linspace(0, needed, count + 1)'s targets but the last, without its call overhead
+        row = np.interp(np.arange(count + 1) * (needed[r] / count), w[r, : n[r]], grid[r, : n[r]])
+        row[0], row[-1] = a[r], b[r]
+        edges.append(row)
+    return needed, edges
 
 
 def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
@@ -301,16 +294,12 @@ def _panel_values(fn, lo: np.ndarray, hi: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _phase_density(alpha: float, tau, sign: float, grading: float):
+def _phase_density(lam, alpha: float, tau, sign: float, grading: float):
     """Panels per unit length for phase lam^alpha + sign*tau*lam at distance
     lam from the branch point lam = 0, graded by grading/lam there."""
-
-    def rho(lam):
-        g1 = np.abs(alpha * lam ** (alpha - 1.0) + sign * tau)
-        g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
-        return (g1 + g2) / _BUDGET + grading / lam
-
-    return rho
+    g1 = np.abs(alpha * lam ** (alpha - 1.0) + sign * tau)
+    g2 = np.sqrt(alpha * (1.0 - alpha) * lam ** (alpha - 2.0))
+    return (g1 + g2) / _BUDGET + grading / lam
 
 
 # Piece kinds.  A sweep is a list of integrals that share their pieces'
@@ -336,7 +325,7 @@ class _Segment:
         return np.ones(which.size), self.lam_end[which]
 
     def density(self, lam, which):
-        return _phase_density(self.alpha, self.tau[which][:, None], self.sign, 3.0)(lam)
+        return _phase_density(lam, self.alpha, self.tau[which][:, None], self.sign, 3.0)
 
     def integrand(self, lam, which):
         # lam^amp e^{i(lam^alpha + sign tau lam)}, the products in place
@@ -398,8 +387,8 @@ class _Ray:
 
     def density(self, s, which):
         # both phases get the plus-phase rate, an upper bound for either
-        rho = _phase_density(self.alpha, self.tau[which][:, None], +1.0, 4.0)
-        return rho(np.hypot(self.start[which][:, None], s))
+        lam = np.hypot(self.start[which][:, None], s)
+        return _phase_density(lam, self.alpha, self.tau[which][:, None], +1.0, 4.0)
 
     def interval(self, which):
         """[1e-10 s_max, s_max], where s_max is the point beyond which the
@@ -466,7 +455,7 @@ class _Band:
             return scale / 2.0, scale * 2.0
 
     def density(self, lam, which):
-        return _phase_density(self.alpha, self.tau[which][:, None], +1.0, 3.0)(lam)
+        return _phase_density(lam, self.alpha, self.tau[which][:, None], +1.0, 3.0)
 
     def integrand(self, lam, which):
         # 2 window lam^(L-beta) e^{i lam^alpha} cos(tau lam + L pi/2), in place
@@ -546,8 +535,8 @@ def _refine(pieces, panels, message) -> list:
 
     `pieces` are (weight, integrand) pairs, integrand(x, which) evaluating
     nodes x, one row per panel, of panels of the integrals `which`; `panels`
-    gives per piece the flat first-round panel ends lo and hi and the panel
-    count of each integral, and is emptied once they are merged.  Integral i
+    gives per piece the first-round panel edges of each integral, one array
+    each, and is emptied once they are merged.  Integral i
     is converged when its summed Kronrod-Gauss estimate is at most
     max(_ABS_TOLERANCE, _RELATIVE_FLOOR * sum |panel value|).  Otherwise its
     panels with the largest estimates are bisected, as many as it takes for
@@ -559,15 +548,14 @@ def _refine(pieces, panels, message) -> list:
     """
     P = len(pieces)
     weights = [complex(w) for w, _ in pieces]
-    m = panels[0][2].size
-    # panels sorted by segment, integral * P + piece, each segment's in its own order
-    seg = np.concatenate([
-        np.repeat(np.arange(m, dtype=np.int32) * P + p, c) for p, (_, _, c) in enumerate(panels)
-    ])
-    order = np.argsort(seg, kind="stable")
-    seg = seg[order]
-    lo = np.concatenate([lo for lo, _, _ in panels])[order]
-    hi = np.concatenate([hi for _, hi, _ in panels])[order]
+    m = len(panels[0])
+    # the panels of segment integral * P + piece, segment after segment
+    # (np.empty(0) for an empty sweep's)
+    edges = [row for rows in zip(*panels) for row in rows]
+    seg = np.repeat(np.arange(m * P, dtype=np.int32), [row.size - 1 for row in edges])
+    lo = np.concatenate([np.empty(0), *(row[:-1] for row in edges)])
+    hi = np.concatenate([np.empty(0), *(row[1:] for row in edges)])
+    del edges
     panels.clear()  # its arrays are merged: not held twice while refining
     v, e = np.empty(seg.size, dtype=complex), np.empty(seg.size)
     fresh = np.ones(seg.size, dtype=bool)
@@ -613,21 +601,22 @@ def _first_round(kinds, message):
     """The first round's panels of a sweep, laid out kind by kind, each kind
     for every integral in one pass.
 
-    Returns, per kind, the flat panel ends lo and hi and each integral's
-    panel count.  Raises ConvergenceError, before any panel is evaluated,
-    for the first integral of the first kind with a piece the budget cannot
-    hold (an unbounded interval, or more than _MAX_PANELS panels), or else
-    for the first integral whose pieces sum to more than _MAX_PANELS (with
-    text message(i)): the failure each integral would raise alone.
+    Returns, per kind, a list of each integral's panel edges, one array
+    each (a ray's from s = 0).  Raises ConvergenceError, before any panel is
+    evaluated, for the first integral of the first kind with a piece the
+    budget cannot hold (an unbounded interval, or more than _MAX_PANELS
+    panels), or else for the first integral whose pieces sum to more than
+    _MAX_PANELS (with text message(i)): the failure each integral would
+    raise alone.
     """
     which, panels = np.arange(kinds[0].tau.size), []
     for kind in kinds:
         a, b = kind.interval(which)
         # no budget holds an unbounded interval (an end that overflowed)
         needed, bounded = np.full(which.size, np.inf), np.isfinite(b)
-        lo, hi, counts = np.empty(0), np.empty(0), np.empty(0, dtype=int)  # an empty sweep's
+        edges = []  # an empty sweep's
         if bounded.any():
-            needed[bounded], lo, hi, counts = _breakpoints(
+            needed[bounded], edges = _breakpoints(
                 a[bounded], b[bounded], partial(kind.density, which=which[bounded])
             )
         over = np.flatnonzero(~(needed <= _MAX_PANELS))
@@ -640,10 +629,11 @@ def _first_round(kinds, message):
                 error_estimate=float("inf"),
             )
         if kind.zero_start:
-            lo[np.cumsum(counts) - counts] = 0.0
-        panels.append((lo, hi, counts))
-    over = np.flatnonzero(sum(counts for _, _, counts in panels) > _MAX_PANELS)
-    if over.size:
+            for row in edges:
+                row[0] = 0.0
+        panels.append(edges)
+    over = [i for i, rows in enumerate(zip(*panels)) if sum(row.size - 1 for row in rows) > _MAX_PANELS]
+    if over:
         raise ConvergenceError(
             f"{message(over[0])} (first round exceeds max_panels {_MAX_PANELS})",
             partial_value=complex("nan"),

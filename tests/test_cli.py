@@ -195,23 +195,21 @@ class TestExitCodes:
                 assert f"config key {key!r} has invalid value {value!r}" in err, source
                 assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["kernel-decay", "--t", "0"],
-            ["rate-combo", "--t-lo=-1"],
-            ["rate-riesz", "--t-hi", "0"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_nonpositive_time_is_refused_without_a_warning(self, tmp_path, capsys, argv):
+    NONPOSITIVE_TIMES = [
+        (["kernel-decay", "--t", "0"], "t must be positive"),
+        (["rate-combo", "--t-lo=-1"], "config key 't_lo' must be positive"),
+        (["rate-riesz", "--t-hi", "0"], "config key 't_hi' must be positive"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", NONPOSITIVE_TIMES, ids=[argv[0] for argv, _ in NONPOSITIVE_TIMES])
+    def test_nonpositive_time_is_refused_without_a_warning(self, tmp_path, capsys, argv, message):
         """The times are checked before anything divides by them or takes
-        their logarithm."""
+        their logarithm; a window end by the config check, which names it."""
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([*argv, "--out", str(out)]) == EXIT_USAGE
-        assert "t must be positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_runtime_error_is_non_convergence(self, tmp_path, monkeypatch):
@@ -369,6 +367,11 @@ class TestExitCodes:
         (["symbol-decay", "--n-samples", "-2"], "config error: config key 'n_samples' must be at least 5"),
         (["kernel-decay", "--ratio-hi", "0"], "config error: config key 'ratio_hi' must be positive"),
         (["kernel-decay", "--ratio-lo", "-0.5", "--ratio-hi", "-0.05"], "config error: config key 'ratio_lo' must be positive"),
+        # numpy's "Geometric sequence cannot include zero", and for a
+        # negative end a panel budget of nan reported as non-convergence
+        (["dyadic-decay", "--tau-lo", "0"], "config error: config key 'tau_lo' must be positive"),
+        (["dyadic-decay", "--tau-hi", "0"], "config error: config key 'tau_hi' must be positive"),
+        (["dyadic-decay", "--tau-lo", "-1"], "config error: config key 'tau_lo' must be positive"),
         # sigma * 2^-2000 underflows to 0
         (["maximal-sweep", "--span-octaves", "2000"], "invalid parameters: span_octaves = 2000.0 puts the first time"),
     ]

@@ -179,7 +179,7 @@ def split_band_transform(params, k, tau, L):
         integrand = make_integrand(sign)
         edges = reference_breakpoints(lo, hi, phase_density(alpha, tau, sign, 0.4))
         pieces.append((weight, lambda x, which, f=integrand: f(x)))
-        panels.append((edges[:-1], edges[1:], np.array([edges.size - 1])))
+        panels.append([edges])
     return quadrature._refine(pieces, panels, lambda i: "split band did not converge")[0]
 
 
@@ -246,7 +246,7 @@ def panel_rounds(monkeypatch):
 def layouts(monkeypatch):
     """Every `_breakpoints` call, in call order: its intervals, its density,
     the number of points the density was evaluated on, and what it returned
-    (the panels each interval needs, the panel ends and counts)."""
+    (the panels each interval needs and each interval's edges)."""
     calls = []
     lay_out = quadrature._breakpoints
 
@@ -258,8 +258,8 @@ def layouts(monkeypatch):
             call["nodes"] += x.size
             return density(x)
 
-        call["needed"], call["lo"], call["hi"], call["counts"] = lay_out(a, b, counted)
-        return call["needed"], call["lo"], call["hi"], call["counts"]
+        call["needed"], call["edges"] = lay_out(a, b, counted)
+        return call["needed"], call["edges"]
 
     monkeypatch.setattr(quadrature, "_breakpoints", recorded)
     return calls
@@ -748,17 +748,16 @@ class TestLayout:
                 quadrature._first_round(kinds, str)
         assert len(layouts) >= 3  # a segment and a ray of the plus phase, the bands
         for call in layouts:
-            a, b, counts = call["a"], call["b"], call["counts"]
+            a, b, edges = call["a"], call["b"], call["edges"]
             assert call["nodes"] <= a.size * np.max(8.0 * np.log(b / a) + 17.0)
             over = call["needed"] > quadrature._MAX_PANELS
-            assert (counts is None) == over.any()
-            if counts is not None:
-                ends = np.cumsum(counts)
-                first = call["lo"][ends - counts]  # a ray starts at s = 0, not at a
-                assert np.all((first == a) | (first == 0.0))
-                assert np.all(call["hi"][ends - 1] == b)
-                assert np.all(call["lo"] < call["hi"])
-                assert np.all(np.delete(call["lo"], ends - counts) == np.delete(call["hi"], ends - 1))
+            assert (edges is None) == over.any()
+            if edges is not None:
+                assert len(edges) == a.size
+                for row, start, end in zip(edges, a, b):
+                    assert row[0] in (start, 0.0)  # a ray starts at s = 0, not at a
+                    assert row[-1] == end
+                    assert np.all(row[:-1] < row[1:])
             for r in range(a.size):
                 # the density of interval r, on any grid
                 def density(x, r=r):
@@ -771,7 +770,31 @@ class TestLayout:
                 fine = reference_breakpoints(a[r], b[r], density).size - 1
                 panels = max(1, np.ceil(call["needed"][r]))
                 assert abs(panels - fine) <= 0.05 * fine, (a[r], b[r])
-                assert counts is None or counts[r] == panels
+                assert edges is None or edges[r].size - 1 == panels
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_edges_do_not_depend_on_the_sweep(self, alpha):
+        """Segments, rays and bands laid out for a sweep of five integrals,
+        whose minus segments have three different grid node counts and so
+        are padded to the longest, give every integral the first-round edges it
+        gets laid out alone, bit for bit."""
+        params = SymbolParams(alpha, 0.5)
+        taus = np.array([1e-3, 0.02, 0.5, 3.0, 40.0])
+        scales = np.ldexp(1.0, [0, 3, 10, 6, 1])
+
+        def kinds(which):
+            band = quadrature._Band(params, 0, taus[which], scales[which], window=None)
+            return quadrature._half_line_kinds(params, PROFILE, 0, taus[which]), [band]
+
+        minus = kinds(np.arange(taus.size))[0][2]
+        _, _, n = quadrature._log_grid(*minus.interval(np.arange(taus.size)))
+        assert np.unique(n).size == 3
+        swept = [quadrature._first_round(group, str) for group in kinds(np.arange(taus.size))]
+        for i in range(taus.size):
+            alone = [quadrature._first_round(group, str) for group in kinds([i])]
+            for sweep_group, alone_group in zip(swept, alone):
+                for sweep_rows, [row] in zip(sweep_group, alone_group):
+                    assert sweep_rows[i].view(np.uint64).tolist() == row.view(np.uint64).tolist()
 
 
 class TestPanelValues:
@@ -783,7 +806,8 @@ class TestPanelValues:
         sums on numpy's Gauss-Legendre nodes."""
         params = SymbolParams(0.5, 0.5)
         kind = quadrature._half_line_kinds(params, PROFILE, 1, np.array([1e-2]))[2 + piece]
-        [(lo, hi, _)] = quadrature._first_round([kind], str)
+        [[edges]] = quadrature._first_round([kind], str)
+        lo, hi = edges[:-1], edges[1:]
         shapes = []
 
         def fn(x):
@@ -877,10 +901,13 @@ class TestRayIntegrand:
                 for ray in (kinds[1], kinds[3]):
                     which = np.flatnonzero(ray.start**alpha < 1e12)
                     a, b = ray.interval(which)
-                    _, lo, hi, counts = _breakpoints(a, b, partial(ray.density, which=which))
-                    assert counts.size == which.size
-                    lo[np.cumsum(counts) - counts] = 0.0
-                    rows = np.repeat(which, counts)
+                    _, edges = _breakpoints(a, b, partial(ray.density, which=which))
+                    assert len(edges) == which.size
+                    for row in edges:
+                        row[0] = 0.0
+                    lo = np.concatenate([row[:-1] for row in edges])
+                    hi = np.concatenate([row[1:] for row in edges])
+                    rows = np.repeat(which, [row.size - 1 for row in edges])
                     s = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._K15_NODES
                     new, old = ray.integrand(s, rows), complex_power_ray(ray, s, rows)
                     assert np.all(np.isfinite(old))
@@ -926,9 +953,9 @@ class TestDyadicPieces:
         """The first round is one call on the plus-phase panels of the band
         [8, 32]; this case needs no second round."""
         fourier_cosine_mu_dyadic(SymbolParams(0.5, 1.0), PROFILE, 4, 0.5)
-        density = _phase_density(0.5, 0.5, +1.0, 3.0)
-        _, _, _, counts = _breakpoints(np.array([8.0]), np.array([32.0]), density)
-        assert panel_rounds == [counts[0]]
+        density = partial(_phase_density, alpha=0.5, tau=0.5, sign=+1.0, grading=3.0)
+        _, [edges] = _breakpoints(np.array([8.0]), np.array([32.0]), density)
+        assert panel_rounds == [edges.size - 1]
 
     @pytest.mark.parametrize("k", [-1, 6.5])
     def test_scale_index_must_be_a_nonnegative_integer(self, k):
