@@ -136,8 +136,9 @@ def _check_value(key: str, value, default) -> None:
     """A value must have the type of the experiment's own default for its key;
     where that default is a float, an int is accepted too.  A number must fit
     a float: nan, +-inf and larger integers are refused.  Every n_samples
-    feeds a power-law fit, and every window end (a key ending in _lo or _hi:
-    tau, t and the ratios) ends a geometric sequence, so it must be positive."""
+    feeds a power-law fit, every window end (a key ending in _lo or _hi:
+    tau, t and the ratios) ends a geometric sequence, so it must be
+    positive, and a seed seeds numpy's generator, so it must be nonnegative."""
     if key == "cutoff_kind":
         valid = value in CUTOFF_KINDS
     else:
@@ -150,10 +151,13 @@ def _check_value(key: str, value, default) -> None:
         raise ValueError(f"config key 'n_samples' must be at least {MIN_FIT_SAMPLES} to fit a power law, got {value}")
     if key.endswith(("_lo", "_hi")) and not value > 0.0:
         raise ValueError(f"config key {key!r} must be positive, got {value!r}")
+    if key == "seed" and value < 0:
+        raise ValueError(f"config key 'seed' must be nonnegative, got {value}")
 
 
 def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
-    """The defaults, then the file's values, then the flags: one check and coercion for all."""
+    """The defaults, then the file's values, then the flags: one check and
+    coercion for all, then each window's ends in order, lo < hi."""
     defaults = DEFAULTS[experiment]
     loaded = {}
     if config_file is not None:
@@ -174,7 +178,16 @@ def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
             raise ValueError(f"unknown config key {key!r} for {experiment}")
         _check_value(key, value, defaults[key])
         config[key] = float(value) if isinstance(defaults[key], float) else value
+    for lo in config:
+        hi = lo[:-3] + "_hi"
+        if lo.endswith("_lo") and not config[lo] < config[hi]:
+            raise ValueError(f"config key {lo!r} must be below {hi!r}, got {config[lo]!r} >= {config[hi]!r}")
     return config
+
+
+def _window(config, name):
+    """The config's geometric sample window: n_samples points from <name>_lo to <name>_hi."""
+    return np.geomspace(config[f"{name}_lo"], config[f"{name}_hi"], config["n_samples"])
 
 
 def _csv(header, rows):
@@ -232,13 +245,7 @@ def _run_symbol_decay(config):
     """small-tau blow-up exponent of the cosine transform of the oscillating
     symbol (and its tau-derivatives) against the predicted
     -L/(1-alpha) + (alpha-2+2*beta)/(2*(1-alpha))"""
-    report = verify_small_tau_decay(
-        *_symbol(config),
-        config["L"],
-        config["tau_lo"],
-        config["tau_hi"],
-        n_samples=config["n_samples"],
-    )
+    report = verify_small_tau_decay(*_symbol(config), config["L"], _window(config, "tau"))
     rows = [_complex_row(*sample) for sample in report["samples"]]
     header = ["tau", "re", "im", "modulus"]
     return _law_report("symbol-decay", report, "predicted_exponent", header, rows)
@@ -248,14 +255,7 @@ def _run_dyadic_decay(config):
     """outer-region decay order and middle-region normalized magnitude of the
     frequency-localized transform pieces"""
     params, profile = _symbol(config)
-    tail = dyadic_tail_order(
-        params,
-        profile,
-        k=config["k"],
-        tau_lo=config["tau_lo"],
-        tau_hi=config["tau_hi"],
-        n_samples=config["n_samples"],
-    )
+    tail = dyadic_tail_order(params, profile, config["k"], _window(config, "tau"))
     band = dyadic_band_ratio(params, profile)
     rows = [_complex_row(*sample) for sample in tail["samples"]]
     fit = tail["fitted"]
@@ -277,7 +277,7 @@ def _run_kernel_decay(config):
     x/t power law, with truncation-doubling stability"""
     params, profile = _symbol(config)
     t = config["t"]
-    ratios = np.geomspace(config["ratio_lo"], config["ratio_hi"], config["n_samples"])
+    ratios = _window(config, "ratio")
     radii = ratios * t
     # the doubled sweep first: an m_cap whose double exceeds the lattice
     # limit is rejected before any sum is built
@@ -301,13 +301,12 @@ def _run_rate_combo(config):
     grid = LatticeGrid(1, config["n_modes"])
     rng = np.random.default_rng(config["seed"])
     f = random_spectral_field(grid, rng, band_limit=config["band_limit"])
-    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
     report = combination_rate_experiment(
         f,
         config["alpha"],
         config["beta"],
         config["p"],
-        times=times,
+        _window(config, "t"),
         N=config["N"] or None,
     )
     return _law_report("rate-combo", report, "predicted_rate", ["t", "error"], report["samples"])
@@ -320,9 +319,8 @@ def _run_rate_riesz(config):
         raise ValueError("mode 0 is the constant mode, which every Riesz mean leaves unchanged")
     grid = LatticeGrid(1, config["n_modes"])
     f = pure_mode(grid, (config["mode"],))
-    times = np.geomspace(config["t_lo"], config["t_hi"], config["n_samples"])
     rows = []
-    for t in times:
+    for t in _window(config, "t"):
         diff = riesz_mean_op(f, config["k"], config["alpha"], float(t)).coefficients - f.coefficients
         rows.append((float(t), float(np.sqrt(np.sum(np.abs(diff) ** 2)))))
     if not any(error for _, error in rows):

@@ -56,21 +56,18 @@ def combination_rate_experiment(
     alpha: float,
     beta: float,
     p: float,
-    times: np.ndarray | None = None,
+    times: np.ndarray,
     N: int | None = None,
 ) -> dict:
     """Convergence-rate check for the order-N combination (default N =
     floor(beta/alpha) + 1, refused for beta/alpha >= 12, where it would
-    pass 12) on a band-limited field at `times` (default 24
-    points geometric on [1e-4, 1e-2], at least 5).  The error at t is the
-    grid sup of the field under E_N(t|xi|^alpha); only exact zeros are left
-    out of the fit, and fewer than 5 nonzero errors, as for a constant
+    pass 12) on a band-limited field at `times` (at least 5).  The error at
+    t is the grid sup of the field under E_N(t|xi|^alpha); only exact zeros
+    are left out of the fit, and fewer than 5 nonzero errors, as for a constant
     field, raise ValueError.  The check "rate" needs a slope of at least
     beta/alpha - 0.1 (a one-sided o(t^{beta/alpha}) bound); the slope is N,
     so it can fail only for an N below floor(beta/alpha) + 1.  Returns
     `decay_law`'s dict, whose "samples" are the (t, error) pairs."""
-    if times is None:
-        times = np.geomspace(1e-4, 1e-2, 24)
     if len(times) < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} times to fit a rate, got {len(times)}")
     if not 0.0 < p < 1.0:
@@ -102,13 +99,19 @@ def atom_uniformity_experiment(
 ) -> dict:
     """Weak-L^p quasinorm of the maximal oscillating operator over a batch of
     regular atoms with radii geometric over the two octaves below pi/10 (the
-    lower end raised to 4 grid cells if needed); reports the max/median ratio
-    (uniform boundedness predicts a modest ratio)."""
+    lower end raised to 4 grid cells if needed, and refused if that leaves
+    no window); reports the max/median ratio (uniform boundedness predicts
+    a modest ratio)."""
     if atom_count < 1:
         raise ValueError(f"atom_count must be >= 1, got {atom_count}")
+    radius_hi = np.pi / 10.0
+    if not 4.0 * grid.spacing < radius_hi:
+        raise ValueError(
+            f"4 grid cells ({4.0 * grid.spacing:.4g}) reach pi/10: the atom radii run from 4 grid cells "
+            "up to pi/10, so the lattice needs more than 80 points per axis"
+        )
     params = SymbolParams(alpha, beta)
     time_grid = time_grid or TimeGrid(count=48, span_octaves=12.0)
-    radius_hi = np.pi / 10.0
     radius_lo = max(radius_hi / 4.0, 4.0 * grid.spacing)
     radii = np.geomspace(radius_lo, radius_hi, atom_count)
     rng = np.random.default_rng(seed)

@@ -712,29 +712,22 @@ def fourier_cosine_mu_dyadic(
     return _dyadic_transforms(params, profile, [k], [tau], L)[0]
 
 
-def dyadic_tail_order(
-    params: SymbolParams,
-    profile: CutoffProfile,
-    k: int = 6,
-    tau_lo: float = 2.0,
-    tau_hi: float = 10.0,
-    n_samples: int = 15,
-) -> dict:
+def dyadic_tail_order(params: SymbolParams, profile: CutoffProfile, k: int, taus) -> dict:
     """Fitted decay order of a dyadic transform piece in the outer region.
 
-    Samples the dyadic transform at scale 2^k against 2^k * tau for tau in
-    the far band and fits the log-log slope of its modulus.  The
-    'smoothstep_poly' ramp of order n is C^n with a jump in its (n+1)-th
-    derivative, so the fitted order is about n + 2 and stays there as the
-    window moves: 5.60, 9.43 and 12.45 at n = 4, 7 and 10 on the default
-    window, and 9.41 at n = 7 on tau in [4, 20].  Only the C-infinity
-    'smooth_exp' bump decays faster than any polynomial, so its fitted order
-    grows with the window (9.30 there, 10.28 on [4, 20]).  Returns the fit
-    under "fitted" and every (2^k * tau, value) pair under "samples";
-    samples at the noise floor are kept there but left out of the fit.
+    Samples the dyadic transform at scale 2^k against 2^k * tau for each
+    tau of `taus`, in the far band, and fits the log-log slope of its
+    modulus.  The 'smoothstep_poly' ramp of order n is C^n with a jump in
+    its (n+1)-th derivative, so the fitted order is about n + 2 and stays
+    there as the window moves: at k = 6 on 15 taus geometric on [2, 10],
+    5.60, 9.43 and 12.45 at n = 4, 7 and 10, and 9.41 at n = 7 on [4, 20].
+    Only the C-infinity 'smooth_exp' bump decays faster than any
+    polynomial, so its fitted order grows with the window (9.30 there,
+    10.28 on [4, 20]).  Returns the fit under "fitted" and every
+    (2^k * tau, value) pair under "samples"; samples at the noise floor are
+    kept there but left out of the fit.
     """
-    taus = np.geomspace(tau_lo, tau_hi, n_samples)
-    values = _dyadic_transforms(params, profile, [k] * taus.size, taus)
+    values = _dyadic_transforms(params, profile, [k] * len(taus), taus)
     samples = [(float(2.0**k * tau), v) for tau, v in zip(taus, values)]
     fitted = fit_decay_exponent([(s, abs(v)) for s, v in samples], floor=_TAIL_NOISE_FLOOR)
     return {"fitted": fitted, "samples": samples}
@@ -764,26 +757,20 @@ def small_tau_exponent(alpha: float, beta: float, L: int) -> float:
     return -L / (1.0 - alpha) + (alpha - 2.0 + 2.0 * beta) / (2.0 * (1.0 - alpha))
 
 
-def verify_small_tau_decay(
-    params: SymbolParams,
-    profile: CutoffProfile,
-    L: int,
-    tau_lo: float,
-    tau_hi: float,
-    n_samples: int = 25,
-) -> dict:
-    """Check the small-tau decay law of the transformed symbol on [tau_lo, tau_hi].
+def verify_small_tau_decay(params: SymbolParams, profile: CutoffProfile, L: int, taus) -> dict:
+    """Check the small-tau decay law of the transformed symbol at `taus`,
+    which must increase strictly within (0, 200].
 
     If the predicted exponent is negative the check "slope" requires the
     fitted log-log slope within 0.2 of it; otherwise the transform is
     predicted bounded and the check "bounded" requires sup modulus <= 10x
-    the modulus at tau_hi.  Returns `decay_law`'s dict, whose "samples" are
-    the evaluated (tau, value) pairs.
+    the modulus at the last tau.  Returns `decay_law`'s dict, whose
+    "samples" are the evaluated (tau, value) pairs.
     """
-    if not 0.0 < tau_lo < tau_hi <= 200.0:
-        raise ValueError("need 0 < tau_lo < tau_hi <= 200")
+    taus = np.asarray(taus, dtype=float)
+    if not (np.all(np.diff(taus) > 0.0) and np.all((0.0 < taus) & (taus <= 200.0))):
+        raise ValueError("taus must increase strictly within (0, 200]")
     predicted = small_tau_exponent(params.alpha, params.beta, L)
-    taus = np.geomspace(tau_lo, tau_hi, n_samples)
     samples = [(float(t), v) for t, v in zip(taus, _transforms(params, profile, taus, L))]
     mods = np.array([abs(v) for _, v in samples])
     return decay_law(samples, predicted, 0.2, spread=np.max(mods) / mods[-1])

@@ -96,7 +96,7 @@ class TestCriterion2SymbolDecay:
     )
     def test_small_tau_exponent(self, alpha, beta, L):
         params = SymbolParams(alpha, beta)
-        rep = verify_small_tau_decay(params, PROFILE, L, 1e-3, 1e-1)
+        rep = verify_small_tau_decay(params, PROFILE, L, np.geomspace(1e-3, 1e-1, 25))
         report(
             f"criterion 2 slope (a={alpha}, b={beta}, L={L}): "
             f"fitted {rep['fitted'].slope:.3f} vs {rep['predicted']:.3f}"
@@ -105,7 +105,7 @@ class TestCriterion2SymbolDecay:
         assert rep["pass"]
 
     def test_bounded_branch(self):
-        rep = verify_small_tau_decay(SymbolParams(0.5, 3.0), PROFILE, 0, 1e-3, 1e-1, n_samples=10)
+        rep = verify_small_tau_decay(SymbolParams(0.5, 3.0), PROFILE, 0, np.geomspace(1e-3, 1e-1, 10))
         report(f"criterion 2 bounded branch (b=3): pass={rep['pass']}")
         assert [c["name"] for c in rep["checks"]] == ["bounded"]
         assert rep["pass"]
@@ -121,7 +121,7 @@ class TestCriterion2SymbolDecay:
 
 class TestCriterion3DyadicStructure:
     def test_outer_tail_order(self):
-        fit = dyadic_tail_order(SymbolParams(0.5, 1.0), PROFILE)["fitted"]
+        fit = dyadic_tail_order(SymbolParams(0.5, 1.0), PROFILE, 6, np.geomspace(2.0, 10.0, 15))["fitted"]
         report(f"criterion 3 outer tail order: {-fit.slope:.2f} (need >= 3)")
         assert -fit.slope >= 3.0
 
@@ -293,7 +293,7 @@ class TestCriterion7CombinationRate:
             ),
         }
         for name, f in fields.items():
-            rep = combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2)
+            rep = combination_rate_experiment(f, 0.5, 0.75, 0.5, np.geomspace(1e-4, 1e-2, 24), N=2)
             report(
                 f"criterion 7 rate ({name}): slope {rep['fitted'].slope:.3f} "
                 f"(need >= {rep['predicted'] - 0.1:.2f})"

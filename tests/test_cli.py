@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oscimax
-from oscimax import cli, operators
+from oscimax import cli, extrapolation, operators
 from oscimax.cli import (
     DEFAULTS,
     EXIT_CHECK_FAILURE,
@@ -384,6 +384,55 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
+
+    # each windowed experiment with equal and with reversed ends
+    BAD_WINDOWS = [
+        ["symbol-decay", "--tau-lo", "0.1", "--tau-hi", "0.1"],
+        ["symbol-decay", "--tau-lo", "0.1", "--tau-hi", "0.01"],
+        ["dyadic-decay", "--tau-lo", "5", "--tau-hi", "5"],
+        ["dyadic-decay", "--tau-lo", "10", "--tau-hi", "2"],
+        ["kernel-decay", "--ratio-lo", "1", "--ratio-hi", "1"],
+        ["kernel-decay", "--ratio-lo", "1", "--ratio-hi", "0.05"],
+        ["rate-combo", "--t-lo", "1e-2", "--t-hi", "1e-2"],
+        ["rate-combo", "--t-lo", "1e-2", "--t-hi", "1e-4"],
+        ["rate-riesz", "--t-lo", "1e-4", "--t-hi", "1e-4"],
+        ["rate-riesz", "--t-lo", "1e-2", "--t-hi", "1e-4"],
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_WINDOWS, ids=" ".join)
+    def test_window_ends_out_of_order_are_a_config_error(self, tmp_path, capsys, argv):
+        """Every window needs lo < hi, checked once when the config is read,
+        with one line that names both keys."""
+        _, lo_flag, lo, hi_flag, hi = argv
+        lo_key, hi_key = lo_flag[2:].replace("-", "_"), hi_flag[2:].replace("-", "_")
+        out = tmp_path / "new" / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: config key {lo_key!r} must be below {hi_key!r}, got {float(lo)!r} >= {float(hi)!r}\n"
+        )
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("experiment", ["maximal-sweep", "rate-combo", "atom-uniformity"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, experiment):
+        out = tmp_path / "o"
+        assert main([experiment, "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: config key 'seed' must be nonnegative, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_modes", ["8", "64", "78", "80"])
+    def test_lattice_too_coarse_for_an_atom_window_is_usage_error(self, tmp_path, capsys, monkeypatch, n_modes):
+        """At 80 points 4 grid cells are pi/10 itself, a window of one radius;
+        below it they exceed pi/10.  Refused before any atom is built."""
+        monkeypatch.setattr(extrapolation, "make_regular_atom", None)
+        out = tmp_path / "o"
+        assert main(["atom-uniformity", "--n-modes", n_modes, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: 4 grid cells (") and err.count("\n") == 1, err
+        assert err.endswith(
+            ") reach pi/10: the atom radii run from 4 grid cells up to pi/10, "
+            "so the lattice needs more than 80 points per axis\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["maximal-sweep", "rate-combo"])

@@ -225,18 +225,20 @@ class TestTaylorRemainder:
 
 
 class TestCombinationRateExperiment:
+    TIMES = np.geomspace(1e-4, 1e-2, 24)
+
     def test_single_mode_rate_equals_order(self):
         grid = LatticeGrid(1, 64)
         f = pure_mode(grid, (5,))
         for N in (2, 3):
-            report = combination_rate_experiment(f, 0.5, 0.75, 0.5, N=N)
+            report = combination_rate_experiment(f, 0.5, 0.75, 0.5, self.TIMES, N=N)
             assert report["fitted"].slope == pytest.approx(N, abs=0.05)
             assert all(c["pass"] for c in report["checks"])
 
     def test_band_limited_field(self):
         grid = LatticeGrid(1, 64)
         f = random_spectral_field(grid, np.random.default_rng(0), band_limit=16)
-        report = combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2)
+        report = combination_rate_experiment(f, 0.5, 0.75, 0.5, self.TIMES, N=2)
         assert report["fitted"].slope >= report["predicted"] - 0.1
         assert all(c["pass"] for c in report["checks"])
 
@@ -245,7 +247,7 @@ class TestCombinationRateExperiment:
         f = random_spectral_field(grid, np.random.default_rng(1), band_limit=16)
 
         def errors():
-            report = combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2)
+            report = combination_rate_experiment(f, 0.5, 0.75, 0.5, self.TIMES, N=2)
             return np.array([e for _, e in report["samples"]])
 
         want = errors()
@@ -266,16 +268,16 @@ class TestCombinationRateExperiment:
         grid = LatticeGrid(1, 16)
         f = pure_mode(grid, (0,))  # constant field: combination is exact
         with pytest.raises(ValueError, match="above the floor"):
-            combination_rate_experiment(f, 0.5, 0.75, 0.5, N=2)
+            combination_rate_experiment(f, 0.5, 0.75, 0.5, self.TIMES, N=2)
 
     def test_admissibility_precondition(self):
         grid = LatticeGrid(1, 16)
         f = pure_mode(grid, (1,))
         with pytest.raises(ValueError):
-            combination_rate_experiment(f, 0.5, 0.1, 0.5)
+            combination_rate_experiment(f, 0.5, 0.1, 0.5, self.TIMES)
         for p in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError, match="p must lie in"):
-                combination_rate_experiment(f, 0.5, 0.75, p)
+                combination_rate_experiment(f, 0.5, 0.75, p, self.TIMES)
         for count in (0, 4):
             with pytest.raises(ValueError, match="at least 5 times"):
                 combination_rate_experiment(f, 0.5, 0.75, 0.5, times=np.geomspace(1e-4, 1e-2, count))

@@ -415,7 +415,7 @@ class TestDecayLawSamples:
         return fit_decay_exponent([(s, abs(v)) for s, v in report["samples"]], floor=floor)
 
     def test_small_tau_decay(self):
-        rep = verify_small_tau_decay(SymbolParams(0.5, 0.5), PROFILE, 0, 0.02, 0.1, n_samples=5)
+        rep = verify_small_tau_decay(SymbolParams(0.5, 0.5), PROFILE, 0, np.geomspace(0.02, 0.1, 5))
         assert all(isinstance(v, complex) for _, v in rep["samples"])
         assert self.refit(rep) == rep["fitted"]
 
@@ -998,11 +998,11 @@ class TestDyadicPieces:
 
     def test_tail_order(self):
         params = SymbolParams(0.5, 1.0)
-        fit = dyadic_tail_order(params, PROFILE)["fitted"]
+        fit = dyadic_tail_order(params, PROFILE, 6, np.geomspace(2.0, 10.0, 15))["fitted"]
         assert -fit.slope >= 3.0
 
     def test_tail_order_keeps_noise_floor_samples_out_of_the_fit(self):
-        result = dyadic_tail_order(SymbolParams(0.5, 1.0), PROFILE, tau_hi=60.0, n_samples=12)
+        result = dyadic_tail_order(SymbolParams(0.5, 1.0), PROFILE, 6, np.geomspace(2.0, 60.0, 12))
         scaled = [s for s, _ in result["samples"]]
         assert scaled == pytest.approx(2.0**6 * np.geomspace(2.0, 60.0, 12), rel=1e-15)
         above = [abs(v) for _, v in result["samples"] if abs(v) > 1e-13]
@@ -1024,19 +1024,42 @@ class TestVerifySmallTauDecay:
 
     def test_slope_branch(self):
         params = SymbolParams(0.5, 0.5)
-        report = verify_small_tau_decay(params, PROFILE, 0, 1e-3, 1e-1)
+        report = verify_small_tau_decay(params, PROFILE, 0, np.geomspace(1e-3, 1e-1, 25))
         assert [c["name"] for c in report["checks"]] == ["slope"]
         assert report["pass"]
 
     def test_bounded_branch(self):
         params = SymbolParams(0.5, 3.0)
-        report = verify_small_tau_decay(params, PROFILE, 0, 1e-3, 1e-1, n_samples=10)
+        report = verify_small_tau_decay(params, PROFILE, 0, np.geomspace(1e-3, 1e-1, 10))
         assert [c["name"] for c in report["checks"]] == ["bounded"]
         assert report["pass"]
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            verify_small_tau_decay(SymbolParams(0.5, 0.5), PROFILE, 0, 1.0, 500.0)
+            verify_small_tau_decay(SymbolParams(0.5, 0.5), PROFILE, 0, np.geomspace(1.0, 500.0, 25))
+
+    @pytest.mark.parametrize(
+        "taus",
+        [
+            [0.1, 0.01, 0.02, 0.03, 0.04],  # decreasing at the start
+            [0.01, 0.02, 0.02, 0.03, 0.04],  # a repeated tau
+            np.geomspace(0.1, 0.01, 5),  # a reversed window
+            [0.0, 0.01, 0.02, 0.03, 0.04],
+            [-0.01, 0.01, 0.02, 0.03, 0.04],
+            [1.0, 10.0, 100.0, 200.0, 200.5],
+            [0.01, 0.02, np.nan, 0.03, 0.04],
+        ],
+    )
+    def test_taus_must_increase_strictly_within_0_200(self, monkeypatch, taus):
+        """Refused before any transform is taken."""
+        monkeypatch.setattr(quadrature, "_transforms", None)
+        with pytest.raises(ValueError, match=r"taus must increase strictly within \(0, 200\]"):
+            verify_small_tau_decay(SymbolParams(0.5, 0.5), PROFILE, 0, taus)
+
+    def test_last_tau_may_be_200(self):
+        taus = np.geomspace(20.0, 200.0, 5)
+        report = verify_small_tau_decay(SymbolParams(0.5, 3.0), PROFILE, 0, taus)
+        assert [t for t, _ in report["samples"]] == list(taus)
 
 
 class TestConjugation:
