@@ -26,6 +26,7 @@ import numpy.random
 
 from .extrapolation import atom_uniformity_experiment, combination_rate_experiment
 from .operators import (
+    MAX_LATTICE_TERMS,
     TimeGrid,
     kernel_lattice_sum,
     maximal_over_times,
@@ -34,6 +35,7 @@ from .operators import (
     verify_kernel_decay,
 )
 from .quadrature import (
+    MAX_SYMBOL_TAU,
     MIN_FIT_SAMPLES,
     check,
     decay_law,
@@ -42,7 +44,7 @@ from .quadrature import (
     verify_small_tau_decay,
 )
 from .symbols import CUTOFF_KINDS, CutoffProfile, SymbolParams
-from .torus import LatticeGrid, pure_mode, random_spectral_field
+from .torus import MAX_POINTS, LatticeGrid, pure_mode, random_spectral_field
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -138,7 +140,11 @@ def _check_value(key: str, value, default) -> None:
     a float: nan, +-inf and larger integers are refused.  Every n_samples
     feeds a power-law fit, every window end (a key ending in _lo or _hi:
     tau, t and the ratios) ends a geometric sequence, so it must be
-    positive, and a seed seeds numpy's generator, so it must be nonnegative."""
+    positive, and a seed seeds numpy's generator, so it must be nonnegative.
+    The library's ranges of a lattice are checked here too, so that the
+    refusal names the key: n_modes is even and at least 8, dimension is 1,
+    2 or 3, and m_cap is at most half the lattice-sum limit, since
+    kernel-decay's stability sweep sums at twice it."""
     if key == "cutoff_kind":
         valid = value in CUTOFF_KINDS
     else:
@@ -153,11 +159,22 @@ def _check_value(key: str, value, default) -> None:
         raise ValueError(f"config key {key!r} must be positive, got {value!r}")
     if key == "seed" and value < 0:
         raise ValueError(f"config key 'seed' must be nonnegative, got {value}")
+    if key == "n_modes" and (value < 8 or value % 2):
+        raise ValueError(f"config key 'n_modes' must be an even integer >= 8, got {value}")
+    if key == "dimension" and value not in (1, 2, 3):
+        raise ValueError(f"config key 'dimension' must be 1, 2 or 3, got {value}")
+    if key == "m_cap" and not 1 <= value <= MAX_LATTICE_TERMS // 2:
+        raise ValueError(
+            f"config key 'm_cap' must lie in [1, {MAX_LATTICE_TERMS // 2}], got {value}: "
+            f"the stability sweep sums at twice m_cap, and a lattice sum at most {MAX_LATTICE_TERMS} terms"
+        )
 
 
 def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
     """The defaults, then the file's values, then the flags: one check and
-    coercion for all, then each window's ends in order, lo < hi."""
+    coercion for all, then the rules that join keys: each window's ends in
+    order, lo < hi, at most MAX_POINTS lattice points, and symbol-decay's
+    taus at most MAX_SYMBOL_TAU."""
     defaults = DEFAULTS[experiment]
     loaded = {}
     if config_file is not None:
@@ -182,6 +199,13 @@ def _resolve_config(experiment: str, config_file, flag_values: dict) -> dict:
         hi = lo[:-3] + "_hi"
         if lo.endswith("_lo") and not config[lo] < config[hi]:
             raise ValueError(f"config key {lo!r} must be below {hi!r}, got {config[lo]!r} >= {config[hi]!r}")
+    if "n_modes" in config:
+        n, d = config["n_modes"], config.get("dimension", 1)
+        if n**d > MAX_POINTS:
+            keys = "keys 'n_modes' and 'dimension' give" if "dimension" in config else "key 'n_modes' gives"
+            raise ValueError(f"config {keys} {n}^{d} lattice points, above {MAX_POINTS}")
+    if experiment == "symbol-decay" and config["tau_hi"] > MAX_SYMBOL_TAU:
+        raise ValueError(f"config key 'tau_hi' must be at most {MAX_SYMBOL_TAU}, got {config['tau_hi']!r}")
     return config
 
 
@@ -279,8 +303,8 @@ def _run_kernel_decay(config):
     t = config["t"]
     ratios = _window(config, "ratio")
     radii = ratios * t
-    # the doubled sweep first: an m_cap whose double exceeds the lattice
-    # limit is rejected before any sum is built
+    # the doubled sweep first, so that the sums at m_cap read a prefix of
+    # its weights
     doubled, report = (
         verify_kernel_decay(params, profile, t, radii, eps=config["eps"], M_cap=cap)
         for cap in (2 * config["m_cap"], config["m_cap"])

@@ -231,8 +231,9 @@ def kernel_lattice_sum(
     ceil(M_cap/B) pairs to rotate by theta_a.  That is about 4 sqrt(M_cap)
     cosines and sines per x in place of M_cap cosines; the rounding of
     theta_a is that of m x, about 1e-16 m |x|.  The weights depend only on
-    (params, profile, t, eps, M_cap) and are kept for the last arguments
-    seen, so a sweep over x at a fixed lattice builds them once.
+    (params, profile, t, eps, M_cap) and are kept (see _lattice_weights),
+    so a sweep over x at a fixed lattice builds them once, and a sweep at
+    a smaller M_cap after one at a larger reads a prefix of its weights.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -240,8 +241,8 @@ def kernel_lattice_sum(
         raise ValueError(
             "unregularized lattice sum requires beta > 1 for absolute convergence"
         )
-    if not 1 <= M_cap <= _MAX_LATTICE_TERMS:
-        raise ValueError(f"M_cap must lie in [1, {_MAX_LATTICE_TERMS}], got {M_cap}")
+    if not 1 <= M_cap <= MAX_LATTICE_TERMS:
+        raise ValueError(f"M_cap must lie in [1, {MAX_LATTICE_TERMS}], got {M_cap}")
     weights = _lattice_weights(params, profile, t, eps, M_cap)
     blocks, B = weights.shape[0] // 2, weights.shape[1]
     phi = np.arange(B) * x
@@ -254,28 +255,45 @@ def kernel_lattice_sum(
     return 2.0 * complex(re, im)
 
 
-# The weights of the last lattice sum, keyed by its arguments.
+# The weights of one lattice key (params, profile, t, eps), keyed by the full
+# arguments: first the base, built at the largest M_cap asked for, then at
+# most one layout derived from it for a smaller M_cap.
 _lattice_slot: dict = {}
 # Terms per lattice sum: the weights hold 16 bytes per term, 256 MB at this
 # cap, and `kernel-decay` sums at twice its m_cap.  Larger caps are rejected
 # before anything is allocated.
-_MAX_LATTICE_TERMS = 2**24
+MAX_LATTICE_TERMS = 2**24
 
 
 def _lattice_weights(params, profile, t, eps, M_cap):
     """Read-only (2A x B) matrix of the weights w_m = mu(t m) e^{-eps m^2},
     m = 1 + aB + b: Re w in rows a, Im w in rows A + a, zero past M_cap.
 
-    Keeps one entry, the last key: the old entry is dropped before a new one
-    is built, so two lattices' weights are never held at once.
+    Keeps the base of the lattice key (params, profile, t, eps), the
+    weights of the largest M_cap built, and serves a smaller M_cap by
+    copying the base's first M_cap weights into that M_cap's blocking:
+    each w_m is elementwise in m, so the copy equals a fresh build bit for
+    bit.  It keeps one such layout beside the base, dropped before the next
+    is made.  A new key, or an M_cap above the base's, empties the slot
+    before it builds, so two lattices' weights are never held at once.
     """
     key = (params, profile, t, eps, M_cap)
     weights = _lattice_slot.get(key)
-    if weights is None:
+    if weights is not None:
+        return weights
+    base_key, base = next(iter(_lattice_slot.items()), (None, None))
+    if base is None or base_key[:4] != key[:4] or base_key[4] < M_cap:
         _lattice_slot.clear()
-        B = math.isqrt(M_cap - 1) + 1
-        blocks = -(-M_cap // B)
-        weights = np.zeros((2, blocks * B))
+        base = None
+    else:
+        for derived in list(_lattice_slot)[1:]:
+            del _lattice_slot[derived]
+    B = math.isqrt(M_cap - 1) + 1
+    blocks = -(-M_cap // B)
+    weights = np.zeros((2, blocks * B))
+    if base is not None:
+        weights[:, :M_cap] = base.reshape(2, -1)[:, :M_cap]
+    else:
         for lo in range(0, M_cap, _SYMBOL_CHUNK):
             m = np.arange(lo + 1, min(lo + _SYMBOL_CHUNK, M_cap) + 1, dtype=float)
             w = mu_symbol(params, profile, t, m)
@@ -285,9 +303,9 @@ def _lattice_weights(params, profile, t, eps, M_cap):
                 w *= np.exp(m, out=m)
             weights[0, lo : lo + w.size] = w.real
             weights[1, lo : lo + w.size] = w.imag
-        weights = weights.reshape(2 * blocks, B)
-        weights.flags.writeable = False
-        _lattice_slot[key] = weights
+    weights = weights.reshape(2 * blocks, B)
+    weights.flags.writeable = False
+    _lattice_slot[key] = weights
     return weights
 
 

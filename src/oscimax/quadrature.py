@@ -757,6 +757,10 @@ def small_tau_exponent(alpha: float, beta: float, L: int) -> float:
     return -L / (1.0 - alpha) + (alpha - 2.0 + 2.0 * beta) / (2.0 * (1.0 - alpha))
 
 
+# The largest tau verify_small_tau_decay takes.
+MAX_SYMBOL_TAU = 200.0
+
+
 def verify_small_tau_decay(params: SymbolParams, profile: CutoffProfile, L: int, taus) -> dict:
     """Check the small-tau decay law of the transformed symbol at `taus`,
     which must increase strictly within (0, 200].
@@ -768,8 +772,8 @@ def verify_small_tau_decay(params: SymbolParams, profile: CutoffProfile, L: int,
     "samples" are the evaluated (tau, value) pairs.
     """
     taus = np.asarray(taus, dtype=float)
-    if not (np.all(np.diff(taus) > 0.0) and np.all((0.0 < taus) & (taus <= 200.0))):
-        raise ValueError("taus must increase strictly within (0, 200]")
+    if not (np.all(np.diff(taus) > 0.0) and np.all((0.0 < taus) & (taus <= MAX_SYMBOL_TAU))):
+        raise ValueError(f"taus must increase strictly within (0, {MAX_SYMBOL_TAU:g}]")
     predicted = small_tau_exponent(params.alpha, params.beta, L)
     samples = [(float(t), v) for t, v in zip(taus, _transforms(params, profile, taus, L))]
     mods = np.array([abs(v) for _, v in samples])

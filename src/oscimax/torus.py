@@ -24,7 +24,7 @@ import numpy.fft
 PERIOD = 2.0 * np.pi
 
 # Lattice points at most: 2^24, 256 MB per complex array.
-_MAX_POINTS = 2**24
+MAX_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ class LatticeGrid:
                 f"modes_per_axis must be an even integer >= 8, got {self.modes_per_axis}"
             )
         # refused before any lattice-sized array is allocated
-        if self.modes_per_axis**self.dimension > _MAX_POINTS:
+        if self.modes_per_axis**self.dimension > MAX_POINTS:
             raise ValueError(
-                f"{self.modes_per_axis}^{self.dimension} lattice points exceed {_MAX_POINTS}"
+                f"{self.modes_per_axis}^{self.dimension} lattice points exceed {MAX_POINTS}"
             )
         object.__setattr__(self, "spatial_points_per_axis", self.modes_per_axis)
 

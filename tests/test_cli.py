@@ -105,17 +105,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--dimension", "4"], "dimension must be 1, 2 or 3, got 4"),
-            (["--dimension", "2", "--n-modes", "10000000"], "10000000^2 lattice points exceed 16777216"),
-            (["--dimension", "3", "--n-modes", "2048"], "2048^3 lattice points exceed 16777216"),
+            (["--dimension", "4"], "config key 'dimension' must be 1, 2 or 3, got 4"),
+            (["--dimension", "2", "--n-modes", "10000000"],
+             "config keys 'n_modes' and 'dimension' give 10000000^2 lattice points, above 16777216"),
+            (["--dimension", "3", "--n-modes", "2048"],
+             "config keys 'n_modes' and 'dimension' give 2048^3 lattice points, above 16777216"),
         ],
         ids=["dimension-4", "2d-1e7-modes", "3d-2048-modes"],
     )
     def test_lattice_out_of_range_is_usage_error(self, tmp_path, capsys, argv, message):
-        """Refused before any array is allocated: no MemoryError traceback."""
+        """Refused by the config check, under the keys' names, before any
+        array is allocated: no MemoryError traceback."""
         out = tmp_path / "o"
         assert main(["maximal-sweep", *argv, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"invalid parameters: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -372,6 +375,19 @@ class TestExitCodes:
         (["dyadic-decay", "--tau-lo", "0"], "config error: config key 'tau_lo' must be positive"),
         (["dyadic-decay", "--tau-hi", "0"], "config error: config key 'tau_hi' must be positive"),
         (["dyadic-decay", "--tau-lo", "-1"], "config error: config key 'tau_lo' must be positive"),
+        # the library's ranges, refused under the config key's name
+        (["kernel-decay", "--m-cap", "8388609"], "config error: config key 'm_cap' must lie in [1, 8388608], got 8388609"),
+        (["kernel-decay", "--m-cap", "0"], "config error: config key 'm_cap' must lie in [1, 8388608], got 0"),
+        (["symbol-decay", "--tau-hi", "500"], "config error: config key 'tau_hi' must be at most 200.0, got 500.0"),
+        (["atom-uniformity", "--n-modes", "79"], "config error: config key 'n_modes' must be an even integer >= 8, got 79"),
+        (["rate-riesz", "--n-modes", "6"], "config error: config key 'n_modes' must be an even integer >= 8, got 6"),
+        (["rate-combo", "--n-modes", "79"], "config error: config key 'n_modes' must be an even integer >= 8, got 79"),
+        (["maximal-sweep", "--n-modes", "-8"], "config error: config key 'n_modes' must be an even integer >= 8, got -8"),
+        (["rate-riesz", "--n-modes", "33554432"],
+         "config error: config key 'n_modes' gives 33554432^1 lattice points, above 16777216"),
+        (["maximal-sweep", "--dimension", "3", "--n-modes", "512"],
+         "config error: config keys 'n_modes' and 'dimension' give 512^3 lattice points, above 16777216"),
+        (["maximal-sweep", "--dimension", "0"], "config error: config key 'dimension' must be 1, 2 or 3, got 0"),
         # sigma * 2^-2000 underflows to 0
         (["maximal-sweep", "--span-octaves", "2000"], "invalid parameters: span_octaves = 2000.0 puts the first time"),
     ]
@@ -503,14 +519,10 @@ class TestExitCodes:
         assert err == f"invalid parameters: alpha must lie in (0, 1), got {float(alpha)}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "m_cap, summed", [("1000000000000", 2 * 10**12), ("8388609", 2**24 + 2), ("0", 0)]
-    )
-    def test_m_cap_outside_lattice_range_is_usage_error(
-        self, tmp_path, capsys, monkeypatch, m_cap, summed
-    ):
-        """The runner sums at 2 m_cap, and that sweep runs first: a cap whose
-        double lies outside [1, 2^24] stops before any weights are built."""
+    @pytest.mark.parametrize("m_cap", ["1000000000000", "8388609", "0"])
+    def test_m_cap_outside_lattice_range_is_usage_error(self, tmp_path, capsys, monkeypatch, m_cap):
+        """The runner sums at 2 m_cap: a cap outside [1, 2^23] is refused by
+        the config check, under its own name, before any weights are built."""
 
         def build(*args):
             raise AssertionError("weights built for a rejected m_cap")
@@ -519,7 +531,10 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["kernel-decay", "--m-cap", m_cap, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == f"invalid parameters: M_cap must lie in [1, 16777216], got {summed}\n"
+        assert err == (
+            f"config error: config key 'm_cap' must lie in [1, 8388608], got {m_cap}: "
+            "the stability sweep sums at twice m_cap, and a lattice sum at most 16777216 terms\n"
+        )
         assert not out.exists()
 
     def test_panel_budget_is_non_convergence(self, tmp_path, capsys):

@@ -30,6 +30,7 @@ from oscimax import (
     verify_kernel_decay,
 )
 from oscimax import hardy, operators
+from oscimax.cli import main
 from oscimax.hardy import AtomSpec, heat_semigroup, make_regular_atom
 from oscimax.torus import GridField, forward_transform
 from oscimax.symbols import mu_symbol, riesz_mean_symbol
@@ -997,6 +998,71 @@ class TestLatticeWeights:
         assert np.array_equal(weights.reshape(2, -1)[:, :1000], [damped.real, damped.imag])
         with pytest.raises(ValueError):
             weights[0, 0] = 0.0
+
+    @pytest.mark.parametrize("eps", [1e-7, 0.0])
+    @pytest.mark.parametrize("M_cap, base", [(1, 5000), (1000, 2000), (2000, 4000), (2001, 4002), (4999, 5000)])
+    def test_derived_layout_equals_fresh_build(self, monkeypatch, eps, M_cap, base):
+        """A smaller M_cap is served from the base's weights, in its own
+        blocking, without evaluating the symbol: the same bits and shape
+        as a build into an empty slot, zero past M_cap and read-only."""
+        params = SymbolParams(0.5, 1.5)
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        operators._lattice_weights(params, PROFILE, self.T, eps, base)
+        with monkeypatch.context() as counted:
+            counted.setattr(operators, "mu_symbol", None)  # a call raises
+            derived = operators._lattice_weights(params, PROFILE, self.T, eps, M_cap)
+        assert list(operators._lattice_slot) == [(params, PROFILE, self.T, eps, cap) for cap in (base, M_cap)]
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        fresh = operators._lattice_weights(params, PROFILE, self.T, eps, M_cap)
+        assert derived.shape == fresh.shape
+        assert np.array_equal(derived.view(np.uint64), fresh.view(np.uint64))
+        assert not np.any(derived.reshape(2, -1)[:, M_cap:])
+        with pytest.raises(ValueError):
+            derived[0, 0] = 0.0
+
+    def test_slot_holds_the_base_and_one_derived_layout(self, monkeypatch):
+        """Smaller caps of one key keep the base and replace each other; the
+        base's own cap reads it back; a larger cap or a new key rebuilds."""
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        elements = []
+
+        def counted(params, profile, t, lam):
+            elements.append(lam.size)
+            return mu_symbol(params, profile, t, lam)
+
+        monkeypatch.setattr(operators, "mu_symbol", counted)
+        params = SymbolParams(0.5, 0.5)
+
+        def sweep(cap, t=self.T):
+            kernel_lattice_sum(params, PROFILE, t, 0.1, eps=1e-7, M_cap=cap)
+            return [key[2:] for key in operators._lattice_slot]
+
+        assert sweep(5000) == [(self.T, 1e-7, 5000)]
+        base = operators._lattice_slot[params, PROFILE, self.T, 1e-7, 5000]
+        for cap in (1000, 2000, 3000, 2000):
+            assert sweep(cap) == [(self.T, 1e-7, 5000), (self.T, 1e-7, cap)]
+        assert sweep(5000) == [(self.T, 1e-7, 5000), (self.T, 1e-7, 2000)]
+        assert operators._lattice_slot[params, PROFILE, self.T, 1e-7, 5000] is base
+        assert sum(elements) == 5000
+        assert sweep(6000) == [(self.T, 1e-7, 6000)]
+        assert sum(elements) == 11000
+        assert sweep(1000, t=0.25) == [(0.25, 1e-7, 1000)]
+        assert sum(elements) == 12000
+
+    def test_kernel_decay_evaluates_each_weight_once(self, monkeypatch, tmp_path):
+        """The run sums at 2 m_cap first, then at m_cap from a prefix of
+        those weights: 4,000 symbol values for m_cap = 2000."""
+        monkeypatch.setattr(operators, "_lattice_slot", {})
+        elements = []
+
+        def counted(params, profile, t, lam):
+            elements.append(lam.size)
+            return mu_symbol(params, profile, t, lam)
+
+        monkeypatch.setattr(operators, "mu_symbol", counted)
+        argv = ["kernel-decay", "--m-cap", "2000", "--n-samples", "6", "--out", str(tmp_path / "o")]
+        assert main(argv) in (0, 1)
+        assert sum(elements) == 4000
 
     @pytest.mark.parametrize("eps", [1e-7, 0.0])
     def test_chunked_build_equals_one_chunk(self, monkeypatch, eps):

@@ -2,13 +2,19 @@
 Riesz symbol."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import oscimax
 from oscimax import (
     CutoffProfile,
     LatticeGrid,
@@ -18,6 +24,7 @@ from oscimax import (
     phi_cutoff,
     riesz_mean_symbol,
 )
+from oscimax.symbols import _GLAG48
 from oracles import psi0
 
 PROFILES = [CutoffProfile(), CutoffProfile("smoothstep_poly", 4), CutoffProfile("smooth_exp")]
@@ -68,7 +75,7 @@ def riesz_every_branch(k: float, z):
     out[small] = riesz_mean_symbol(k, a[small])
     big = a[~small]
     integral = np.zeros_like(big, dtype=complex)
-    for y, weight in zip(*np.polynomial.laguerre.laggauss(48)):
+    for y, weight in zip(*_GLAG48):
         integral += weight * (1.0 - 1j * y / big) ** (k - 1.0)
     out[~small] = (
         math.gamma(k + 1.0) * (-1j) ** k * big**-k * np.exp(1j * big)
@@ -468,3 +475,38 @@ class TestRieszSymbol:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             riesz_mean_symbol(0.0, 1.0)
+
+
+class TestGaussLaguerreTable:
+    """The stored 48-node Gauss-Laguerre rule of the Riesz symbol's contour
+    integral."""
+
+    def test_matches_laggauss(self):
+        nodes, weights = np.polynomial.laguerre.laggauss(48)
+        np.testing.assert_allclose(_GLAG48[0], nodes, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(_GLAG48[1], weights, rtol=1e-14, atol=0.0)
+
+    def test_matches_exact_rule(self):
+        """Against the rule at 60 digits: the nodes are the roots of L_48,
+        polished by Newton's method from the table, and the weights are
+        1 / (x L_48'(x)^2)."""
+        n = 48
+        with mpmath.workdps(60):
+            def derivative(x):  # x L_n'(x) = n (L_n(x) - L_{n-1}(x))
+                return n * (mpmath.laguerre(n, 0, x) - mpmath.laguerre(n - 1, 0, x)) / x
+
+            for node, weight in zip(*_GLAG48):
+                x = mpmath.mpf(float(node))
+                for _ in range(6):
+                    x -= mpmath.laguerre(n, 0, x) / derivative(x)
+                assert abs(node - x) <= 1e-14 * x
+                exact = 1 / (x * derivative(x) ** 2)
+                assert abs(weight - exact) <= 1e-12 * exact
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        script = "import sys, oscimax.cli; print('numpy.polynomial' in sys.modules)"
+        src = str(Path(oscimax.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
